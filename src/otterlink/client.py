@@ -1,9 +1,8 @@
 """Client-side topic gateway.
 
-Decoded telemetry fans out to named topics (otter_gps, otter_gps_time,
-otter_imu, otter_status, otter_cogsog); command topics (drift_cmds,
-control_cmds, station_keeping_cmds, course_speed_cmds) are encoded and
-relayed immediately, exactly once per publish call. Resend cadence is
+Decoded telemetry fans out to named topics; command topics are encoded
+and relayed immediately, exactly once per publish call. Which message
+maps to which topic is defined by ``codec.CATALOG``. Resend cadence is
 the publisher's responsibility.
 
 Decode failures increment a counter and are otherwise ignored: corrupt
@@ -18,18 +17,11 @@ from typing import Callable, Iterable
 
 from . import codec, transport
 
-TELEMETRY_TOPICS = ("otter_gps", "otter_gps_time", "otter_imu",
-                    "otter_status", "otter_cogsog")
-COMMAND_TOPICS = ("drift_cmds", "control_cmds", "station_keeping_cmds",
-                  "course_speed_cmds")
+TELEMETRY_TOPICS = tuple(topic for m in codec.CATALOG if not m.command
+                         for topic, _ in m.topics)
+_COMMAND_TYPE = {topic: m.cls for m in codec.CATALOG if m.command
+                 for topic, _ in m.topics}
 SYNC_TOPICS = ("otter_gps", "otter_imu", "otter_cogsog")
-
-_COMMAND_TYPE = {
-    "drift_cmds": codec.DriftCmd,
-    "control_cmds": codec.ManualCmd,
-    "station_keeping_cmds": codec.StationKeepCmd,
-    "course_speed_cmds": codec.CourseSpeedCmd,
-}
 
 DEFAULT_SLOP = 0.06  # s, at the 10 Hz telemetry operating point
 
@@ -51,32 +43,6 @@ class SyncedSample:
     imu: dict
     cogsog: dict
     stamp: float  # pivot = newest constituent stamp
-
-
-def _topic_samples(msg: codec.OtterMessage, stamp: float) -> list[TopicSample]:
-    if isinstance(msg, codec.PosReport):
-        return [
-            TopicSample("otter_gps", stamp,
-                        {"utc": msg.utc, "lat": msg.lat, "lon": msg.lon,
-                         "alt": msg.alt}),
-            TopicSample("otter_cogsog", stamp,
-                        {"utc": msg.utc, "cog": msg.cog, "sog": msg.sog}),
-        ]
-    if isinstance(msg, codec.AttReport):
-        return [TopicSample("otter_imu", stamp,
-                            {"utc": msg.utc, "roll": msg.roll,
-                             "pitch": msg.pitch, "yaw": msg.yaw,
-                             "p": msg.p, "q": msg.q, "r": msg.r})]
-    if isinstance(msg, codec.StatusReport):
-        return [TopicSample("otter_status", stamp,
-                            {"mode": msg.mode, "rpm_port": msg.rpm_port,
-                             "rpm_stbd": msg.rpm_stbd, "temp": msg.temp,
-                             "battery": msg.battery, "power": msg.power})]
-    if isinstance(msg, codec.TimeReport):
-        return [TopicSample("otter_gps_time", stamp,
-                            {"utc_date": msg.utc_date,
-                             "utc_time": msg.utc_time})]
-    return []
 
 
 class ApproxTimeSync:
@@ -136,7 +102,7 @@ class TopicGateway:
 
     def subscribe(self, topic: str,
                   consumer: Callable[[TopicSample], None]) -> None:
-        if topic in COMMAND_TOPICS:
+        if topic in _COMMAND_TYPE:
             raise UsageError(f"cannot subscribe to command topic {topic!r}")
         if topic not in TELEMETRY_TOPICS:
             raise UsageError(f"unknown topic {topic!r}")
@@ -154,7 +120,8 @@ class TopicGateway:
         except codec.CodecError:
             self.decode_errors += 1
             return
-        for sample in _topic_samples(msg, stamp):
+        for topic, payload in codec.topic_payloads(msg):
+            sample = TopicSample(topic, stamp, payload)
             for consumer in self._subs.get(sample.topic, ()):
                 consumer(sample)
             for sync in self._syncs:
@@ -223,9 +190,3 @@ class BackseatClient(TopicGateway):
         if self._cmd_sock is not None:
             self._cmd_sock.close()
             self._cmd_sock = None
-
-
-def connect(telemetry_endpoint: transport.Endpoint | None = None,
-            command_endpoint: transport.Endpoint | None = None
-            ) -> BackseatClient:
-    return BackseatClient(telemetry_endpoint, command_endpoint)

@@ -1,32 +1,22 @@
 """NMEA-0183-style sentence codec for the Otter backseat link.
 
-Sentences use talker ``POT`` with tags POS, ATT, STA, TIM and CMD
-(subcommands DRIFT / MAN / SK / CRS).  Framing follows the usual NMEA
-convention: ``$`` + payload + ``*`` + two uppercase hex digits (XOR of
-the payload bytes) + CRLF.
+Framing follows the usual NMEA convention: ``$`` + payload + ``*`` +
+two uppercase hex digits (XOR of the payload bytes) + CRLF.
 
-Numeric fields are rendered at fixed precision so that an
-encode/decode roundtrip is exact at the rendered precision:
-
-====================  ========
-field class           decimals
-====================  ========
-latitude / longitude  7
-angles, angular rate  2
-speeds                2
-normalized forces     3
-altitude (m)          2
-UTC seconds-of-day    2
-temp / battery / W    1
-RPM                   integer
-====================  ========
+``CATALOG`` is the single definition of the sentence set: each entry
+gives a message type's tag, its fields in wire order with kind,
+rendered precision and range, and the topics it maps to. The encoder,
+decoder, client gateway, embedded runner and log columns all derive
+from it. Fields render at fixed precision, so an encode/decode
+roundtrip is exact at the rendered precision.
 
 See docs/protocol.md for the full grammar in ABNF.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field
 from typing import Union
 
 V_MAX = 3.0  # m/s, commanded-speed ceiling shared with the vessel model
@@ -146,9 +136,6 @@ OtterMessage = Union[
     DriftCmd, ManualCmd, StationKeepCmd, CourseSpeedCmd,
 ]
 
-COMMAND_TYPES = (DriftCmd, ManualCmd, StationKeepCmd, CourseSpeedCmd)
-TELEMETRY_TYPES = (PosReport, AttReport, StatusReport, TimeReport)
-
 
 def _check_payload_chars(payload: str) -> None:
     try:
@@ -195,145 +182,208 @@ def unframe(line: str) -> str:
     return payload
 
 
-def _require(cond: bool, field: str, detail: str) -> None:
-    if not cond:
-        raise RangeError(f"field {field!r}: {detail}")
+# -- the message catalog --------------------------------------------------
+
+FLOAT, UINT, DATE, MODE, FLAG = "float", "uint", "date", "mode", "flag"
+_FORMATS = {UINT: "d", DATE: "08d", MODE: "", FLAG: ""}
 
 
-def _finite(value: float) -> bool:
-    return value == value and abs(value) != float("inf")
+@dataclass(frozen=True)
+class Field:
+    """One wire field: the message attribute it carries, how it renders,
+    and the closed range [lo, hi] its rendered value must lie in.
+
+    A periodic field's range is [0, hi): a value that renders as ``hi``
+    (``360.00`` for a heading) goes on the wire as zero, and a decoder
+    rejects ``hi`` itself.
+    """
+
+    name: str
+    kind: str = FLOAT  # FLOAT fixed-decimal, UINT, DATE (yyyymmdd), MODE, FLAG
+    decimals: int = 2  # FLOAT only
+    lo: float = -math.inf
+    hi: float = math.inf
+    periodic: bool = False
+    fmt: str = field(init=False)  # format spec of the wire text
+
+    def __post_init__(self):
+        object.__setattr__(self, "fmt", f".{self.decimals}f"
+                           if self.kind == FLOAT else _FORMATS[self.kind])
+
+    def out_of_range(self, value) -> bool:
+        """True when a parsed value may not appear on the wire."""
+        if self.kind == MODE:
+            return value not in MODE_TAGS
+        if self.kind == FLAG:
+            # rendered from truthiness; only a non-finite float is refused
+            return isinstance(value, float) and not math.isfinite(value)
+        return not (math.isfinite(value) and self.lo <= value <= self.hi)
+
+    def range_error(self, value) -> RangeError:
+        close = ")" if self.periodic else "]"
+        allowed = (MODE_TAGS if self.kind == MODE
+                   else f"[{self.lo:.15g}, {self.hi:.15g}{close}")
+        return RangeError(f"field {self.name!r}: {value!r} not in {allowed}")
+
+
+class Message:
+    """Catalog entry for one sentence type: its wire tag, its fields in
+    wire order (named as the dataclass fields) and the topics it maps to.
+
+    A topic given by name alone carries every field, in wire order.
+    """
+
+    def __init__(self, cls, tag: str, fields: tuple[Field, ...], topics,
+                 command: bool = False):
+        self.cls = cls
+        self.tag = tag  # a command's tag is "POTCMD,<subcommand>"
+        self.fields = fields
+        names = tuple(f.name for f in fields)
+        self.topics = tuple((t, names) if isinstance(t, str) else t
+                            for t in topics)
+        self.command = command  # sent to the vehicle rather than by it
+
+
+_DAY_S = 86400.0
+_UTC = Field("utc", lo=0.0, hi=_DAY_S, periodic=True)
+_LAT = Field("lat", decimals=7, lo=-90.0, hi=90.0)
+_LON = Field("lon", decimals=7, lo=-180.0, hi=180.0)
+_SPEED = Field("speed", lo=0.0, hi=V_MAX)
+
+CATALOG = (
+    Message(PosReport, "POTPOS",
+            (_UTC, _LAT, _LON, Field("alt"), Field("sog", lo=0.0),
+             Field("cog", lo=0.0, hi=360.0, periodic=True)),
+            [("otter_gps", ("utc", "lat", "lon", "alt")),
+             ("otter_cogsog", ("utc", "cog", "sog"))]),
+    Message(AttReport, "POTATT",
+            (_UTC, Field("roll"), Field("pitch"),
+             Field("yaw", lo=0.0, hi=360.0, periodic=True),
+             Field("p"), Field("q"), Field("r")),
+            ["otter_imu"]),
+    Message(StatusReport, "POTSTA",
+            (Field("mode", MODE), Field("rpm_port", UINT, lo=0),
+             Field("rpm_stbd", UINT, lo=0), Field("temp", decimals=1),
+             Field("battery", decimals=1, lo=0.0, hi=100.0),
+             Field("power", decimals=1)),
+            ["otter_status"]),
+    Message(TimeReport, "POTTIM",
+            (Field("utc_date", DATE, lo=19000101, hi=99991231),
+             Field("utc_time", lo=0.0, hi=_DAY_S, periodic=True)),
+            ["otter_gps_time"]),
+    Message(DriftCmd, "POTCMD,DRIFT", (Field("on", FLAG),),
+            ["drift_cmds"], command=True),
+    Message(ManualCmd, "POTCMD,MAN",
+            (Field("x", decimals=3, lo=-1.0, hi=1.0), Field("y", decimals=3),
+             Field("z", decimals=3, lo=-1.0, hi=1.0)),
+            ["control_cmds"], command=True),
+    Message(StationKeepCmd, "POTCMD,SK", (_LAT, _LON, _SPEED),
+            ["station_keeping_cmds"], command=True),
+    Message(CourseSpeedCmd, "POTCMD,CRS",
+            (Field("course", lo=0.0, hi=360.0), _SPEED),
+            ["course_speed_cmds"], command=True),
+)
+
+_BY_CLASS = {m.cls: m for m in CATALOG}
+_BY_TAG = {m.tag: m for m in CATALOG}
+# talkers whose second wire field selects the message (POTCMD,<sub>)
+_WITH_SUBCOMMAND = {m.tag.split(",")[0] for m in CATALOG if "," in m.tag}
+
+# topic -> payload columns, for every topic a message maps to
+TOPIC_COLUMNS = {topic: cols for m in CATALOG for topic, cols in m.topics}
+
+
+def _message_of(msg: OtterMessage) -> Message:
+    """The catalog entry of a message instance."""
+    entry = _BY_CLASS.get(type(msg))
+    if entry is None:
+        raise UnknownSentenceError(
+            f"not an OtterMessage: {type(msg).__name__}")
+    return entry
+
+
+def topic_payloads(msg: OtterMessage) -> list[tuple[str, dict]]:
+    """The (topic, payload) pairs a message fans out to, in catalog order."""
+    return [(topic, {c: getattr(msg, c) for c in cols})
+            for topic, cols in _message_of(msg).topics]
+
+
+def _render(entry: Message, msg: OtterMessage) -> list[str]:
+    """Wire text of each field. Ranges are checked on the rendered value,
+    which is exactly what a decoder parses, so every line the encoder
+    emits decodes."""
+    texts = []
+    for f in entry.fields:
+        value = getattr(msg, f.name)
+        if f.kind == FLOAT:
+            text = format(value, f.fmt)
+            value = float(text)
+            if not (f.lo <= value <= f.hi and math.isfinite(value)):
+                raise f.range_error(value)
+            if value == f.hi and f.periodic:
+                text = format(0.0, f.fmt)
+        elif f.out_of_range(value):
+            raise f.range_error(value)
+        elif f.kind == FLAG:
+            text = "1" if value else "0"
+        else:
+            text = format(value, f.fmt)
+        texts.append(text)
+    return texts
 
 
 def validate(msg: OtterMessage) -> None:
-    """Raise RangeError if any field violates the variant's invariants."""
-    for f in fields(msg):
-        val = getattr(msg, f.name)
-        if isinstance(val, float):
-            _require(_finite(val), f.name, "must be finite")
-    if isinstance(msg, PosReport):
-        _require(0.0 <= msg.utc < 86400.0, "utc", "seconds-of-day in [0, 86400)")
-        _require(-90.0 <= msg.lat <= 90.0, "lat", "degrees in [-90, 90]")
-        _require(-180.0 <= msg.lon <= 180.0, "lon", "degrees in [-180, 180]")
-        _require(msg.sog >= 0.0, "sog", "must be nonnegative")
-        _require(0.0 <= msg.cog < 360.0, "cog", "degrees in [0, 360)")
-    elif isinstance(msg, AttReport):
-        _require(0.0 <= msg.utc < 86400.0, "utc", "seconds-of-day in [0, 86400)")
-        _require(0.0 <= msg.yaw < 360.0, "yaw", "degrees in [0, 360)")
-    elif isinstance(msg, StatusReport):
-        _require(msg.mode in MODE_TAGS, "mode", f"one of {MODE_TAGS}")
-        _require(msg.rpm_port >= 0, "rpm_port", "unsigned")
-        _require(msg.rpm_stbd >= 0, "rpm_stbd", "unsigned")
-        _require(0.0 <= msg.battery <= 100.0, "battery", "percent in [0, 100]")
-    elif isinstance(msg, TimeReport):
-        _require(19000101 <= msg.utc_date <= 99991231, "utc_date", "yyyymmdd")
-        _require(0.0 <= msg.utc_time < 86400.0, "utc_time",
-                 "seconds-of-day in [0, 86400)")
-    elif isinstance(msg, ManualCmd):
-        _require(-1.0 <= msg.x <= 1.0, "x", "in [-1, 1]")
-        _require(-1.0 <= msg.z <= 1.0, "z", "in [-1, 1]")
-    elif isinstance(msg, StationKeepCmd):
-        _require(-90.0 <= msg.lat <= 90.0, "lat", "degrees in [-90, 90]")
-        _require(-180.0 <= msg.lon <= 180.0, "lon", "degrees in [-180, 180]")
-        _require(0.0 <= msg.speed <= V_MAX, "speed", f"in [0, {V_MAX}]")
-    elif isinstance(msg, CourseSpeedCmd):
-        _require(0.0 <= msg.course <= 360.0, "course", "degrees in [0, 360]")
-        _require(0.0 <= msg.speed <= V_MAX, "speed", f"in [0, {V_MAX}]")
-    elif isinstance(msg, DriftCmd):
-        pass
-    else:
-        raise UnknownSentenceError(f"not an OtterMessage: {type(msg).__name__}")
+    """Raise RangeError unless encode_sentence(msg) would succeed
+    (UnknownSentenceError for a non-message)."""
+    _render(_message_of(msg), msg)
 
 
 def encode_sentence(msg: OtterMessage) -> str:
     """Render a message as a complete wire line (``$...*hh\\r\\n``)."""
-    validate(msg)
-    if isinstance(msg, PosReport):
-        payload = (f"POTPOS,{msg.utc:.2f},{msg.lat:.7f},{msg.lon:.7f},"
-                   f"{msg.alt:.2f},{msg.sog:.2f},{msg.cog:.2f}")
-    elif isinstance(msg, AttReport):
-        payload = (f"POTATT,{msg.utc:.2f},{msg.roll:.2f},{msg.pitch:.2f},"
-                   f"{msg.yaw:.2f},{msg.p:.2f},{msg.q:.2f},{msg.r:.2f}")
-    elif isinstance(msg, StatusReport):
-        payload = (f"POTSTA,{msg.mode},{msg.rpm_port:d},{msg.rpm_stbd:d},"
-                   f"{msg.temp:.1f},{msg.battery:.1f},{msg.power:.1f}")
-    elif isinstance(msg, TimeReport):
-        payload = f"POTTIM,{msg.utc_date:08d},{msg.utc_time:.2f}"
-    elif isinstance(msg, DriftCmd):
-        payload = f"POTCMD,DRIFT,{1 if msg.on else 0}"
-    elif isinstance(msg, ManualCmd):
-        payload = f"POTCMD,MAN,{msg.x:.3f},{msg.y:.3f},{msg.z:.3f}"
-    elif isinstance(msg, StationKeepCmd):
-        payload = f"POTCMD,SK,{msg.lat:.7f},{msg.lon:.7f},{msg.speed:.2f}"
-    else:
-        payload = f"POTCMD,CRS,{msg.course:.2f},{msg.speed:.2f}"
-    return frame(payload)
+    entry = _message_of(msg)
+    return frame(",".join([entry.tag, *_render(entry, msg)]))
 
 
-def _floats(parts, n, tag):
-    if len(parts) != n:
-        raise MalformedFieldError(f"{tag}: expected {n} fields, got {len(parts)}")
-    out = []
-    for part in parts:
-        try:
-            out.append(float(part))
-        except ValueError as exc:
-            raise MalformedFieldError(f"{tag}: bad numeric field {part!r}") from exc
-    return out
-
-
-def _ints(parts, tag):
-    out = []
-    for part in parts:
-        try:
-            out.append(int(part))
-        except ValueError as exc:
-            raise MalformedFieldError(f"{tag}: bad integer field {part!r}") from exc
-    return out
+def _parse(entry: Message, parts: list[str]) -> list:
+    if len(parts) != len(entry.fields):
+        raise MalformedFieldError(f"{entry.tag}: expected {len(entry.fields)} "
+                                  f"fields, got {len(parts)}")
+    values = []
+    for f, part in zip(entry.fields, parts):
+        if f.kind == FLAG:
+            if part not in ("0", "1"):
+                raise MalformedFieldError(
+                    f"{entry.tag}: expected a 0/1 flag, got {part!r}")
+            values.append(part == "1")
+        elif f.kind == MODE:
+            values.append(part)
+        else:
+            try:
+                values.append(float(part) if f.kind == FLOAT else int(part))
+            except ValueError as exc:
+                raise MalformedFieldError(
+                    f"{entry.tag}: bad field {f.name!r}: {part!r}") from exc
+    return values
 
 
 def decode_sentence(line: str) -> OtterMessage:
     """Parse and validate one wire line into its message variant.
 
     Raises a CodecError subclass on any failure; never returns a
-    partially populated message.
+    partially populated message. Ranges are strict: a periodic field
+    equal to its period (``360.00``) is refused.
     """
-    payload = unframe(line)
-    parts = payload.split(",")
+    parts = unframe(line).split(",")
     tag = parts[0]
-    args = parts[1:]
-    if tag == "POTPOS":
-        msg: OtterMessage = PosReport(*_floats(args, 6, tag))
-    elif tag == "POTATT":
-        msg = AttReport(*_floats(args, 7, tag))
-    elif tag == "POTSTA":
-        if len(args) != 6:
-            raise MalformedFieldError(f"{tag}: expected 6 fields, got {len(args)}")
-        rpm_port, rpm_stbd = _ints(args[1:3], tag)
-        temp, battery, power = _floats(args[3:6], 3, tag)
-        msg = StatusReport(args[0], rpm_port, rpm_stbd, temp, battery, power)
-    elif tag == "POTTIM":
-        if len(args) != 2:
-            raise MalformedFieldError(f"{tag}: expected 2 fields, got {len(args)}")
-        (utc_date,) = _ints(args[:1], tag)
-        (utc_time,) = _floats(args[1:], 1, tag)
-        msg = TimeReport(utc_date, utc_time)
-    elif tag == "POTCMD":
-        if not args:
-            raise MalformedFieldError("POTCMD: missing subcommand")
-        sub, rest = args[0], args[1:]
-        if sub == "DRIFT":
-            if len(rest) != 1 or rest[0] not in ("0", "1"):
-                raise MalformedFieldError("POTCMD,DRIFT: expected one 0/1 flag")
-            msg = DriftCmd(rest[0] == "1")
-        elif sub == "MAN":
-            msg = ManualCmd(*_floats(rest, 3, "POTCMD,MAN"))
-        elif sub == "SK":
-            msg = StationKeepCmd(*_floats(rest, 3, "POTCMD,SK"))
-        elif sub == "CRS":
-            msg = CourseSpeedCmd(*_floats(rest, 2, "POTCMD,CRS"))
-        else:
-            raise UnknownSentenceError(f"unknown POTCMD subcommand {sub!r}")
-    else:
-        raise UnknownSentenceError(f"unknown sentence tag {tag!r}")
-    validate(msg)
-    return msg
+    if tag in _WITH_SUBCOMMAND:
+        if len(parts) < 2:
+            raise MalformedFieldError(f"{tag}: missing subcommand")
+        tag = f"{tag},{parts[1]}"
+    entry = _BY_TAG.get(tag)
+    if entry is None:
+        raise UnknownSentenceError(f"unknown sentence {tag!r}")
+    values = _parse(entry, parts[tag.count(",") + 1:])
+    for f, value in zip(entry.fields, values):
+        if f.out_of_range(value) or (f.periodic and value == f.hi):
+            raise f.range_error(value)
+    return entry.cls(*values)

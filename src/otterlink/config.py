@@ -57,11 +57,8 @@ class VesselSection:
 @dataclass(frozen=True)
 class BenchSection:
     amplitude: float = 20.0
-    seed: int = 7
     target_laps: float = 1.0
     duration: float = 600.0
-    speed: float = 1.0
-    slop: float = 0.06
     dropout_start: float = -1.0  # <0 disables the injected dropout
     dropout_duration: float = 3.0
 
@@ -86,8 +83,8 @@ _SCHEMA = {
               + _VESSEL_PARAM_KEYS,
     "nmpc": _NMPC_KEYS,
     "los": ("lookahead", "accept_radius", "speed"),
-    "bench": ("amplitude", "seed", "target_laps", "duration", "speed",
-              "slop", "dropout_start", "dropout_duration"),
+    "bench": ("amplitude", "target_laps", "duration", "dropout_start",
+              "dropout_duration"),
 }
 
 
@@ -188,11 +185,8 @@ def load_config(path: str | None = None) -> RunConfig:
     bn = parser["bench"] if parser.has_section("bench") else {}
     bench = BenchSection(
         amplitude=_get(bn, "amplitude", float, 20.0),
-        seed=_get(bn, "seed", int, 7),
         target_laps=_get(bn, "target_laps", float, 1.0),
         duration=_get(bn, "duration", float, 600.0),
-        speed=_get(bn, "speed", float, 1.0),
-        slop=_get(bn, "slop", float, 0.06),
         dropout_start=_get(bn, "dropout_start", float, -1.0),
         dropout_duration=_get(bn, "dropout_duration", float, 3.0),
     )

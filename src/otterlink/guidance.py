@@ -165,14 +165,16 @@ def bearing_deg(d_north: float, d_east: float) -> float:
 
 def los_guidance(north: float, east: float, path: PolylinePath,
                  los: LosConfig,
-                 s_hint: float | None = None) -> tuple[float, float]:
+                 s_hint: float | None = None
+                 ) -> tuple[float, float, float]:
     """Line-of-sight guidance: course toward the point `lookahead`
     meters ahead of the nearest-point projection.
 
-    Returns (course_deg in [0, 360), speed m/s). On an open path the
-    speed drops to zero inside accept_radius of the final waypoint.
-    An s_hint pins the projection to the expected branch of a
-    self-intersecting path.
+    Returns (course_deg in [0, 360), speed m/s, s_along of the
+    projection). On an open path the speed drops to zero inside
+    accept_radius of the final waypoint. An s_hint pins the projection
+    to the expected branch of a self-intersecting path; the returned
+    s_along is the hint for the next call.
     """
     if s_hint is None:
         proj = path.project(north, east)
@@ -183,12 +185,13 @@ def los_guidance(north: float, east: float, path: PolylinePath,
         end = path.end_point
         dist_end = math.hypot(end[0] - north, end[1] - east)
         if dist_end <= los.accept_radius:
-            return bearing_deg(end[0] - north, end[1] - east), 0.0
+            return (bearing_deg(end[0] - north, end[1] - east), 0.0,
+                    proj.s_along)
     dn, de = target[0] - north, target[1] - east
     if math.hypot(dn, de) < 1e-9:
         tangent_heading = math.degrees(proj.path_heading) % 360.0
-        return tangent_heading, los.speed
-    return bearing_deg(dn, de), los.speed
+        return tangent_heading, los.speed, proj.s_along
+    return bearing_deg(dn, de), los.speed, proj.s_along
 
 
 class LapTracker:

@@ -19,24 +19,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
+from . import codec
+
 SCHEMA_VERSION = 1
 FLUSH_INTERVAL = 1.0  # s
 
 # column order per topic for CSV export (after the stamp columns)
-TOPIC_COLUMNS = {
-    "otter_gps": ["utc", "lat", "lon", "alt"],
-    "otter_cogsog": ["utc", "cog", "sog"],
-    "otter_imu": ["utc", "roll", "pitch", "yaw", "p", "q", "r"],
-    "otter_status": ["mode", "rpm_port", "rpm_stbd", "temp", "battery",
-                     "power"],
-    "otter_gps_time": ["utc_date", "utc_time"],
-    "drift_cmds": ["on"],
-    "control_cmds": ["x", "y", "z"],
-    "station_keeping_cmds": ["lat", "lon", "speed"],
-    "course_speed_cmds": ["course", "speed"],
-    "event": ["name", "detail"],
-    "metric": ["name", "value"],
-}
+TOPIC_COLUMNS = {**codec.TOPIC_COLUMNS,
+                 "event": ("name", "detail"),
+                 "metric": ("name", "value")}
 
 
 class OrderingError(ValueError):
@@ -171,7 +162,7 @@ def export_csv(source_path, topic: str, out_path) -> int:
     count = 0
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + columns)
+        writer.writerow(["t", *columns])
         for rec in iter_topic(records, topic):
             writer.writerow([repr(rec.t_mono)]
                             + [rec.payload.get(col, "") for col in columns])

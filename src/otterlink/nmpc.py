@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import codec
 from .guidance import PolylinePath
 from .vessel import VesselParams, VesselState, rk4_step, saturate, wrap_2pi
 

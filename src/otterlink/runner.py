@@ -115,13 +115,8 @@ class LosBaselineController:
             return
         north, east = geo.latlon_to_local(
             sample.payload["lat"], sample.payload["lon"], *self.origin)
-        course, speed = los_guidance(north, east, self.path, self.los,
-                                     s_hint=self._s_hint)
-        if self._s_hint is None:
-            self._s_hint = self.path.project(north, east).s_along
-        else:
-            self._s_hint = self.path.project_near(
-                north, east, self._s_hint).s_along
+        course, speed, self._s_hint = los_guidance(
+            north, east, self.path, self.los, s_hint=self._s_hint)
         self.gateway.publish_command(
             "course_speed_cmds", codec.CourseSpeedCmd(course, speed))
 
@@ -160,8 +155,8 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     """Run one mission on the virtual clock; returns records + metrics.
 
     `controller_kind` is "nmpc" or "baseline". A telemetry dropout
-    window silently discards telemetry lines before they reach the
-    gateway, mimicking the field-observed network dropouts.
+    window silently discards the OBC's lines (all telemetry) before they
+    reach the gateway, mimicking the field-observed network dropouts.
     """
     params = params or VesselParams()
     nmpc_config = nmpc_config or NmpcConfig()
@@ -193,11 +188,8 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     def send_command(line: str) -> None:
         msg = codec.decode_sentence(line)
         obc.handle_command(msg)
-        topic = {codec.DriftCmd: "drift_cmds", codec.ManualCmd: "control_cmds",
-                 codec.StationKeepCmd: "station_keeping_cmds",
-                 codec.CourseSpeedCmd: "course_speed_cmds"}[type(msg)]
-        payload = {f: getattr(msg, f) for f in msg.__dataclass_fields__}
-        emit(LogRecord(t_now, obc.utc0 + t_now, "tx", topic, payload))
+        for topic, payload in codec.topic_payloads(msg):
+            emit(LogRecord(t_now, obc.utc0 + t_now, "tx", topic, payload))
 
     gateway = TopicGateway(command_sender=send_command)
     for topic in TELEMETRY_TOPICS:
@@ -227,12 +219,10 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     completion_time = None
     for step in range(1, n_steps + 1):
         t_now = step * SIM_DT
-        for line in obc.tick(t_now):
-            if dropout is not None and dropout.covers(t_now):
-                msg_tag = line[1:7]
-                if msg_tag in ("POTPOS", "POTATT", "POTSTA", "POTTIM"):
-                    continue
-            gateway.feed_line(line, t_now)
+        lines = obc.tick(t_now)
+        if dropout is None or not dropout.covers(t_now):
+            for line in lines:
+                gateway.feed_line(line, t_now)
         if step % control_period == 0:
             controller.step(t_now)
         laps.update(obc.state.north, obc.state.east)

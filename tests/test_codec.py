@@ -1,5 +1,10 @@
+import dataclasses
 import functools
+import math
 import operator
+import re
+import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,11 +42,11 @@ class TestChecksum:
         assert codec.compute_checksum(payload) == xor_oracle(payload)
 
 
-angles = st.floats(min_value=0.0, max_value=359.99, allow_nan=False)
+angles = st.floats(min_value=0.0, max_value=360.0, exclude_max=True)
 signed_angles = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 rates = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
 forces = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-utcs = st.floats(min_value=0.0, max_value=86399.0, allow_nan=False)
+utcs = st.floats(min_value=0.0, max_value=86400.0, exclude_max=True)
 lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 lons = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
 speeds = st.floats(min_value=0.0, max_value=codec.V_MAX, allow_nan=False)
@@ -64,6 +69,17 @@ messages = st.one_of(
               course=st.floats(0.0, 360.0, allow_nan=False), speed=speeds),
 )
 
+# values at, just past or just inside a documented bound, or non-finite
+EDGES = (359.996, 360.0, 86399.996, 86400.0, -0.004, 1.0004, math.nan,
+         math.inf)
+
+
+def edge_variants(msg):
+    """`msg` with each of its float fields in turn set to each edge value."""
+    return [dataclasses.replace(msg, **{f.name: value})
+            for f in dataclasses.fields(msg)
+            if isinstance(getattr(msg, f.name), float) for value in EDGES]
+
 
 class TestRoundtrip:
     @given(messages)
@@ -74,6 +90,41 @@ class TestRoundtrip:
         assert type(decoded) is type(msg)
         # re-encoding the decoded message must reproduce the exact line
         assert codec.encode_sentence(decoded) == line
+
+    @given(messages)
+    @settings(max_examples=200)
+    def test_validate_iff_encode_and_every_encoded_line_decodes(self, msg):
+        for variant in [msg, *edge_variants(msg)]:
+            try:
+                codec.validate(variant)
+            except codec.RangeError:
+                with pytest.raises(codec.RangeError):
+                    codec.encode_sentence(variant)
+                continue
+            line = codec.encode_sentence(variant)
+            assert codec.encode_sentence(codec.decode_sentence(line)) == line
+
+    @pytest.mark.parametrize("name, msg", [
+        ("cog", codec.PosReport(43200.0, 45.0, -76.0, 0.0, 1.0, 359.996)),
+        ("yaw", codec.AttReport(43200.0, 0.0, 0.0, 359.999, 0.0, 0.0, 0.0)),
+        ("utc", codec.PosReport(86399.996, 45.0, -76.0, 0.0, 1.0, 90.0)),
+        ("utc_time", codec.TimeReport(20250101, 86399.996)),
+        # -1e-20 % 360.0 is exactly 360.0, as the OBC's heading % 360 can be
+        ("cog", codec.PosReport(43200.0, 45.0, -76.0, 0.0, 0.0,
+                                -1e-20 % 360.0)),
+    ])
+    def test_periodic_field_rendering_its_period_wraps_to_zero(self, name,
+                                                               msg):
+        line = codec.encode_sentence(msg)
+        assert getattr(codec.decode_sentence(line), name) == 0.0
+        parts = line[1:line.index("*")].split(",")
+        index = 1 + [f.name for f in dataclasses.fields(msg)].index(name)
+        assert parts[index] == "0.00"
+        # the decoder stays strict: the period itself is out of range
+        parts[index] = f"{getattr(msg, name):.2f}"
+        payload = ",".join(parts)
+        with pytest.raises(codec.RangeError, match=name):
+            codec.decode_sentence(f"${payload}*{xor_oracle(payload)}\r\n")
 
     def test_pos_report_fields_survive(self):
         msg = codec.PosReport(utc=43200.0, lat=45.1234567, lon=-76.7654321,
@@ -159,3 +210,37 @@ class TestDecodeErrors:
         except codec.CodecError:
             return
         codec.validate(decoded)  # whatever survives must be fully valid
+
+
+def _abnf_productions() -> list[list[str]]:
+    """Right-hand sides of docs/protocol.md's ABNF rules, as tokens, with
+    continuation lines joined and comments dropped."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "protocol.md"
+    block = doc.read_text(encoding="utf-8").split("```abnf\n")[1]
+    rules: list[str] = []
+    for line in block.split("```")[0].splitlines():
+        line = line.split(";")[0].rstrip()
+        if line.strip():
+            if line[0].isspace():
+                rules[-1] += " " + line.strip()
+            else:
+                rules.append(line)
+    return [re.findall(r'"[^"]*"|\S+', rule.split("=", 1)[1])
+            for rule in rules]
+
+
+class TestCatalog:
+    def test_one_entry_per_message_type_in_dataclass_field_order(self):
+        assert ({m.cls for m in codec.CATALOG}
+                == set(typing.get_args(codec.OtterMessage)))
+        for entry in codec.CATALOG:
+            assert ([f.name for f in entry.fields]
+                    == [f.name for f in dataclasses.fields(entry.cls)])
+
+    def test_protocol_doc_has_each_tag_with_its_field_count(self):
+        documented = {(tokens[0].strip('"'), tokens.count('","'))
+                      for tokens in _abnf_productions()
+                      if tokens[0].startswith('"')}
+        for entry in codec.CATALOG:
+            literal = entry.tag.split(",")[-1]
+            assert (literal, len(entry.fields)) in documented, entry.tag

@@ -75,6 +75,11 @@ class TestRejection:
         with pytest.raises(ConfigFileError, match="unknown key"):
             load_config(write(tmp_path, "[transport]\nrate = 5\n"))
 
+    @pytest.mark.parametrize("key", ["seed", "speed", "slop"])
+    def test_bench_keys_nothing_reads_are_unknown(self, tmp_path, key):
+        with pytest.raises(ConfigFileError, match="unknown key"):
+            load_config(write(tmp_path, f"[bench]\n{key} = 3\n"))
+
     def test_bad_value_type(self, tmp_path):
         with pytest.raises(ConfigFileError, match="bad value"):
             load_config(write(tmp_path, "[transport]\nrate_hz = fast\n"))

@@ -108,20 +108,21 @@ class TestLos:
         # cross-track direction
         path = PolylinePath([(0.0, 0.0), (0.0, 100.0)])
         los = LosConfig(lookahead=10.0, accept_radius=2.0, speed=1.2)
-        course, speed = los_guidance(5.0, 0.0, path, los)
+        course, speed, _ = los_guidance(5.0, 0.0, path, los)
         assert course == pytest.approx(math.degrees(math.atan2(10.0, -5.0)))
         assert course == pytest.approx(116.565, abs=0.01)
         assert speed == 1.2
 
     def test_on_path_course_follows_tangent(self):
         path = PolylinePath([(0.0, 0.0), (0.0, 100.0)])
-        course, _ = los_guidance(0.0, 20.0, path, LosConfig())
+        course, _, s_along = los_guidance(0.0, 20.0, path, LosConfig())
         assert course == pytest.approx(90.0)
+        assert s_along == pytest.approx(20.0)
 
     def test_open_path_stops_inside_accept_radius(self):
         path = PolylinePath([(0.0, 0.0), (0.0, 100.0)])
-        _, speed = los_guidance(0.5, 99.0, path,
-                                LosConfig(accept_radius=2.0))
+        _, speed, _ = los_guidance(0.5, 99.0, path,
+                                   LosConfig(accept_radius=2.0))
         assert speed == 0.0
 
     def test_invalid_config_rejected(self):

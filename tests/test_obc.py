@@ -49,6 +49,12 @@ class TestTelemetryCadence:
         pos = [m for m in msgs if isinstance(m, codec.PosReport)]
         assert pos[-1].utc - pos[0].utc == pytest.approx(1.9, abs=1e-6)
 
+    def test_heading_and_utc_just_below_their_wrap_decode_as_zero(self):
+        obc = OtterObc(initial_state=VesselState(psi=2.0 * math.pi - 1e-6),
+                       utc0=86399.896)
+        att = [m for m in run_for(obc, 0.1) if isinstance(m, codec.AttReport)]
+        assert (att[0].yaw, att[0].utc) == (0.0, 0.0)
+
     def test_tick_rejects_time_reversal(self):
         obc = OtterObc()
         obc.tick(1.0)
