@@ -1,14 +1,22 @@
 """Plain-text (INI) run configuration.
 
-Sections: [transport], [vessel], [nmpc], [los], [bench]. Every key has
-a documented default below; unknown sections or keys are rejected so a
-typo cannot silently fall back to a default.
+Sections: [transport], [vessel], [nmpc], [los], [bench], one per field
+of `RunConfig`. The keys of a section are the field names of its
+dataclass, lowercased (`horizon_T` is `horizon_t`); [vessel] also takes
+the fields of `VesselParams`. Each value is cast to its field's type,
+and a key a file omits keeps its field's default. The defaults live with
+the dataclasses: `TransportSection`, `VesselSection` and `BenchSection`
+below, `VesselParams` in vessel.py, `NmpcConfig` in nmpc.py and
+`LosConfig` in guidance.py. `time_budget_s = none` disables the NMPC
+wall-clock budget. Unknown sections (including [DEFAULT]) or keys are
+rejected so a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 from .guidance import LosConfig
 from .nmpc import NmpcConfig
@@ -72,123 +80,67 @@ class RunConfig:
     bench: BenchSection = field(default_factory=BenchSection)
 
 
-_VESSEL_PARAM_KEYS = ("m11", "m22", "m33", "d1u", "d2u", "d1v", "d1r",
-                      "f_max", "lever", "v_max", "startup_delay", "motor_tau")
-_NMPC_KEYS = ("horizon_t", "steps_n", "w_ct", "w_head", "w_speed", "w_u",
-              "w_du", "ref_speed", "max_iters", "grad_tol", "time_budget_s")
-_SCHEMA = {
-    "transport": ("telem_host", "telem_port", "cmd_host", "cmd_port",
-                  "rate_hz"),
-    "vessel": ("origin_lat", "origin_lon", "current_north", "current_east")
-              + _VESSEL_PARAM_KEYS,
-    "nmpc": _NMPC_KEYS,
-    "los": ("lookahead", "accept_radius", "speed"),
-    "bench": ("amplitude", "target_laps", "duration", "dropout_start",
-              "dropout_duration"),
-}
+def _fields(cls) -> list[tuple[str, type]]:
+    """(name, type) of each field; the annotations are strings under
+    `from __future__ import annotations`, so they are resolved here."""
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in fields(cls)]
 
 
-def _get(section, key, cast, default):
-    if key not in section:
-        return default
-    raw = section[key]
+def _keys(cls) -> set[str]:
+    """The INI keys of a section: its field names as configparser
+    delivers them (lowercased), a nested dataclass's fields flattened in."""
+    keys = set()
+    for name, kind in _fields(cls):
+        keys |= _keys(kind) if is_dataclass(kind) else {name.lower()}
+    return keys
+
+
+def _value(key: str, raw: str, kind):
+    options = get_args(kind)
+    if type(None) in options:  # `float | None`: "none" or empty is None
+        if raw.strip().lower() in ("", "none"):
+            return None
+        (kind,) = set(options) - {type(None)}
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
+        return kind(raw)
     except ValueError as exc:
         raise ConfigFileError(f"bad value for {key}: {raw!r}") from exc
+
+
+def _build(cls, section):
+    """An instance of a section dataclass; omitted keys are not passed,
+    so the dataclass's own defaults apply."""
+    kwargs = {}
+    for name, kind in _fields(cls):
+        if is_dataclass(kind):
+            kwargs[name] = _build(kind, section)
+        elif name.lower() in section:
+            kwargs[name] = _value(name.lower(), section[name.lower()], kind)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigFileError(str(exc)) from exc
 
 
 def load_config(path: str | None = None) -> RunConfig:
     """Parse a config file; with no path, return all defaults."""
     if path is None:
         return RunConfig()
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    # no section header can spell a newline, so a file's [DEFAULT] is an
+    # ordinary section (rejected below), not defaults for every section
+    parser = configparser.ConfigParser(default_section="\n")
+    if not parser.read(path):
         raise ConfigFileError(f"cannot read config file {path!r}")
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigFileError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+    sections = dict(_fields(RunConfig))
+    for name in parser.sections():
+        if name not in sections:
+            raise ConfigFileError(f"unknown config section [{name}]")
+        keys = _keys(sections[name])
+        for key in parser[name]:
+            if key not in keys:
                 raise ConfigFileError(
-                    f"unknown key {key!r} in section [{section}]")
-
-    tr = parser["transport"] if parser.has_section("transport") else {}
-    transport = TransportSection(
-        telem_host=_get(tr, "telem_host", str, "127.0.0.1"),
-        telem_port=_get(tr, "telem_port", int, 10010),
-        cmd_host=_get(tr, "cmd_host", str, "127.0.0.1"),
-        cmd_port=_get(tr, "cmd_port", int, 10011),
-        rate_hz=_get(tr, "rate_hz", float, 10.0),
-    )
-
-    vs = parser["vessel"] if parser.has_section("vessel") else {}
-    defaults = VesselParams()
-    try:
-        params = VesselParams(
-            m11=_get(vs, "m11", float, defaults.m11),
-            m22=_get(vs, "m22", float, defaults.m22),
-            m33=_get(vs, "m33", float, defaults.m33),
-            d1u=_get(vs, "d1u", float, defaults.d1u),
-            d2u=_get(vs, "d2u", float, defaults.d2u),
-            d1v=_get(vs, "d1v", float, defaults.d1v),
-            d1r=_get(vs, "d1r", float, defaults.d1r),
-            F_max=_get(vs, "f_max", float, defaults.F_max),
-            lever=_get(vs, "lever", float, defaults.lever),
-            v_max=_get(vs, "v_max", float, defaults.v_max),
-            startup_delay=_get(vs, "startup_delay", float,
-                               defaults.startup_delay),
-            motor_tau=_get(vs, "motor_tau", float, defaults.motor_tau),
-        )
-    except ValueError as exc:
-        raise ConfigFileError(str(exc)) from exc
-    vessel = VesselSection(
-        origin_lat=_get(vs, "origin_lat", float, 45.0),
-        origin_lon=_get(vs, "origin_lon", float, -76.0),
-        current_north=_get(vs, "current_north", float, 0.0),
-        current_east=_get(vs, "current_east", float, 0.0),
-        params=params,
-    )
-
-    nm = parser["nmpc"] if parser.has_section("nmpc") else {}
-    if "time_budget_s" in nm:
-        raw = nm["time_budget_s"].strip().lower()
-        budget = None if raw in ("", "none") else float(raw)
-    else:
-        budget = NmpcConfig().time_budget_s
-    try:
-        nmpc = NmpcConfig(
-            horizon_T=_get(nm, "horizon_t", float, 4.0),
-            steps_N=_get(nm, "steps_n", int, 20),
-            w_ct=_get(nm, "w_ct", float, 10.0),
-            w_head=_get(nm, "w_head", float, 2.0),
-            w_speed=_get(nm, "w_speed", float, 1.0),
-            w_u=_get(nm, "w_u", float, 0.1),
-            w_du=_get(nm, "w_du", float, 0.5),
-            ref_speed=_get(nm, "ref_speed", float, 1.0),
-            max_iters=_get(nm, "max_iters", int, 40),
-            grad_tol=_get(nm, "grad_tol", float, 1e-3),
-            time_budget_s=budget,
-        )
-        ls = parser["los"] if parser.has_section("los") else {}
-        los = LosConfig(
-            lookahead=_get(ls, "lookahead", float, 8.0),
-            accept_radius=_get(ls, "accept_radius", float, 2.0),
-            speed=_get(ls, "speed", float, 1.0),
-        )
-    except ValueError as exc:
-        raise ConfigFileError(str(exc)) from exc
-
-    bn = parser["bench"] if parser.has_section("bench") else {}
-    bench = BenchSection(
-        amplitude=_get(bn, "amplitude", float, 20.0),
-        target_laps=_get(bn, "target_laps", float, 1.0),
-        duration=_get(bn, "duration", float, 600.0),
-        dropout_start=_get(bn, "dropout_start", float, -1.0),
-        dropout_duration=_get(bn, "dropout_duration", float, 3.0),
-    )
-    return RunConfig(transport=transport, vessel=vessel, nmpc=nmpc,
-                     los=los, bench=bench)
+                    f"unknown key {key!r} in section [{name}]")
+    return RunConfig(**{
+        name: _build(cls, parser[name] if parser.has_section(name) else {})
+        for name, cls in sections.items()})

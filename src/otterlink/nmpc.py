@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .guidance import PolylinePath
-from .vessel import VesselParams, VesselState, rk4_step, saturate, wrap_2pi
+from .vessel import (VesselParams, VesselState, dynamics_deriv, rk4_step,
+                     saturate, wrap_2pi)
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,6 @@ def _stage_jacobians(y, x, z, p: VesselParams):
 
 def _rk4_step_with_jac(y, x, z, p: VesselParams, dt: float):
     """One RK4 step plus the step map's Jacobians wrt state and input."""
-    from .vessel import dynamics_deriv
-
     fp, fs = _alloc(x, z, p)
 
     def f(yy):
@@ -164,15 +163,10 @@ def _rk4_step_with_jac(y, x, z, p: VesselParams, dt: float):
     return y_next, A_step, B_step
 
 
-def _path_terms(states: np.ndarray, path: PolylinePath):
-    """(e_ct, psi_path, port_normal) for predicted states 1..N."""
-    return path.project_many(states[1:, :2])
-
-
-def cost(states: np.ndarray, inputs: np.ndarray, path: PolylinePath,
-         config: NmpcConfig, prev_input) -> float:
-    """Evaluate the stated objective on a rollout."""
-    e_ct, psi_path, _ = _path_terms(states, path)
+def _objective(states: np.ndarray, inputs: np.ndarray, e_ct, psi_path,
+               config: NmpcConfig, prev_input) -> float:
+    """The stated objective, given the path projection (e_ct, psi_path)
+    of predicted states 1..N."""
     psi = states[1:, 2]
     u = states[1:, 3]
     state_cost = (config.w_ct * np.sum(e_ct ** 2)
@@ -183,6 +177,13 @@ def cost(states: np.ndarray, inputs: np.ndarray, path: PolylinePath,
     input_cost = (config.w_u * np.sum(inputs ** 2)
                   + config.w_du * np.sum(diffs ** 2))
     return float(state_cost + input_cost)
+
+
+def cost(states: np.ndarray, inputs: np.ndarray, path: PolylinePath,
+         config: NmpcConfig, prev_input) -> float:
+    """Evaluate the stated objective on a rollout."""
+    e_ct, psi_path, _ = path.project_many(states[1:, :2])
+    return _objective(states, inputs, e_ct, psi_path, config, prev_input)
 
 
 def cost_of_inputs(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
@@ -210,10 +211,10 @@ def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("non-finite rollout")
 
-    e_ct, psi_path, port = _path_terms(states, path)
+    e_ct, psi_path, port = path.project_many(states[1:, :2])
     psi = states[1:, 2]
     u = states[1:, 3]
-    total = cost(states, inputs, path, config, prev_input)
+    total = _objective(states, inputs, e_ct, psi_path, config, prev_input)
 
     # d(stage cost k)/d(state k) for k = 1..N
     lx = np.zeros((n, 6))

@@ -28,6 +28,18 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "[bench]\nlaps = 2\n")
         assert main(["--config", cfg, "run", "--embedded"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["bench-fig8", "sim", "listen"])
+    def test_bad_time_budget_is_a_config_error(self, tmp_path, capsys,
+                                               command):
+        cfg = write_config(tmp_path, "[nmpc]\ntime_budget_s = fast\n")
+        assert main(["--config", cfg, command]) == EXIT_CONFIG
+        assert "bad value for time_budget_s" in capsys.readouterr().err
+
+    def test_default_section_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[DEFAULT]\nrate_hz = 5\n" + FAST_BENCH)
+        assert main(["--config", cfg, "run", "--embedded"]) == EXIT_CONFIG
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
     def test_sim_rejects_out_of_band_rate(self, tmp_path, capsys):
         assert main(["sim", "--rate", "50", "--duration", "0.1"]) \
             == EXIT_CONFIG

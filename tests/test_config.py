@@ -1,6 +1,8 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
 
-from otterlink.config import ConfigFileError, load_config
+from otterlink.config import ConfigFileError, RunConfig, load_config
 
 
 def write(tmp_path, text):
@@ -23,6 +25,47 @@ class TestDefaults:
         cfg = load_config(write(tmp_path, "[transport]\n[nmpc]\n"))
         assert cfg.transport.rate_hz == 10.0
         assert cfg.nmpc.w_ct == 10.0
+
+    def test_every_key_written_at_its_default(self, tmp_path):
+        text = "".join(f"[{name}]\n" + "".join(
+            f"{key} = {value}\n" for key, value in section_items(section))
+            for name, section in sections(RunConfig()))
+        assert load_config(write(tmp_path, text)) == RunConfig()
+
+
+def sections(cfg):
+    return [(f.name, getattr(cfg, f.name)) for f in fields(cfg)]
+
+
+def section_items(section):
+    """(key, value) of a section: field names lowercased, the fields of a
+    nested dataclass flattened in."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            yield from section_items(value)
+        else:
+            yield f.name.lower(), value
+
+
+class TestSchema:
+    @pytest.mark.parametrize("name, size", [
+        ("transport", 5), ("vessel", 16), ("nmpc", 11), ("los", 3),
+        ("bench", 5)])
+    def test_keys_are_the_lowercased_field_names(self, tmp_path, name, size):
+        section = getattr(RunConfig(), name)
+        assert len(dict(section_items(section))) == size  # 40 in all
+        for key, value in section_items(section):
+            cfg = load_config(write(tmp_path, f"[{name}]\n{key} = {value}\n"))
+            assert cfg == RunConfig()
+        for f in fields(section):  # a field's own spelling is the same key
+            if not is_dataclass(getattr(section, f.name)):
+                text = f"[{name}]\n{f.name} = {getattr(section, f.name)}\n"
+                assert load_config(write(tmp_path, text)) == RunConfig()
+
+    def test_nested_params_field_is_not_a_key(self, tmp_path):
+        with pytest.raises(ConfigFileError, match="unknown key 'params'"):
+            load_config(write(tmp_path, "[vessel]\nparams = 1\n"))
 
 
 class TestParsing:
@@ -60,6 +103,14 @@ target_laps = 2
         assert cfg.nmpc.time_budget_s is None
         cfg = load_config(write(tmp_path, "[nmpc]\ntime_budget_s = 0.05\n"))
         assert cfg.nmpc.time_budget_s == 0.05
+        cfg = load_config(write(tmp_path, "[nmpc]\ntime_budget_s =\n"))
+        assert cfg.nmpc.time_budget_s is None
+
+    def test_vessel_params_keys(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[vessel]\nm11 = 130\n"
+                                          "motor_tau = 0.25\n"))
+        assert cfg.vessel.params.m11 == 130.0
+        assert cfg.vessel.params.motor_tau == 0.25
 
 
 class TestRejection:
@@ -83,6 +134,38 @@ class TestRejection:
     def test_bad_value_type(self, tmp_path):
         with pytest.raises(ConfigFileError, match="bad value"):
             load_config(write(tmp_path, "[transport]\nrate_hz = fast\n"))
+
+    @pytest.mark.parametrize("section, key, raw", [
+        ("nmpc", "time_budget_s", "fast"), ("nmpc", "steps_n", "2.5"),
+        ("vessel", "m11", "heavy")])
+    def test_bad_value_names_the_key(self, tmp_path, section, key, raw):
+        with pytest.raises(ConfigFileError,
+                           match=f"bad value for {key}: '{raw}'"):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nrate_hz = 5\n",
+        "[DEFAULT]\nrate_hz = 5\n[transport]\n",
+        "[transport]\n[DEFAULT]\n"])
+    def test_default_section_is_unknown(self, tmp_path, text):
+        with pytest.raises(ConfigFileError,
+                           match=r"unknown config section \[DEFAULT\]"):
+            load_config(write(tmp_path, text))
+
+    def test_unknown_names_checked_before_values(self, tmp_path):
+        with pytest.raises(ConfigFileError, match="unknown key 'foo'"):
+            load_config(write(tmp_path, "[transport]\nrate_hz = fast\n"
+                                        "[bench]\nfoo = 1\n"))
+
+    @pytest.mark.parametrize("section, key, raw, match", [
+        ("nmpc", "steps_n", "1", "steps_N >= 2"),
+        ("nmpc", "w_ct", "-1", "weight w_ct"),
+        ("los", "lookahead", "0", "must be positive"),
+        ("vessel", "m33", "0", "m33 must be positive")])
+    def test_post_init_errors_surface_as_config_error(self, tmp_path, section,
+                                                      key, raw, match):
+        with pytest.raises(ConfigFileError, match=match):
+            load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
 
     def test_invalid_vessel_params_surface_as_config_error(self, tmp_path):
         with pytest.raises(ConfigFileError, match="calibration"):

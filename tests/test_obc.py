@@ -153,6 +153,23 @@ class TestStatus:
         assert all(m.rpm_port >= 0 and m.rpm_stbd >= 0 for m in stats)
         assert any(m.rpm_port > 0 for m in stats)  # motors really spun
 
+    def test_every_catalog_command_sets_its_mode(self):
+        commands = [m for m in codec.CATALOG if m.command]
+        subcommands = {m.tag.split(",")[1] for m in commands}
+        assert set(codec.MODE_TAGS) == subcommands
+        for entry in commands:
+            # 1 is in range for every command field (DriftCmd needs on=1)
+            msg = entry.cls(**{f.name: 1 for f in entry.fields})
+            assert codec.decode_sentence(codec.encode_sentence(msg)) == msg
+            for other in commands:  # switch in from every other mode
+                if other is entry:
+                    continue
+                obc = OtterObc()
+                obc.handle_command(other.cls(**{f.name: 1
+                                                for f in other.fields}))
+                obc.handle_command(msg)
+                assert obc.mode_tag == entry.tag.split(",")[1]
+
     def test_mode_tag_reported(self):
         obc = OtterObc()
         obc.handle_command(codec.CourseSpeedCmd(10.0, 1.0))
