@@ -130,17 +130,22 @@ def load_config(path: str | None = None) -> RunConfig:
     # no section header can spell a newline, so a file's [DEFAULT] is an
     # ordinary section (rejected below), not defaults for every section
     parser = configparser.ConfigParser(default_section="\n")
-    if not parser.read(path):
-        raise ConfigFileError(f"cannot read config file {path!r}")
-    sections = dict(_fields(RunConfig))
-    for name in parser.sections():
-        if name not in sections:
-            raise ConfigFileError(f"unknown config section [{name}]")
-        keys = _keys(sections[name])
-        for key in parser[name]:
-            if key not in keys:
-                raise ConfigFileError(
-                    f"unknown key {key!r} in section [{name}]")
-    return RunConfig(**{
-        name: _build(cls, parser[name] if parser.has_section(name) else {})
-        for name, cls in sections.items()})
+    # configparser raises on a file without a section header, a repeated
+    # key or section, and on reading a value it cannot `%`-interpolate
+    try:
+        if not parser.read(path):
+            raise ConfigFileError(f"cannot read config file {path!r}")
+        sections = dict(_fields(RunConfig))
+        for name in parser.sections():
+            if name not in sections:
+                raise ConfigFileError(f"unknown config section [{name}]")
+            keys = _keys(sections[name])
+            for key in parser[name]:
+                if key not in keys:
+                    raise ConfigFileError(
+                        f"unknown key {key!r} in section [{name}]")
+        return RunConfig(**{
+            name: _build(cls, parser[name] if parser.has_section(name) else {})
+            for name, cls in sections.items()})
+    except configparser.Error as exc:
+        raise ConfigFileError(f"bad config file {path!r}: {exc}") from exc

@@ -117,13 +117,18 @@ class PolylinePath:
         """Vectorized nearest-segment projection of (K, 2) points.
 
         Returns (cross_track (K,), path_heading (K,), port_normal (K, 2)).
+        The (K, segments) intermediates are kept per component, north and
+        east: a numpy reduction over a length-2 axis costs more than the
+        arithmetic it sums.
         """
         p = np.asarray(points, dtype=float)
-        rel = p[:, None, :] - self._starts[None, :, :]
-        t = np.clip((rel * self._tangents[None, :, :]).sum(axis=2)
-                    / self._lengths[None, :], 0.0, 1.0)
-        feet = self._starts[None, :, :] + t[:, :, None] * self._vecs[None, :, :]
-        d2 = ((p[:, None, :] - feet) ** 2).sum(axis=2)
+        pn, pe = p[:, 0:1], p[:, 1:2]
+        sn, se = self._starts.T
+        tn, te = self._tangents.T
+        vn, ve = self._vecs.T
+        t = np.clip(((pn - sn) * tn + (pe - se) * te) / self._lengths,
+                    0.0, 1.0)
+        d2 = (pn - (sn + t * vn)) ** 2 + (pe - (se + t * ve)) ** 2
         idx = np.argmin(d2, axis=1)
         tangents = self._tangents[idx]
         port = np.column_stack([tangents[:, 1], -tangents[:, 0]])

@@ -13,8 +13,9 @@ plus input effort and input-rate terms
     w_u |w_k|^2 + w_du |w_k - w_{k-1}|^2     (w_{-1} = last applied input).
 
 The solver is projected gradient descent with Armijo backtracking and
-exact box projection onto [-1, 1]^(2N); gradients are exact, obtained
-by a discrete adjoint pass through the RK4 rollout.
+exact box projection onto [-1, 1]^(2N). Gradients are exact: a reverse
+pass through each RK4 step of the rollout recomputes its stage points
+and sums scalar vector-Jacobian products of the model there.
 """
 
 from __future__ import annotations
@@ -80,87 +81,66 @@ def predict(y0: np.ndarray, inputs: np.ndarray, config: NmpcConfig,
     """RK4 rollout of the nominal model; identical stepping to the
     simulator's step_dynamics for matching dt."""
     dt = config.dt
-    states = np.empty((len(inputs) + 1, 6))
-    states[0] = y0
     y = tuple(float(v) for v in y0)
-    for k, (x, z) in enumerate(inputs):
-        fp, fs = _alloc(float(x), float(z), params)
+    rows = [y]
+    for x, z in np.asarray(inputs, dtype=float).tolist():
+        fp, fs = _alloc(x, z, params)
         y = rk4_step(y, fp, fs, 0.0, 0.0, params, dt)
         y = (y[0], y[1], wrap_2pi(y[2]), y[3], y[4], y[5])
-        states[k + 1] = y
+        rows.append(y)
+    states = np.array(rows)
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("non-finite rollout")
     return states
 
 
-def _stage_jacobians(y, x, z, p: VesselParams):
-    """Continuous-time A = df/dy (6x6) and B = df/d(x,z) (6x2)."""
-    _, _, psi, u, v, r = y
-    s, c = math.sin(psi), math.cos(psi)
-    A = np.zeros((6, 6))
-    A[0, 2] = -u * s - v * c
-    A[0, 3] = c
-    A[0, 4] = -s
-    A[1, 2] = u * c - v * s
-    A[1, 3] = s
-    A[1, 4] = c
-    A[2, 5] = 1.0
-    A[3, 3] = (-p.d1u - 2.0 * p.d2u * abs(u)) / p.m11
-    A[3, 4] = p.m22 * r / p.m11
-    A[3, 5] = p.m22 * v / p.m11
-    A[4, 3] = -p.m11 * r / p.m22
-    A[4, 4] = -p.d1v / p.m22
-    A[4, 5] = -p.m11 * u / p.m22
-    A[5, 3] = -(p.m22 - p.m11) * v / p.m33
-    A[5, 4] = -(p.m22 - p.m11) * u / p.m33
-    A[5, 5] = -p.d1r / p.m33
-    sp = 1.0 if abs(x + z) < 1.0 else 0.0  # saturation gate, port
-    sm = 1.0 if abs(x - z) < 1.0 else 0.0  # saturation gate, starboard
-    B = np.zeros((6, 2))
-    B[3, 0] = p.F_max * (sp + sm) / p.m11
-    B[3, 1] = p.F_max * (sp - sm) / p.m11
-    B[5, 0] = p.lever * p.F_max * (sp - sm) / p.m33
-    B[5, 1] = p.lever * p.F_max * (sp + sm) / p.m33
-    return A, B
+def _rk4_vjp(y, x: float, z: float, lam, p: VesselParams, dt: float):
+    """Adjoint of one `rk4_step` of the nominal model from state y under
+    input (x, z): given lam = dL/dy', returns (dL/dy, dL/dx, dL/dz).
 
-
-def _rk4_step_with_jac(y, x, z, p: VesselParams, dt: float):
-    """One RK4 step plus the step map's Jacobians wrt state and input."""
+    Recomputes the stage points y1 = y, y2 = y + h k1, y3 = y + h k2 and
+    y4 = y + dt k3 (h = dt/2), then runs back through
+    y' = y + dt/6 (k1 + 2 k2 + 2 k3 + k4) with one vector-Jacobian
+    product of k_i = f(y_i) per stage. f does not read north or east, so
+    their adjoints pass through unchanged; the psi wrap has slope 1.
+    """
     fp, fs = _alloc(x, z, p)
-
-    def f(yy):
-        return dynamics_deriv(yy, fp, fs, 0.0, 0.0, p)
-
-    eye = np.eye(6)
-    y1 = y
-    k1 = f(y1)
-    A1, B1 = _stage_jacobians(y1, x, z, p)
-    y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(6))
-    k2 = f(y2)
-    A2, B2 = _stage_jacobians(y2, x, z, p)
-    y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(6))
-    k3 = f(y3)
-    A3, B3 = _stage_jacobians(y3, x, z, p)
-    y4 = tuple(y[i] + dt * k3[i] for i in range(6))
-    k4 = f(y4)
-    A4, B4 = _stage_jacobians(y4, x, z, p)
-
-    dk1y, dk1w = A1, B1
-    dk2y = A2 @ (eye + 0.5 * dt * dk1y)
-    dk2w = A2 @ (0.5 * dt * dk1w) + B2
-    dk3y = A3 @ (eye + 0.5 * dt * dk2y)
-    dk3w = A3 @ (0.5 * dt * dk2w) + B3
-    dk4y = A4 @ (eye + dt * dk3y)
-    dk4w = A4 @ (dt * dk3w) + B4
-
-    y_next = tuple(
-        y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        for i in range(6))
-    y_next = (y_next[0], y_next[1], wrap_2pi(y_next[2]),
-              y_next[3], y_next[4], y_next[5])
-    A_step = eye + dt / 6.0 * (dk1y + 2.0 * dk2y + 2.0 * dk3y + dk4y)
-    B_step = dt / 6.0 * (dk1w + 2.0 * dk2w + 2.0 * dk3w + dk4w)
-    return y_next, A_step, B_step
+    m11, m22, m33, munk = p.m11, p.m22, p.m33, p.m22 - p.m11
+    h = 0.5 * dt
+    _, _, psi0, u0, v0, r0 = y
+    points = [(psi0, u0, v0, r0)]  # (psi, u, v, r) of y1..y4
+    for step in (h, h, dt):
+        _, _, kpsi, ku, kv, kr = dynamics_deriv((0.0, 0.0) + points[-1],
+                                                fp, fs, 0.0, 0.0, p)
+        points.append((psi0 + step * kpsi, u0 + step * ku,
+                       v0 + step * kv, r0 + step * kr))
+    ln, le, lpsi, lu, lv, lr = lam
+    out_psi, out_u, out_v, out_r = lpsi, lu, lv, lr
+    g_psi = g_u = g_v = g_r = sum_u = sum_r = 0.0
+    # stage i's weight in y' and the step by which y(i+1) holds k_i
+    for (psi, u, v, r), w, step in zip(reversed(points),
+                                       (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0),
+                                       (0.0, dt, h, h)):
+        an, ae = w * ln, w * le  # cotangent of k_i, (g_*) that of y(i+1)
+        ap = w * lpsi + step * g_psi
+        a3 = (w * lu + step * g_u) / m11
+        a4 = (w * lv + step * g_v) / m22
+        a5 = (w * lr + step * g_r) / m33
+        s, c = math.sin(psi), math.cos(psi)
+        g_psi = an * (-u * s - v * c) + ae * (u * c - v * s)
+        g_u = (an * c + ae * s - a3 * (p.d1u + 2.0 * p.d2u * abs(u))
+               - a4 * m11 * r - a5 * munk * v)
+        g_v = -an * s + ae * c + a3 * m22 * r - a4 * p.d1v - a5 * munk * u
+        g_r = ap + a3 * m22 * v - a4 * m11 * u - a5 * p.d1r
+        out_psi, out_u = out_psi + g_psi, out_u + g_u
+        out_v, out_r = out_v + g_v, out_r + g_r
+        sum_u, sum_r = sum_u + a3, sum_r + a5
+    # the thrusts enter u' and r' only; a motor's saturation gate is
+    # open strictly inside (-1, 1)
+    port = (sum_u + p.lever * sum_r) if abs(x + z) < 1.0 else 0.0
+    stbd = (sum_u - p.lever * sum_r) if abs(x - z) < 1.0 else 0.0
+    return ((ln, le, out_psi, out_u, out_v, out_r),
+            p.F_max * (port + stbd), p.F_max * (port - stbd))
 
 
 def _objective(states: np.ndarray, inputs: np.ndarray, e_ct, psi_path,
@@ -196,21 +176,10 @@ def cost_of_inputs(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
 def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
                   config: NmpcConfig, params: VesselParams,
                   prev_input) -> tuple[float, np.ndarray]:
-    """Exact (cost, d cost / d inputs) via a discrete adjoint pass."""
+    """Exact (cost, d cost / d inputs): the `predict` rollout, then a
+    reverse pass of vector-Jacobian products through its RK4 steps."""
     n = len(inputs)
-    dt = config.dt
-    y = tuple(float(v) for v in y0)
-    states = np.empty((n + 1, 6))
-    states[0] = y
-    A_steps = np.empty((n, 6, 6))
-    B_steps = np.empty((n, 6, 2))
-    for k in range(n):
-        y, A_steps[k], B_steps[k] = _rk4_step_with_jac(
-            y, float(inputs[k, 0]), float(inputs[k, 1]), params, dt)
-        states[k + 1] = y
-    if not np.all(np.isfinite(states)):
-        raise FloatingPointError("non-finite rollout")
-
+    states = predict(y0, inputs, config, params)
     e_ct, psi_path, port = path.project_many(states[1:, :2])
     psi = states[1:, 2]
     u = states[1:, 3]
@@ -224,17 +193,19 @@ def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
     lx[:, 3] = 2.0 * config.w_speed * (u - config.ref_speed)
 
     prev = np.asarray(prev_input, dtype=float)
-    padded = np.vstack([prev[None, :], inputs])
-    diffs = np.diff(padded, axis=0)
+    diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
     grad = 2.0 * config.w_u * inputs + 2.0 * config.w_du * diffs
     grad[:-1] -= 2.0 * config.w_du * diffs[1:]
 
-    lam = lx[n - 1].copy()
+    rows, stage, steps = states.tolist(), lx.tolist(), inputs.tolist()
+    lam = stage[n - 1]
+    through = []  # lam_{k+1}^T d(state k+1)/d(input k), for k = N-1..0
     for k in range(n - 1, -1, -1):
-        grad[k] += B_steps[k].T @ lam
+        lam, gx, gz = _rk4_vjp(rows[k], *steps[k], lam, params, config.dt)
+        through.append((gx, gz))
         if k > 0:
-            lam = lx[k - 1] + A_steps[k].T @ lam
-    return total, grad
+            lam = [a + b for a, b in zip(stage[k - 1], lam)]
+    return total, grad + through[::-1]
 
 
 def _project(u: np.ndarray) -> np.ndarray:

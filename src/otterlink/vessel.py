@@ -158,17 +158,31 @@ def dynamics_deriv(y, f_port: float, f_stbd: float,
 
 def rk4_step(y, f_port, f_stbd, current_north, current_east,
              p: VesselParams, dt: float):
-    """One classical RK4 step of the 6-state model; psi left unwrapped."""
+    """One classical RK4 step of the 6-state model; psi left unwrapped.
+
+    Written out per component (this runs ~10^5 times per NMPC mission):
+    the same float operations in the same order as an index loop, so
+    the result is bit-identical to one.
+    """
     def f(yy):
         return dynamics_deriv(yy, f_port, f_stbd, current_north, current_east, p)
 
-    k1 = f(y)
-    k2 = f(tuple(y[i] + 0.5 * dt * k1[i] for i in range(6)))
-    k3 = f(tuple(y[i] + 0.5 * dt * k2[i] for i in range(6)))
-    k4 = f(tuple(y[i] + dt * k3[i] for i in range(6)))
-    return tuple(
-        y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        for i in range(6))
+    n, e, psi, u, v, r = y
+    h = 0.5 * dt
+    n1, e1, psi1, u1, v1, r1 = f(y)
+    n2, e2, psi2, u2, v2, r2 = f((n + h * n1, e + h * e1, psi + h * psi1,
+                                  u + h * u1, v + h * v1, r + h * r1))
+    n3, e3, psi3, u3, v3, r3 = f((n + h * n2, e + h * e2, psi + h * psi2,
+                                  u + h * u2, v + h * v2, r + h * r2))
+    n4, e4, psi4, u4, v4, r4 = f((n + dt * n3, e + dt * e3, psi + dt * psi3,
+                                  u + dt * u3, v + dt * v3, r + dt * r3))
+    w = dt / 6.0
+    return (n + w * (n1 + 2.0 * n2 + 2.0 * n3 + n4),
+            e + w * (e1 + 2.0 * e2 + 2.0 * e3 + e4),
+            psi + w * (psi1 + 2.0 * psi2 + 2.0 * psi3 + psi4),
+            u + w * (u1 + 2.0 * u2 + 2.0 * u3 + u4),
+            v + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
+            r + w * (r1 + 2.0 * r2 + 2.0 * r3 + r4))
 
 
 def wrap_2pi(angle: float) -> float:

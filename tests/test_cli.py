@@ -40,6 +40,14 @@ class TestExitCodes:
         assert main(["--config", cfg, "run", "--embedded"]) == EXIT_CONFIG
         assert "unknown config section [DEFAULT]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[transport]\ntelem_host = a%b\n", "rate_hz = 5\n",
+        "[transport]\nrate_hz = 5\nrate_hz = 6\n"])
+    def test_unparsable_config_file(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, text)
+        assert main(["--config", cfg, "run", "--embedded"]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
     def test_sim_rejects_out_of_band_rate(self, tmp_path, capsys):
         assert main(["sim", "--rate", "50", "--duration", "0.1"]) \
             == EXIT_CONFIG

@@ -170,3 +170,20 @@ class TestRejection:
     def test_invalid_vessel_params_surface_as_config_error(self, tmp_path):
         with pytest.raises(ConfigFileError, match="calibration"):
             load_config(write(tmp_path, "[vessel]\nd1u = 10\n"))
+
+    @pytest.mark.parametrize("text, match", [
+        ("[transport]\ntelem_host = a%b\n", "must be followed by"),
+        ("[transport]\ntelem_host = a%(nope)s\n", "interpolation key 'nope'"),
+        ("rate_hz = 5\n", "no section headers"),
+        ("[transport]\nrate_hz = 5\nrate_hz = 6\n", "already exists"),
+        ("[bench]\nduration = 1\n[bench]\nduration = 2\n", "already exists")])
+    def test_parser_errors_surface_as_config_error(self, tmp_path, text,
+                                                   match):
+        with pytest.raises(ConfigFileError, match=f"bad config file .*{match}"):
+            load_config(write(tmp_path, text))
+
+    def test_escaped_percent_still_loads(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[transport]\ntelem_host = a%%b\n"
+                                          "cmd_host = %(telem_host)s.c\n"))
+        assert cfg.transport.telem_host == "a%b"
+        assert cfg.transport.cmd_host == "a%b.c"

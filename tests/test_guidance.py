@@ -62,6 +62,45 @@ class TestPolyline:
             assert e_ct[i] == pytest.approx(proj.cross_track)
             assert headings[i] == pytest.approx(proj.path_heading)
 
+    def test_project_many_is_bitwise_the_axis_sum_form(self):
+        def reference(path, p):
+            rel = p[:, None, :] - path._starts[None, :, :]
+            t = np.clip((rel * path._tangents[None, :, :]).sum(axis=2)
+                        / path._lengths[None, :], 0.0, 1.0)
+            feet = (path._starts[None, :, :]
+                    + t[:, :, None] * path._vecs[None, :, :])
+            d2 = ((p[:, None, :] - feet) ** 2).sum(axis=2)
+            idx = np.argmin(d2, axis=1)
+            tangents = path._tangents[idx]
+            port = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+            e_ct = ((p - path._starts[idx]) * port).sum(axis=1)
+            return e_ct, path._headings[idx], port
+
+        eight = figure_eight(20.0)
+        square = PolylinePath([(0, 0), (10, 0), (10, 10), (0, 10)],
+                              closed=True)
+        special = {
+            # the self-intersection, the mirror axis east = 0 (mirrored
+            # segments equidistant), every vertex and segment midpoint
+            eight: np.vstack([[[0.0, 0.0], [1e-300, -1e-300]],
+                              np.column_stack([np.linspace(-21, 21, 43),
+                                               np.zeros(43)]),
+                              eight.points,
+                              0.5 * (eight.points
+                                     + np.roll(eight.points, -1, axis=0))]),
+            # the centre and the diagonals are equidistant from 2 or 4 sides
+            square: np.array([[5.0, 5.0], [2.0, 2.0], [8.0, 2.0], [0.0, 0.0],
+                              [10.0, 10.0], [5.0, 0.0], [-1.0, -1.0]]),
+        }
+        rng = np.random.default_rng(31)
+        for path, points in special.items():
+            batches = [points[i:i + 20] for i in range(0, len(points), 20)]
+            batches += [rng.uniform(-25, 25, size=(20, 2)) for _ in range(300)]
+            for batch in batches:
+                for got, want in zip(path.project_many(batch),
+                                     reference(path, batch)):
+                    assert np.array_equal(got, want)
+
     def test_project_near_sticks_to_hinted_branch(self):
         # at the lemniscate self-intersection a global projection is
         # ambiguous; the hint must keep the foot near the expected arc

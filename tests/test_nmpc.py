@@ -9,7 +9,8 @@ from otterlink.nmpc import (ControlSolution, NmpcConfig, cost_gradient,
                             cost_of_inputs, predict, shift_warm_start,
                             solve_nmpc, state_from_synced, state_vector)
 from otterlink.vessel import (EnvDisturbance, VesselParams, VesselState,
-                              step_dynamics)
+                              dynamics_deriv, saturate, step_dynamics,
+                              wrap_2pi)
 
 P = VesselParams()
 EAST_LINE = PolylinePath([(0.0, -500.0), (0.0, 500.0)])
@@ -40,6 +41,108 @@ def random_instance(rng, config):
     x = rng.uniform(-0.45, 0.45, size=(config.steps_N, 1))
     z = rng.uniform(-0.45, 0.45, size=(config.steps_N, 1))
     return state, np.hstack([x, z])
+
+
+def dense_cost_gradient(y0, inputs, path, config, p, prev_input):
+    """Reference (cost, gradient) built from dense per-stage Jacobians:
+    A = df/dy (6x6) and B = df/d(x, z) (6x2) at each RK4 stage point,
+    chained into the step map's Jacobians, then a matrix adjoint pass."""
+    def stage_jacobians(y, x, z):
+        _, _, psi, u, v, r = y
+        s, c = math.sin(psi), math.cos(psi)
+        A = np.zeros((6, 6))
+        A[0, 2] = -u * s - v * c
+        A[0, 3] = c
+        A[0, 4] = -s
+        A[1, 2] = u * c - v * s
+        A[1, 3] = s
+        A[1, 4] = c
+        A[2, 5] = 1.0
+        A[3, 3] = (-p.d1u - 2.0 * p.d2u * abs(u)) / p.m11
+        A[3, 4] = p.m22 * r / p.m11
+        A[3, 5] = p.m22 * v / p.m11
+        A[4, 3] = -p.m11 * r / p.m22
+        A[4, 4] = -p.d1v / p.m22
+        A[4, 5] = -p.m11 * u / p.m22
+        A[5, 3] = -(p.m22 - p.m11) * v / p.m33
+        A[5, 4] = -(p.m22 - p.m11) * u / p.m33
+        A[5, 5] = -p.d1r / p.m33
+        sp = 1.0 if abs(x + z) < 1.0 else 0.0
+        sm = 1.0 if abs(x - z) < 1.0 else 0.0
+        B = np.zeros((6, 2))
+        B[3, 0] = p.F_max * (sp + sm) / p.m11
+        B[3, 1] = p.F_max * (sp - sm) / p.m11
+        B[5, 0] = p.lever * p.F_max * (sp - sm) / p.m33
+        B[5, 1] = p.lever * p.F_max * (sp + sm) / p.m33
+        return A, B
+
+    def step_with_jac(y, x, z, dt):
+        fp = p.F_max * saturate(x + z)
+        fs = p.F_max * saturate(x - z)
+
+        def f(yy):
+            return dynamics_deriv(yy, fp, fs, 0.0, 0.0, p)
+
+        eye = np.eye(6)
+        k1 = f(y)
+        A1, B1 = stage_jacobians(y, x, z)
+        y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(6))
+        k2 = f(y2)
+        A2, B2 = stage_jacobians(y2, x, z)
+        y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(6))
+        k3 = f(y3)
+        A3, B3 = stage_jacobians(y3, x, z)
+        y4 = tuple(y[i] + dt * k3[i] for i in range(6))
+        k4 = f(y4)
+        A4, B4 = stage_jacobians(y4, x, z)
+        dk2y = A2 @ (eye + 0.5 * dt * A1)
+        dk2w = A2 @ (0.5 * dt * B1) + B2
+        dk3y = A3 @ (eye + 0.5 * dt * dk2y)
+        dk3w = A3 @ (0.5 * dt * dk2w) + B3
+        dk4y = A4 @ (eye + dt * dk3y)
+        dk4w = A4 @ (dt * dk3w) + B4
+        y_next = tuple(
+            y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+            for i in range(6))
+        y_next = y_next[:2] + (wrap_2pi(y_next[2]),) + y_next[3:]
+        A_step = eye + dt / 6.0 * (A1 + 2.0 * dk2y + 2.0 * dk3y + dk4y)
+        B_step = dt / 6.0 * (B1 + 2.0 * dk2w + 2.0 * dk3w + dk4w)
+        return y_next, A_step, B_step
+
+    n = len(inputs)
+    y = tuple(float(v) for v in y0)
+    states = np.empty((n + 1, 6))
+    states[0] = y
+    A_steps = np.empty((n, 6, 6))
+    B_steps = np.empty((n, 6, 2))
+    for k in range(n):
+        y, A_steps[k], B_steps[k] = step_with_jac(
+            y, float(inputs[k, 0]), float(inputs[k, 1]), config.dt)
+        states[k + 1] = y
+    e_ct, psi_path, port = path.project_many(states[1:, :2])
+    psi = states[1:, 2]
+    u = states[1:, 3]
+    prev = np.asarray(prev_input, dtype=float)
+    diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
+    state_cost = (config.w_ct * np.sum(e_ct ** 2)
+                  + config.w_head * np.sum(1.0 - np.cos(psi - psi_path))
+                  + config.w_speed * np.sum((u - config.ref_speed) ** 2))
+    input_cost = (config.w_u * np.sum(inputs ** 2)
+                  + config.w_du * np.sum(diffs ** 2))
+    total = float(state_cost + input_cost)
+    lx = np.zeros((n, 6))
+    lx[:, 0] = 2.0 * config.w_ct * e_ct * port[:, 0]
+    lx[:, 1] = 2.0 * config.w_ct * e_ct * port[:, 1]
+    lx[:, 2] = config.w_head * np.sin(psi - psi_path)
+    lx[:, 3] = 2.0 * config.w_speed * (u - config.ref_speed)
+    grad = 2.0 * config.w_u * inputs + 2.0 * config.w_du * diffs
+    grad[:-1] -= 2.0 * config.w_du * diffs[1:]
+    lam = lx[n - 1].copy()
+    for k in range(n - 1, -1, -1):
+        grad[k] += B_steps[k].T @ lam
+        if k > 0:
+            lam = lx[k - 1] + A_steps[k].T @ lam
+    return total, grad
 
 
 class TestPredict:
@@ -128,6 +231,33 @@ class TestGradient:
         fd = fd_gradient(y0, inputs, path, config)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(grad - fd)) / scale < 1e-6
+
+    def test_matches_dense_jacobian_reference(self):
+        # saturated and exactly-on-the-gate thrusts, negative surge and
+        # headings that cross the 0/2pi wrap inside the horizon
+        config = NmpcConfig()
+        path = figure_eight(20.0)
+        rng = np.random.default_rng(41)
+        for i in range(120):
+            psi = [rng.uniform(0, 2 * math.pi), rng.uniform(0, 0.02),
+                   2 * math.pi - rng.uniform(1e-12, 0.02)][i % 3]
+            y0 = np.array([rng.uniform(-25, 25), rng.uniform(-12, 12), psi,
+                           rng.uniform(-1.5, 2.5), rng.uniform(-0.4, 0.4),
+                           rng.uniform(-0.6, 0.6)])
+            inputs = rng.uniform(-1, 1, size=(config.steps_N, 2))
+            if i % 2:
+                # dyadic x and z with |x + z| = 1 or |x - z| = 1 exactly
+                x = rng.integers(-64, 65, size=config.steps_N) / 64
+                inputs[:, 0] = x
+                inputs[:, 1] = np.where(rng.random(config.steps_N) < 0.5,
+                                        np.sign(x) - x, x - np.sign(x))
+            prev = tuple(rng.uniform(-1, 1, size=2))
+            c, grad = cost_gradient(y0, inputs, path, config, P, prev)
+            c_ref, grad_ref = dense_cost_gradient(y0, inputs, path, config,
+                                                  P, prev)
+            assert c == c_ref
+            assert (np.max(np.abs(grad - grad_ref))
+                    <= 1e-12 * np.max(np.abs(grad_ref)))
 
 
 class TestSolve:

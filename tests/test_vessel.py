@@ -6,8 +6,8 @@ import pytest
 from otterlink.vessel import (EnvDisturbance, MotorState, NumericFault,
                               RPM_MAX, VesselParams, VesselState,
                               allocate_thrust, apply_motor_lag,
-                              dynamics_deriv, kinetic_energy, saturate,
-                              step_dynamics, wrap_2pi)
+                              dynamics_deriv, kinetic_energy, rk4_step,
+                              saturate, step_dynamics, wrap_2pi)
 
 P = VesselParams()
 
@@ -164,6 +164,31 @@ class TestDynamics:
         y_eu[2] = wrap_2pi(y_eu[2])
         for a, b in zip(y_rk, y_eu):
             assert a == pytest.approx(b, abs=2e-3)
+
+    def test_rk4_step_is_bitwise_the_generator_form(self):
+        def reference(y, fp, fs, cn, ce, p, dt):
+            def f(yy):
+                return dynamics_deriv(yy, fp, fs, cn, ce, p)
+
+            k1 = f(y)
+            k2 = f(tuple(y[i] + 0.5 * dt * k1[i] for i in range(6)))
+            k3 = f(tuple(y[i] + 0.5 * dt * k2[i] for i in range(6)))
+            k4 = f(tuple(y[i] + dt * k3[i] for i in range(6)))
+            return tuple(
+                y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                for i in range(6))
+
+        rng = random.Random(29)
+        heavy = VesselParams(m11=300.0, m22=150.0, m33=90.0, lever=0.8)
+        for _ in range(20000):
+            y = (rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3),
+                 rng.uniform(-10.0, 10.0), rng.uniform(-4.0, 4.0),
+                 rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0))
+            args = (rng.uniform(-P.F_max, P.F_max),
+                    rng.uniform(-P.F_max, P.F_max),
+                    rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                    rng.choice((P, heavy)), rng.uniform(1e-3, 0.3))
+            assert rk4_step(y, *args) == reference(y, *args)
 
 
 class TestHelpers:
