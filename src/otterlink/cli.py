@@ -81,9 +81,6 @@ def cmd_sim(args) -> int:
                 broadcaster.send(out)
     except KeyboardInterrupt:
         pass
-    except NumericFault as exc:
-        print(f"numeric fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     finally:
         broadcaster.close()
         listener.close()
@@ -119,11 +116,7 @@ def cmd_run(args) -> int:
     if cfg.bench.dropout_start >= 0:
         dropout = DropoutWindow(cfg.bench.dropout_start,
                                 cfg.bench.dropout_duration)
-    try:
-        result = _run_embedded(cfg, args.controller, path, args.log, dropout)
-    except NumericFault as exc:
-        print(f"numeric fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = _run_embedded(cfg, args.controller, path, args.log, dropout)
     for key in sorted(result.metrics):
         print(f"{key}: {result.metrics[key]}")
     if not result.completed:
@@ -170,22 +163,13 @@ def _cmd_run_socket(args, cfg: RunConfig, path) -> int:
 
 
 def cmd_bench_fig8(args) -> int:
-    try:
-        cfg = _load(args)
-    except ConfigFileError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
     path = guidance.figure_eight(cfg.bench.amplitude)
     rows = []
-    try:
-        for kind in ("nmpc", "baseline"):
-            log_path = (f"{args.out_prefix}_{kind}.olog"
-                        if args.out_prefix else None)
-            result = _run_embedded(cfg, kind, path, log_path)
-            rows.append((kind, result))
-    except NumericFault as exc:
-        print(f"numeric fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    for kind in ("nmpc", "baseline"):
+        log_path = (f"{args.out_prefix}_{kind}.olog"
+                    if args.out_prefix else None)
+        rows.append((kind, _run_embedded(cfg, kind, path, log_path)))
     header = f"{'controller':<10} {'rms_ct[m]':>10} {'max_ct[m]':>10} " \
              f"{'laps':>6} {'time[s]':>8}"
     print(header)
@@ -315,6 +299,9 @@ def main(argv=None) -> int:
     except ConfigFileError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NumericFault as exc:
+        print(f"numeric fault: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -23,8 +23,6 @@ V_MAX = 3.0  # m/s, commanded-speed ceiling shared with the vessel model
 
 CRLF = "\r\n"
 
-MODE_TAGS = ("DRIFT", "MAN", "SK", "CRS")
-
 
 class CodecError(ValueError):
     """Base class for all encode/decode failures."""
@@ -288,6 +286,10 @@ _BY_CLASS = {m.cls: m for m in CATALOG}
 _BY_TAG = {m.tag: m for m in CATALOG}
 # talkers whose second wire field selects the message (POTCMD,<sub>)
 _WITH_SUBCOMMAND = {m.tag.split(",")[0] for m in CATALOG if "," in m.tag}
+
+# command type -> the vehicle mode it selects, named by its subcommand
+COMMAND_MODES = {m.cls: m.tag.split(",")[1] for m in CATALOG if m.command}
+MODE_TAGS = tuple(COMMAND_MODES.values())  # DRIFT, MAN, SK, CRS
 
 # topic -> payload columns, for every topic a message maps to
 TOPIC_COLUMNS = {topic: cols for m in CATALOG for topic, cols in m.topics}

@@ -131,7 +131,8 @@ def load_config(path: str | None = None) -> RunConfig:
     # ordinary section (rejected below), not defaults for every section
     parser = configparser.ConfigParser(default_section="\n")
     # configparser raises on a file without a section header, a repeated
-    # key or section, and on reading a value it cannot `%`-interpolate
+    # key or section, and on reading a value it cannot `%`-interpolate;
+    # reading raises UnicodeDecodeError on bytes the locale cannot decode
     try:
         if not parser.read(path):
             raise ConfigFileError(f"cannot read config file {path!r}")
@@ -147,5 +148,5 @@ def load_config(path: str | None = None) -> RunConfig:
         return RunConfig(**{
             name: _build(cls, parser[name] if parser.has_section(name) else {})
             for name, cls in sections.items()})
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigFileError(f"bad config file {path!r}: {exc}") from exc

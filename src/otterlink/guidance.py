@@ -55,8 +55,17 @@ class PolylinePath:
         if len(self._lengths) == 0:
             raise ValueError("path has no non-degenerate segment")
         self._cum = np.concatenate([[0.0], np.cumsum(self._lengths)])
+        self._mids = 0.5 * (self._cum[:-1] + self._cum[1:])
         self._tangents = self._vecs / self._lengths[:, None]
+        # port normal of direction (cos X, sin X) is (sin X, -cos X)
+        self._port = np.column_stack([self._tangents[:, 1],
+                                      -self._tangents[:, 0]])
         self._headings = np.arctan2(self._vecs[:, 1], self._vecs[:, 0])
+        # per-component copies for the foot-point kernel: numpy reductions
+        # over a length-2 axis cost more than the arithmetic they sum
+        self._sn, self._se = np.ascontiguousarray(self._starts.T)
+        self._vn, self._ve = np.ascontiguousarray(self._vecs.T)
+        self._tn, self._te = np.ascontiguousarray(self._tangents.T)
 
     @property
     def length(self) -> float:
@@ -66,72 +75,63 @@ class PolylinePath:
     def end_point(self) -> np.ndarray:
         return self._starts[-1] + self._vecs[-1]
 
-    def project(self, north: float, east: float) -> Projection:
-        """Nearest-segment projection of a point onto the path."""
-        p = np.array([north, east])
-        rel = p - self._starts
-        t = np.clip((rel * self._tangents).sum(axis=1) / self._lengths, 0.0, 1.0)
-        feet = self._starts + t[:, None] * self._vecs
-        d2 = ((p - feet) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        tangent = self._tangents[i]
-        # port normal of direction (cos X, sin X) is (sin X, -cos X)
-        e_ct = float((p - self._starts[i]) @ np.array([tangent[1], -tangent[0]]))
+    def _foot(self, pn, pe):
+        """Clamped foot-point parameter t and squared distance d2 of
+        (pn, pe) to every segment: scalars give (segments,) arrays,
+        (K, 1) columns give (K, segments)."""
+        t = np.clip(((pn - self._sn) * self._tn + (pe - self._se) * self._te)
+                    / self._lengths, 0.0, 1.0)
+        d2 = ((pn - (self._sn + t * self._vn)) ** 2
+              + (pe - (self._se + t * self._ve)) ** 2)
+        return t, d2
+
+    def _nearest(self, north: float, east: float, t, d2) -> Projection:
+        i = int(np.argmin(d2))  # ties go to the lowest segment index
+        e_ct = float((np.array([north, east]) - self._starts[i])
+                     @ self._port[i])
         s = float(self._cum[i] + t[i] * self._lengths[i])
         return Projection(i, s, e_ct, float(self._headings[i]))
 
-    def project_near(self, north: float, east: float, s_hint: float,
+    def project(self, north: float, east: float) -> Projection:
+        """Nearest-segment projection of a point onto the path."""
+        return self._nearest(north, east, *self._foot(north, east))
+
+    def project_near(self, north: float, east: float,
+                     s_hint: float | None = None,
                      window: float = 10.0) -> Projection:
-        """Projection restricted to segments within `window` meters of
-        arc position s_hint.
+        """Projection restricted to segments whose arc midpoint lies
+        within `window` meters (plus half the segment) of arc position
+        s_hint.
 
         Keeps the foot point on the expected branch of a
-        self-intersecting path; falls back to a global projection when
-        no segment is in range.
+        self-intersecting path. The window is a mask over the segment
+        midpoints precomputed in __init__: the other segments' d2 is set
+        to inf, so argmin ties resolve to the lowest index as in a
+        global projection. With s_hint None, or no segment in range,
+        this is the global projection.
         """
-        if self.closed:
-            s_hint = s_hint % self.length
-        mids = 0.5 * (self._cum[:-1] + self._cum[1:])
-        d = mids - s_hint
-        if self.closed:
-            half = 0.5 * self.length
-            d = (d + half) % self.length - half
-        mask = np.abs(d) <= window + 0.5 * self._lengths
-        if not mask.any():
-            return self.project(north, east)
-        idx = np.flatnonzero(mask)
-        p = np.array([north, east])
-        rel = p - self._starts[idx]
-        t = np.clip((rel * self._tangents[idx]).sum(axis=1)
-                    / self._lengths[idx], 0.0, 1.0)
-        feet = self._starts[idx] + t[:, None] * self._vecs[idx]
-        d2 = ((p - feet) ** 2).sum(axis=1)
-        j = int(np.argmin(d2))
-        i = int(idx[j])
-        tangent = self._tangents[i]
-        e_ct = float((p - self._starts[i]) @ np.array([tangent[1], -tangent[0]]))
-        s = float(self._cum[i] + t[j] * self._lengths[i])
-        return Projection(i, s, e_ct, float(self._headings[i]))
+        t, d2 = self._foot(north, east)
+        if s_hint is not None:
+            if self.closed:
+                s_hint = s_hint % self.length
+            d = self._mids - s_hint
+            if self.closed:
+                half = 0.5 * self.length
+                d = (d + half) % self.length - half
+            outside = np.abs(d) > window + 0.5 * self._lengths
+            if not outside.all():
+                d2[outside] = np.inf
+        return self._nearest(north, east, t, d2)
 
     def project_many(self, points: np.ndarray):
         """Vectorized nearest-segment projection of (K, 2) points.
 
         Returns (cross_track (K,), path_heading (K,), port_normal (K, 2)).
-        The (K, segments) intermediates are kept per component, north and
-        east: a numpy reduction over a length-2 axis costs more than the
-        arithmetic it sums.
         """
         p = np.asarray(points, dtype=float)
-        pn, pe = p[:, 0:1], p[:, 1:2]
-        sn, se = self._starts.T
-        tn, te = self._tangents.T
-        vn, ve = self._vecs.T
-        t = np.clip(((pn - sn) * tn + (pe - se) * te) / self._lengths,
-                    0.0, 1.0)
-        d2 = (pn - (sn + t * vn)) ** 2 + (pe - (se + t * ve)) ** 2
+        _, d2 = self._foot(p[:, 0:1], p[:, 1:2])
         idx = np.argmin(d2, axis=1)
-        tangents = self._tangents[idx]
-        port = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+        port = self._port[idx]
         e_ct = ((p - self._starts[idx]) * port).sum(axis=1)
         return e_ct, self._headings[idx], port
 
@@ -158,12 +158,6 @@ def figure_eight(amplitude: float, center=(0.0, 0.0),
     return PolylinePath(np.column_stack([north, east]), closed=True)
 
 
-def cross_track_error(north: float, east: float,
-                      path: PolylinePath) -> float:
-    """Signed perpendicular distance to the path, positive to port."""
-    return path.project(north, east).cross_track
-
-
 def bearing_deg(d_north: float, d_east: float) -> float:
     return math.degrees(math.atan2(d_east, d_north)) % 360.0
 
@@ -181,10 +175,7 @@ def los_guidance(north: float, east: float, path: PolylinePath,
     to the expected branch of a self-intersecting path; the returned
     s_along is the hint for the next call.
     """
-    if s_hint is None:
-        proj = path.project(north, east)
-    else:
-        proj = path.project_near(north, east, s_hint)
+    proj = path.project_near(north, east, s_hint)
     target = path.point_at(proj.s_along + los.lookahead)
     if not path.closed:
         end = path.end_point
@@ -208,10 +199,7 @@ class LapTracker:
         self.total = 0.0
 
     def update(self, north: float, east: float) -> float:
-        if self._last_s is None:
-            s = self.path.project(north, east).s_along
-        else:
-            s = self.path.project_near(north, east, self._last_s).s_along
+        s = self.path.project_near(north, east, self._last_s).s_along
         if self._last_s is not None:
             delta = s - self._last_s
             if self.path.closed:

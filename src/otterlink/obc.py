@@ -12,12 +12,12 @@ inability to show propeller direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import codec, geo
 from .vessel import (EnvDisturbance, MotorState, STATIONARY_SPEED_EPS,
-                     VesselParams, VesselState, allocate_thrust,
-                     apply_motor_lag, saturate, step_dynamics)
+                     VesselParams, VesselState, apply_motor_lag, saturate,
+                     step_dynamics)
 
 SIM_DT = 0.02          # s, internal physics step
 STATUS_HZ = 1.0
@@ -40,30 +40,6 @@ class ControlGains:
     integ_limit: float = 2.0
     sk_deadband: float = 2.0   # m
     sk_gain: float = 0.2       # 1/s, distance-to-speed gain
-
-
-class Drift:
-    def __repr__(self):
-        return "Drift()"
-
-
-@dataclass(frozen=True)
-class Manual:
-    x: float
-    z: float
-
-
-@dataclass(frozen=True)
-class StationKeep:
-    lat: float
-    lon: float
-    speed_cap: float
-
-
-@dataclass(frozen=True)
-class CourseSpeed:
-    course: float  # deg
-    speed: float   # m/s
 
 
 def wrap_deg180(angle: float) -> float:
@@ -128,7 +104,7 @@ class OtterObc:
         self.env = env or EnvDisturbance()
         self.state = initial_state or VesselState()
         self.gains = gains or ControlGains()
-        self.mode = Drift()
+        self.mode: codec.OtterMessage = codec.DriftCmd(True)
         self.motor_port = MotorState()
         self.motor_stbd = MotorState()
         self.telemetry_hz = telemetry_hz
@@ -144,44 +120,38 @@ class OtterObc:
     # -- commands -----------------------------------------------------
 
     def handle_command(self, msg: codec.OtterMessage) -> None:
-        """Switch the active mode from a validated command message."""
-        if isinstance(msg, codec.DriftCmd):
-            if msg.on:
-                self._set_mode(Drift())
-        elif isinstance(msg, codec.ManualCmd):
-            # y is carried on the wire but deliberately discarded
-            self._set_mode(Manual(msg.x, msg.z))
-        elif isinstance(msg, codec.StationKeepCmd):
-            self._set_mode(StationKeep(msg.lat, msg.lon, msg.speed))
-        elif isinstance(msg, codec.CourseSpeedCmd):
-            self._set_mode(CourseSpeed(msg.course, msg.speed))
-        else:
-            raise TypeError(f"not a command message: {type(msg).__name__}")
+        """Make a validated command message the active mode.
 
-    def _set_mode(self, mode) -> None:
-        if type(mode) is not type(self.mode):
+        DriftCmd(False) is ignored; a mode change resets the speed
+        integrator.
+        """
+        if type(msg) not in codec.COMMAND_MODES:
+            raise TypeError(f"not a command message: {type(msg).__name__}")
+        if isinstance(msg, codec.DriftCmd) and not msg.on:
+            return
+        if type(msg) is not type(self.mode):
             self._integ_u = 0.0
-        self.mode = mode
+        self.mode = msg
 
     @property
     def mode_tag(self) -> str:
-        return {Drift: "DRIFT", Manual: "MAN",
-                StationKeep: "SK", CourseSpeed: "CRS"}[type(self.mode)]
+        return codec.COMMAND_MODES[type(self.mode)]
 
     # -- stepping -----------------------------------------------------
 
     def _mode_outputs(self) -> tuple[float, float]:
         mode = self.mode
-        if isinstance(mode, Manual):
+        if isinstance(mode, codec.ManualCmd):
+            # y is carried on the wire but deliberately discarded
             return saturate(mode.x), saturate(mode.z)
-        if isinstance(mode, CourseSpeed):
+        if isinstance(mode, codec.CourseSpeedCmd):
             x, z, self._integ_u = builtin_course_speed(
                 self.state, mode.course, mode.speed, self.gains,
                 self._integ_u, SIM_DT)
             return x, z
-        if isinstance(mode, StationKeep):
+        if isinstance(mode, codec.StationKeepCmd):
             x, z, self._integ_u = builtin_station_keep(
-                self.state, mode.lat, mode.lon, mode.speed_cap, self.gains,
+                self.state, mode.lat, mode.lon, mode.speed, self.gains,
                 self._integ_u, SIM_DT)
             return x, z
         return 0.0, 0.0

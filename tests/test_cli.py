@@ -2,8 +2,11 @@ import socket
 
 import pytest
 
-from otterlink.cli import (EXIT_CONFIG, EXIT_CONNECT, EXIT_OK, main)
+from otterlink import cli
+from otterlink.cli import (EXIT_CONFIG, EXIT_CONNECT, EXIT_NUMERIC, EXIT_OK,
+                           main)
 from otterlink.logbag import read_records
+from otterlink.vessel import NumericFault
 
 FAST_BENCH = """
 [bench]
@@ -34,6 +37,23 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "[nmpc]\ntime_budget_s = fast\n")
         assert main(["--config", cfg, command]) == EXIT_CONFIG
         assert "bad value for time_budget_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command",
+                             ["bench-fig8", "sim", "listen", "run --embedded"])
+    def test_undecodable_config_file(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"[bench]\nduration = \xff\xfe\n")
+        assert main(["--config", str(cfg), *command.split()]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["bench-fig8", "run --embedded"])
+    def test_numeric_fault_exits_4(self, monkeypatch, capsys, command):
+        def diverge(*_args, **_kwargs):
+            raise NumericFault("non-finite state after step")
+
+        monkeypatch.setattr(cli, "run_embedded_mission", diverge)
+        assert main(command.split()) == EXIT_NUMERIC
+        assert "numeric fault: non-finite" in capsys.readouterr().err
 
     def test_default_section_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[DEFAULT]\nrate_hz = 5\n" + FAST_BENCH)

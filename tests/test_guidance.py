@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from otterlink.guidance import (LapTracker, LosConfig, PolylinePath,
-                                bearing_deg, cross_track_error, figure_eight,
+                                Projection, bearing_deg, figure_eight,
                                 los_guidance)
 
 
@@ -12,23 +12,23 @@ class TestCrossTrack:
     def test_east_going_segment_port_is_north(self):
         # path due east; a vessel north of the line is to port
         path = PolylinePath([(0.0, 0.0), (0.0, 100.0)])
-        assert cross_track_error(3.0, 10.0, path) == pytest.approx(3.0)
-        assert cross_track_error(-3.0, 10.0, path) == pytest.approx(-3.0)
+        assert path.project(3.0, 10.0).cross_track == pytest.approx(3.0)
+        assert path.project(-3.0, 10.0).cross_track == pytest.approx(-3.0)
 
     def test_north_going_segment_port_is_west(self):
         path = PolylinePath([(0.0, 0.0), (100.0, 0.0)])
-        assert cross_track_error(10.0, -4.0, path) == pytest.approx(4.0)
-        assert cross_track_error(10.0, 4.0, path) == pytest.approx(-4.0)
+        assert path.project(10.0, -4.0).cross_track == pytest.approx(4.0)
+        assert path.project(10.0, 4.0).cross_track == pytest.approx(-4.0)
 
     def test_diagonal_segment_magnitude(self):
         path = PolylinePath([(0.0, 0.0), (10.0, 10.0)])
-        err = cross_track_error(10.0, 0.0, path)
+        err = path.project(10.0, 0.0).cross_track
         assert abs(err) == pytest.approx(10.0 / math.sqrt(2.0))
         assert err > 0  # north-heavy point is to port of a NE run
 
     def test_point_on_path_is_zero(self):
         path = PolylinePath([(0.0, 0.0), (0.0, 50.0), (50.0, 50.0)])
-        assert cross_track_error(0.0, 25.0, path) == pytest.approx(0.0)
+        assert path.project(0.0, 25.0).cross_track == pytest.approx(0.0)
 
     def test_beyond_endpoint_uses_clamped_foot(self):
         path = PolylinePath([(0.0, 0.0), (0.0, 10.0)])
@@ -111,6 +111,118 @@ class TestPolyline:
             wrapped = (proj.s_along - s_hint) % path.length
             dist = min(wrapped, path.length - wrapped)
             assert dist < 12.0
+
+    def test_project_near_without_hint_is_global(self):
+        path = figure_eight(20.0)
+        for north, east in [(0.0, 0.0), (0.2, 0.0), (12.0, -3.0)]:
+            assert (path.project_near(north, east, None)
+                    == path.project_near(north, east)
+                    == path.project(north, east))
+
+
+def reference_project(path, north, east):
+    """The gather form over (segments, 2) arrays that `project` replaced."""
+    p = np.array([north, east])
+    rel = p - path._starts
+    t = np.clip((rel * path._tangents).sum(axis=1) / path._lengths, 0.0, 1.0)
+    feet = path._starts + t[:, None] * path._vecs
+    d2 = ((p - feet) ** 2).sum(axis=1)
+    i = int(np.argmin(d2))
+    tangent = path._tangents[i]
+    e_ct = float((p - path._starts[i]) @ np.array([tangent[1], -tangent[0]]))
+    s = float(path._cum[i] + t[i] * path._lengths[i])
+    return Projection(i, s, e_ct, float(path._headings[i]))
+
+
+def reference_project_near(path, north, east, s_hint, window=10.0):
+    """The index-gather form that `project_near` replaced."""
+    if path.closed:
+        s_hint = s_hint % path.length
+    mids = 0.5 * (path._cum[:-1] + path._cum[1:])
+    d = mids - s_hint
+    if path.closed:
+        half = 0.5 * path.length
+        d = (d + half) % path.length - half
+    mask = np.abs(d) <= window + 0.5 * path._lengths
+    if not mask.any():
+        return reference_project(path, north, east)
+    idx = np.flatnonzero(mask)
+    p = np.array([north, east])
+    rel = p - path._starts[idx]
+    t = np.clip((rel * path._tangents[idx]).sum(axis=1)
+                / path._lengths[idx], 0.0, 1.0)
+    feet = path._starts[idx] + t[:, None] * path._vecs[idx]
+    d2 = ((p - feet) ** 2).sum(axis=1)
+    j = int(np.argmin(d2))
+    i = int(idx[j])
+    tangent = path._tangents[i]
+    e_ct = float((p - path._starts[i]) @ np.array([tangent[1], -tangent[0]]))
+    s = float(path._cum[i] + t[j] * path._lengths[i])
+    return Projection(i, s, e_ct, float(path._headings[i]))
+
+
+class TestProjectionMatchesReference:
+    """`project` and `project_near` share one foot-point kernel and mask
+    the window instead of gathering it; every Projection field, argmin
+    ties included, must equal the gather form's."""
+
+    EIGHT = figure_eight(20.0)
+    SQUARE = PolylinePath([(0, 0), (10, 0), (10, 10), (0, 10)], closed=True)
+    # short open path: hints beyond its ends leave the window empty
+    OPEN = PolylinePath([(0, 0), (0, 6), (4, 6), (4, 1)])
+
+    @staticmethod
+    def special_points(path):
+        pts = path.points
+        return np.vstack([
+            pts, 0.5 * (pts + np.roll(pts, -1, axis=0)),  # vertices, midpoints
+            [[0.0, 0.0], [1e-300, -1e-300], [0.2, 0.0], [-0.2, 0.0]],
+            # the square's centre and diagonals are equidistant from 2 or
+            # 4 sides; corners are shared by two segments (exact ties)
+            [[5.0, 5.0], [2.0, 2.0], [8.0, 2.0], [10.0, 10.0], [-1.0, -1.0],
+             [5.0, 0.0], [11.0, 11.0]]])
+
+    @staticmethod
+    def hints(path, window=10.0):
+        mids = 0.5 * (path._cum[:-1] + path._cum[1:])
+        edges = window + 0.5 * path._lengths
+        return np.concatenate([
+            [0.0, path.length, -1e-9, -3.0, -path.length - 7.5,
+             path.length + 1e-9, path.length + 4.0, 2.5 * path.length],
+            mids[::7] + edges[::7], mids[::7] - edges[::7]])  # window edges
+
+    @pytest.mark.parametrize("name", ["EIGHT", "SQUARE", "OPEN"])
+    def test_special_points_and_hints(self, name):
+        path = getattr(self, name)
+        hints = self.hints(path)
+        for k, (north, east) in enumerate(self.special_points(path)):
+            assert path.project(north, east) \
+                == reference_project(path, north, east)
+            for s_hint in hints[k % 3::3]:
+                assert path.project_near(north, east, s_hint) \
+                    == reference_project_near(path, north, east, s_hint)
+
+    def test_open_path_with_empty_window_falls_back(self):
+        path = self.OPEN
+        s_hint = path.length + 40.0
+        mids = 0.5 * (path._cum[:-1] + path._cum[1:])
+        assert not np.any(np.abs(mids - s_hint) <= 10.0 + 0.5 * path._lengths)
+        for north, east in self.special_points(path):
+            assert path.project_near(north, east, s_hint) \
+                == path.project(north, east)
+
+    @pytest.mark.parametrize("name", ["EIGHT", "SQUARE", "OPEN"])
+    def test_random_points_and_hints(self, name):
+        path = getattr(self, name)
+        rng = np.random.default_rng(47)
+        for _ in range(600):
+            north, east = rng.uniform(-25.0, 25.0, 2)
+            s_hint = rng.uniform(-0.5, 1.5) * path.length
+            window = rng.choice([10.0, 2.0, 0.5])
+            assert path.project(north, east) \
+                == reference_project(path, north, east)
+            assert path.project_near(north, east, s_hint, window) \
+                == reference_project_near(path, north, east, s_hint, window)
 
 
 class TestFigureEight:

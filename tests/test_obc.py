@@ -98,6 +98,29 @@ class TestModes:
         with pytest.raises(TypeError):
             obc.handle_command(codec.TimeReport(20250101, 0.0))
 
+    @pytest.mark.parametrize("msg", ["POTCMD,DRIFT,1", None])
+    def test_non_message_rejected(self, msg):
+        obc = OtterObc()
+        with pytest.raises(TypeError):
+            obc.handle_command(msg)
+        assert obc.mode_tag == "DRIFT"
+
+    def test_mode_is_the_last_accepted_command(self):
+        obc = OtterObc()
+        assert obc.mode == codec.DriftCmd(True)
+        crs = codec.CourseSpeedCmd(90.0, 2.0)
+        obc.handle_command(crs)
+        run_for(obc, 5.0)
+        integ = obc._integ_u
+        assert obc.mode is crs and integ != 0.0
+        obc.handle_command(codec.DriftCmd(False))  # ignored
+        assert obc.mode is crs and obc._integ_u == integ
+        crs2 = codec.CourseSpeedCmd(180.0, 1.0)  # same mode: no reset
+        obc.handle_command(crs2)
+        assert obc.mode is crs2 and obc._integ_u == integ
+        obc.handle_command(codec.DriftCmd(True))
+        assert obc.mode == codec.DriftCmd(True) and obc._integ_u == 0.0
+
     def test_course_speed_converges(self):
         obc = OtterObc(initial_state=VesselState(u=1.0))
         obc.handle_command(codec.CourseSpeedCmd(90.0, 1.5))
