@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 config/usage error, 3 connectivity error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -143,18 +144,25 @@ def _cmd_run_socket(args, cfg: RunConfig, path) -> int:
         ctl = runner.LosBaselineController(client, path, cfg.los,
                                            cfg.vessel.origin_lat,
                                            cfg.vessel.origin_lon)
-    deadline = time.monotonic() + cfg.bench.duration
-    got_any = time.monotonic()
+    period = 1.0 / runner.CONTROL_HZ
+    slot = got_any = time.monotonic()
+    deadline = slot + cfg.bench.duration
     try:
         while time.monotonic() < deadline:
             ctl.step(time.monotonic())
-            time.sleep(1.0 / runner.CONTROL_HZ)
             if getattr(ctl, "_latest", None) is not None:
                 got_any = time.monotonic()
             elif time.monotonic() - got_any > 5.0:
                 print("no telemetry received: is the simulator running?",
                       file=sys.stderr)
                 return EXIT_CONNECT
+            # steps start on a fixed 10 Hz grid; slots an overrunning
+            # step has already passed are skipped, not run back to back
+            slot += period
+            now = time.monotonic()
+            if now > slot:
+                slot += math.ceil((now - slot) / period) * period
+            time.sleep(max(0.0, slot - now))
     except KeyboardInterrupt:
         pass
     finally:

@@ -11,6 +11,7 @@ traffic must never take the client down.
 
 from __future__ import annotations
 
+import socket
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -160,8 +161,7 @@ class BackseatClient(TopicGateway):
         super().__init__(command_sender=self._send_command)
         self._listener = transport.open_listener(
             telemetry_endpoint or transport.default_telemetry_endpoint())
-        import socket as _socket
-        self._cmd_sock = _socket.socket(_socket.AF_INET, _socket.SOCK_DGRAM)
+        self._cmd_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._cmd_lock = threading.Lock()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._dispatch_loop,

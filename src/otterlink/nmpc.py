@@ -12,10 +12,22 @@ plus input effort and input-rate terms
 
     w_u |w_k|^2 + w_du |w_k - w_{k-1}|^2     (w_{-1} = last applied input).
 
-The solver is projected gradient descent with Armijo backtracking and
-exact box projection onto [-1, 1]^(2N). Gradients are exact: a reverse
-pass through each RK4 step of the rollout recomputes its stage points
-and sums scalar vector-Jacobian products of the model there.
+Since 1 - cos d = 2 sin^2(d/2), the objective is a sum of squares
+r(U).r(U) over 7N residuals, and the solver is box-constrained
+Gauss-Newton over the inputs U in [-1, 1]^(2N). Each iteration
+linearizes r at the current plan, with the rollout's Jacobian built for
+all N RK4 steps at once from their stage points, minimizes
+|r + J d|^2 over the box by a small primal active-set method, and
+backtracks along d with an Armijo test against the model's predicted
+decrease. A trial's rollout and path projection are reused for the
+next linearization. The solve has converged when an accepted step
+improves the cost by at most 1e-3 (1 + cost), or when no entry of the
+projected gradient reaches grad_tol.
+
+`cost_gradient` is the exact reference gradient, which the solver does
+not call: a reverse pass through each RK4 step of the rollout
+recomputes its stage points and sums scalar vector-Jacobian products of
+the model there.
 """
 
 from __future__ import annotations
@@ -26,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geo
 from .guidance import PolylinePath
-from .vessel import (VesselParams, VesselState, dynamics_deriv, rk4_step,
-                     saturate, wrap_2pi)
+from .vessel import (VesselParams, VesselState, allocate_thrust,
+                     dynamics_deriv, mix, rk4_step, wrap_2pi)
 
 
 @dataclass(frozen=True)
@@ -72,10 +85,6 @@ def state_vector(state: VesselState) -> np.ndarray:
                      state.u, state.v, state.r])
 
 
-def _alloc(x: float, z: float, p: VesselParams) -> tuple[float, float]:
-    return p.F_max * saturate(x + z), p.F_max * saturate(x - z)
-
-
 def predict(y0: np.ndarray, inputs: np.ndarray, config: NmpcConfig,
             params: VesselParams) -> np.ndarray:
     """RK4 rollout of the nominal model; identical stepping to the
@@ -84,7 +93,7 @@ def predict(y0: np.ndarray, inputs: np.ndarray, config: NmpcConfig,
     y = tuple(float(v) for v in y0)
     rows = [y]
     for x, z in np.asarray(inputs, dtype=float).tolist():
-        fp, fs = _alloc(x, z, params)
+        fp, fs = allocate_thrust(x, z, params)
         y = rk4_step(y, fp, fs, 0.0, 0.0, params, dt)
         y = (y[0], y[1], wrap_2pi(y[2]), y[3], y[4], y[5])
         rows.append(y)
@@ -104,7 +113,8 @@ def _rk4_vjp(y, x: float, z: float, lam, p: VesselParams, dt: float):
     product of k_i = f(y_i) per stage. f does not read north or east, so
     their adjoints pass through unchanged; the psi wrap has slope 1.
     """
-    fp, fs = _alloc(x, z, p)
+    mixed_p, mixed_s = mix(x, z)
+    fp, fs = p.F_max * mixed_p, p.F_max * mixed_s
     m11, m22, m33, munk = p.m11, p.m22, p.m33, p.m22 - p.m11
     h = 0.5 * dt
     _, _, psi0, u0, v0, r0 = y
@@ -136,9 +146,9 @@ def _rk4_vjp(y, x: float, z: float, lam, p: VesselParams, dt: float):
         out_v, out_r = out_v + g_v, out_r + g_r
         sum_u, sum_r = sum_u + a3, sum_r + a5
     # the thrusts enter u' and r' only; a motor's saturation gate is
-    # open strictly inside (-1, 1)
-    port = (sum_u + p.lever * sum_r) if abs(x + z) < 1.0 else 0.0
-    stbd = (sum_u - p.lever * sum_r) if abs(x - z) < 1.0 else 0.0
+    # open where its mixed command is strictly inside (-1, 1)
+    port = (sum_u + p.lever * sum_r) if abs(mixed_p) < 1.0 else 0.0
+    stbd = (sum_u - p.lever * sum_r) if abs(mixed_s) < 1.0 else 0.0
     return ((ln, le, out_psi, out_u, out_v, out_r),
             p.F_max * (port + stbd), p.F_max * (port - stbd))
 
@@ -217,11 +227,176 @@ def shift_warm_start(previous: ControlSolution) -> np.ndarray:
     return np.vstack([previous.inputs[1:], previous.inputs[-1:]])
 
 
+def _heading_error(states: np.ndarray, psi_path) -> np.ndarray:
+    """psi - psi_path of predicted states 1..N, wrapped to (-pi, pi]."""
+    return math.pi - (math.pi - (states[1:, 2] - psi_path)) % (2.0 * math.pi)
+
+
+def _residuals(states: np.ndarray, inputs: np.ndarray, e_ct, psi_path,
+               config: NmpcConfig, prev_input) -> np.ndarray:
+    """The objective as a sum of squares r.r over 7N entries: per
+    predicted state sqrt(w_ct) e_ct, sqrt(2 w_head) sin(d/2) with
+    d = psi - psi_path wrapped to (-pi, pi] (1 - cos d = 2 sin^2(d/2))
+    and sqrt(w_speed) (u - ref_speed); then sqrt(w_u) w_k and
+    sqrt(w_du) (w_k - w_{k-1}), inputs flattened row by row."""
+    d = _heading_error(states, psi_path)
+    prev = np.asarray(prev_input, dtype=float)
+    diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
+    return np.concatenate([
+        math.sqrt(config.w_ct) * e_ct,
+        math.sqrt(2.0 * config.w_head) * np.sin(0.5 * d),
+        math.sqrt(config.w_speed) * (states[1:, 3] - config.ref_speed),
+        math.sqrt(config.w_u) * inputs.ravel(),
+        math.sqrt(config.w_du) * diffs.ravel()])
+
+
+def _stage_jacobians(psi, u, v, r, p: VesselParams) -> np.ndarray:
+    """df/dy of the nominal model at (M,) arrays of stage points, as
+    (M, 6, 6)."""
+    s, c = np.sin(psi), np.cos(psi)
+    A = np.zeros((len(psi), 6, 6))
+    A[:, 0, 2] = -u * s - v * c
+    A[:, 0, 3] = c
+    A[:, 0, 4] = -s
+    A[:, 1, 2] = u * c - v * s
+    A[:, 1, 3] = s
+    A[:, 1, 4] = c
+    A[:, 2, 5] = 1.0
+    A[:, 3, 3] = (-p.d1u - 2.0 * p.d2u * np.abs(u)) / p.m11
+    A[:, 3, 4] = p.m22 * r / p.m11
+    A[:, 3, 5] = p.m22 * v / p.m11
+    A[:, 4, 3] = -p.m11 * r / p.m22
+    A[:, 4, 4] = -p.d1v / p.m22
+    A[:, 4, 5] = -p.m11 * u / p.m22
+    munk = p.m22 - p.m11
+    A[:, 5, 3] = -munk * v / p.m33
+    A[:, 5, 4] = -munk * u / p.m33
+    A[:, 5, 5] = -p.d1r / p.m33
+    return A
+
+
+def _rollout_jacobian(states: np.ndarray, inputs: np.ndarray,
+                      config: NmpcConfig, p: VesselParams) -> np.ndarray:
+    """d(state k+1)/d(inputs flattened) for k = 0..N-1, as (N, 6, 2N).
+
+    All N RK4 steps at once: their stage points are (N,) arrays, the
+    stage Jacobians [df/dy | df/dw] (N, 6, 8) chain through batched
+    matmuls into each step's A_k = dy'/dy and B_k = dy'/dw, and then
+    S_{k+1} = A_k S_k with B_k in columns 2k, 2k+1.
+    """
+    n, dt = len(inputs), config.dt
+    h = 0.5 * dt
+    mixed = np.array([mix(x, z) for x, z in inputs.tolist()])  # (N, 2)
+    fp, fs = p.F_max * mixed.T
+    # the thrusts enter u' and r' only, through the gates of _rk4_vjp
+    gate = np.where(np.abs(mixed) < 1.0, p.F_max, 0.0)
+    both, diff = gate[:, 0] + gate[:, 1], gate[:, 0] - gate[:, 1]
+    B = np.zeros((n, 6, 8))  # [0 | df/dw]
+    B[:, 3, 6], B[:, 3, 7] = both / p.m11, diff / p.m11
+    B[:, 5, 6], B[:, 5, 7] = p.lever * diff / p.m33, p.lever * both / p.m33
+    E = np.eye(6, 8)  # [I | 0]
+
+    # stage points y1 = y, y2 = y + h k1, y3 = y + h k2, y4 = y + dt k3,
+    # then all 4N stage Jacobians at once
+    points = [states[:-1].T]
+    for step in (h, h, dt):
+        k = dynamics_deriv(points[-1], fp, fs, 0.0, 0.0, p, trig=np)
+        points.append(points[0] + step * np.array(k))
+    A = _stage_jacobians(*np.concatenate(points, axis=1)[2:], p)
+    A = A.reshape(4, n, 6, 6)
+    # K_i = [dk_i/dy | dk_i/dw] = A_i (E + step K_{i-1}) + B
+    K = A[0] @ E + B
+    total = K.copy()
+    for i, (step, weight) in enumerate(((h, 2.0), (h, 2.0), (dt, 1.0)), 1):
+        K = A[i] @ (E + step * K) + B
+        total += weight * K
+    A_steps = np.eye(6) + (dt / 6.0) * total[:, :, :6]
+    B_steps = (dt / 6.0) * total[:, :, 6:]
+
+    sens = np.zeros((n, 6, 2 * n))
+    for i in range(n):
+        if i:
+            np.matmul(A_steps[i], sens[i - 1, :, :2 * i],
+                      out=sens[i, :, :2 * i])
+        sens[i, :, 2 * i:2 * i + 2] = B_steps[i]
+    return sens
+
+
+def _jacobian(states: np.ndarray, inputs: np.ndarray, port, psi_path,
+              config: NmpcConfig, params: VesselParams) -> np.ndarray:
+    """d(_residuals)/d(inputs flattened), (7N, 2N); e_ct moves along the
+    port normal of its segment and psi_path is constant per segment."""
+    n = len(inputs)
+    sens = _rollout_jacobian(states, inputs, config, params)
+    half_cos = 0.5 * np.cos(0.5 * _heading_error(states, psi_path))
+    eye = np.eye(2 * n)
+    return np.concatenate([
+        math.sqrt(config.w_ct) * (port[:, 0:1] * sens[:, 0]
+                                  + port[:, 1:2] * sens[:, 1]),
+        math.sqrt(2.0 * config.w_head) * half_cos[:, None] * sens[:, 2],
+        math.sqrt(config.w_speed) * sens[:, 3],
+        math.sqrt(config.w_u) * eye,
+        math.sqrt(config.w_du) * (eye - np.eye(2 * n, k=-2))])
+
+
+def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+    """argmin of 1/2 d.H.d + g.d over lo <= d <= hi, where lo <= 0 <= hi
+    and H is positive definite.
+
+    Primal active set from d = 0: each pass takes the Newton step of the
+    free variables, cut short at the first bound it meets (which is
+    then held), or, when the whole step fits, frees the held variable
+    whose multiplier has the wrong sign. Every pass lowers the model
+    or keeps it, so the result is feasible and no worse than d = 0.
+    """
+    n = len(g)
+    d = np.zeros(n)
+    upper = np.zeros(n, dtype=bool)  # which bound a held variable is at
+    held = ((lo >= 0.0) & (g > 0.0)) | ((hi <= 0.0) & (g < 0.0))
+    upper[held] = hi[held] <= 0.0
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(g))))
+    for _ in range(4 * n):
+        free = ~held
+        q = g + H @ d
+        step = np.zeros(n)
+        if free.any():
+            step[free] = np.linalg.solve(H[np.ix_(free, free)], -q[free])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step > 0.0, (hi - d) / step,
+                            np.where(step < 0.0, (lo - d) / step, np.inf))
+        j = int(np.argmin(room))
+        if room[j] < 1.0:
+            d += max(room[j], 0.0) * step
+            upper[j] = step[j] > 0.0
+            d[j] = hi[j] if upper[j] else lo[j]
+            held[j] = True
+            continue
+        d += step
+        q = g + H @ d
+        wrong = np.where(held, np.where(upper, q, -q), 0.0)
+        j = int(np.argmax(wrong))
+        if wrong[j] <= tol:
+            break
+        held[j] = False
+    return d
+
+
+def _evaluate(y0, inputs, path: PolylinePath, config: NmpcConfig,
+              params: VesselParams, prev_input):
+    """Rollout, path projection and objective of one input sequence."""
+    states = predict(y0, inputs, config, params)
+    e_ct, psi_path, port = path.project_many(states[1:, :2])
+    c = _objective(states, inputs, e_ct, psi_path, config, prev_input)
+    return states, (e_ct, psi_path, port), c
+
+
 def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
                params: VesselParams,
                warm_start: ControlSolution | None = None,
                prev_input=(0.0, 0.0)) -> ControlSolution | None:
-    """Projected-gradient solve; returns None on numeric failure."""
+    """Box-constrained Gauss-Newton solve; returns None on numeric
+    failure."""
     t_start = time.perf_counter()
     y0 = state_vector(state)
     n = config.steps_N
@@ -229,68 +404,57 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
         u_seq = _project(shift_warm_start(warm_start))
     else:
         u_seq = np.zeros((n, 2))
-
     try:
-        c, g = cost_gradient(y0, u_seq, path, config, params, prev_input)
+        states, (e_ct, psi_path, port), c = _evaluate(
+            y0, u_seq, path, config, params, prev_input)
     except FloatingPointError:
         return None
-    best_u, best_c = u_seq.copy(), c
-    alpha = 1.0  # refined by Barzilai-Borwein after the first step
-    u_prev = g_prev = None
     iters = 0
-    stalls = 0
     converged = False
     while iters < config.max_iters:
-        pg = u_seq - _project(u_seq - g)
-        if np.max(np.abs(pg)) < config.grad_tol:
-            converged = True
+        r = _residuals(states, u_seq, e_ct, psi_path, config, prev_input)
+        J = _jacobian(states, u_seq, port, psi_path, config, params)
+        half_grad = J.T @ r
+        flat = u_seq.ravel()
+        if (np.max(np.abs(flat - _project(flat - 2.0 * half_grad)))
+                < config.grad_tol):
+            converged = True  # the projected gradient vanishes
             break
         iters += 1
-        if u_prev is not None:
-            s = u_seq - u_prev
-            y = g - g_prev
-            sy = float(np.sum(s * y))
-            if sy > 1e-12:
-                alpha = min(max(float(np.sum(s * s)) / sy, 1e-6), 1e3)
-        accepted = False
-        while alpha > 1e-12:
-            u_new = _project(u_seq - alpha * g)
+        H = J.T @ J
+        # an input with both motor gates closed and zero input weights
+        # moves no residual; a tiny ridge keeps H positive definite
+        H[np.diag_indices_from(H)] += 1e-12 * (1.0 + np.trace(H))
+        step = _box_qp(H, half_grad, -1.0 - flat, 1.0 - flat).reshape(n, 2)
+        Jd = J @ step.ravel()
+        slope, curve = 2.0 * float(r @ Jd), float(Jd @ Jd)
+        alpha = 1.0
+        while alpha > 1e-3:
+            u_new = _project(u_seq + alpha * step)
             try:
-                c_new = cost_of_inputs(y0, u_new, path, config, params,
-                                       prev_input)
+                trial = _evaluate(y0, u_new, path, config, params, prev_input)
             except FloatingPointError:
                 return None
-            decrease = float(np.sum(g * (u_seq - u_new)))
-            if c_new <= c - 1e-4 * decrease:
-                accepted = True
+            # Armijo against the model's decrease |r|^2 - |r + a J d|^2
+            if trial[2] <= c + 1e-4 * alpha * (slope + alpha * curve):
                 break
-            alpha *= 0.5
-        if not accepted:
-            break  # no descent direction left at machine precision
-        u_prev, g_prev = u_seq, g
-        improvement = c - c_new
-        u_seq, c = u_new, c_new
-        if c < best_c:
-            best_u, best_c = u_seq.copy(), c
-        # the thrust saturation puts kinks in the objective, so minima on
-        # a kink never satisfy the smooth gradient test; stop once the
-        # cost stalls instead of burning the whole budget
-        if improvement <= 1e-3 * (1.0 + abs(c)):
-            stalls += 1
-            if stalls >= 2:
-                break
+            # minimizer of the quadratic through c, the slope at 0 and the
+            # trial, kept within [0.1, 0.5] of the rejected step
+            excess = trial[2] - c - alpha * slope
+            alpha = min(max(-0.5 * slope * alpha * alpha / excess,
+                            0.1 * alpha), 0.5 * alpha)
         else:
-            stalls = 0
+            break  # no step along the Gauss-Newton direction lowers the cost
+        improvement = c - trial[2]
+        u_seq = u_new
+        states, (e_ct, psi_path, port), c = trial
+        if improvement <= 1e-3 * (1.0 + abs(c)):
+            converged = True
+            break
         if (config.time_budget_s is not None
                 and time.perf_counter() - t_start > config.time_budget_s):
             break
-        try:
-            c, g = cost_gradient(y0, u_seq, path, config, params, prev_input)
-        except FloatingPointError:
-            return None
-
-    predicted = predict(y0, best_u, config, params)
-    return ControlSolution(inputs=best_u, predicted=predicted, cost=best_c,
+    return ControlSolution(inputs=u_seq, predicted=states, cost=c,
                            iters=iters,
                            solve_time=time.perf_counter() - t_start,
                            converged=converged)
@@ -303,8 +467,6 @@ def state_from_synced(sample, origin_lat: float, origin_lon: float
     Sway is not observable from the backseat data; u/v are recovered
     by rotating the ground velocity into the body frame.
     """
-    from . import geo
-
     north, east = geo.latlon_to_local(sample.gps["lat"], sample.gps["lon"],
                                       origin_lat, origin_lon)
     psi = math.radians(sample.imu["yaw"]) % (2.0 * math.pi)

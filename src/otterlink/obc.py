@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import codec, geo
 from .vessel import (EnvDisturbance, MotorState, STATIONARY_SPEED_EPS,
-                     VesselParams, VesselState, apply_motor_lag, saturate,
+                     VesselParams, VesselState, apply_motor_lag, mix, saturate,
                      step_dynamics)
 
 SIM_DT = 0.02          # s, internal physics step
@@ -161,10 +161,11 @@ class OtterObc:
         stationary = (self.state.speed() < STATIONARY_SPEED_EPS
                       and self.motor_port.actual_norm == 0.0
                       and self.motor_stbd.actual_norm == 0.0)
+        port, stbd = mix(x, z)
         self.motor_port = apply_motor_lag(
-            self.motor_port, saturate(x + z), SIM_DT, self.params, stationary)
+            self.motor_port, port, SIM_DT, self.params, stationary)
         self.motor_stbd = apply_motor_lag(
-            self.motor_stbd, saturate(x - z), SIM_DT, self.params, stationary)
+            self.motor_stbd, stbd, SIM_DT, self.params, stationary)
         f_port = self.params.F_max * self.motor_port.actual_norm
         f_stbd = self.params.F_max * self.motor_stbd.actual_norm
         self.state = step_dynamics(self.state, (f_port, f_stbd), self.env,

@@ -100,18 +100,25 @@ def saturate(x: float) -> float:
     return -1.0 if x < -1.0 else (1.0 if x > 1.0 else x)
 
 
-def allocate_thrust(x_norm: float, z_norm: float,
-                    params: VesselParams) -> tuple[float, float]:
-    """Map normalized surge/torque commands to per-motor thrusts (N).
+def mix(x_norm: float, z_norm: float) -> tuple[float, float]:
+    """Normalized surge/torque commands to normalized (port, starboard)
+    motor commands.
 
     Positive z turns the vessel clockwise (to starboard): the port
-    motor gets x + z, the starboard motor x - z, both saturated.
+    motor gets x + z, the starboard motor x - z, both saturated. A
+    motor's output follows its input exactly where |output| < 1.
     """
+    return saturate(x_norm + z_norm), saturate(x_norm - z_norm)
+
+
+def allocate_thrust(x_norm: float, z_norm: float,
+                    params: VesselParams) -> tuple[float, float]:
+    """Map normalized surge/torque commands in [-1, 1] to per-motor
+    thrusts (N) through `mix`."""
     if not (-1.0 <= x_norm <= 1.0 and -1.0 <= z_norm <= 1.0):
         raise ValueError(f"command out of range: x={x_norm}, z={z_norm}")
-    f_port = params.F_max * saturate(x_norm + z_norm)
-    f_stbd = params.F_max * saturate(x_norm - z_norm)
-    return f_port, f_stbd
+    port, stbd = mix(x_norm, z_norm)
+    return params.F_max * port, params.F_max * stbd
 
 
 def apply_motor_lag(motor: MotorState, target: float, dt: float,
@@ -142,10 +149,14 @@ def apply_motor_lag(motor: MotorState, target: float, dt: float,
 
 def dynamics_deriv(y, f_port: float, f_stbd: float,
                    current_north: float, current_east: float,
-                   p: VesselParams):
-    """Continuous-time derivative of [north, east, psi, u, v, r]."""
+                   p: VesselParams, trig=math):
+    """Continuous-time derivative of [north, east, psi, u, v, r].
+
+    Scalar by default; with trig=numpy the state entries and thrusts may
+    be arrays of equal shape, evaluating many states at once.
+    """
     _, _, psi, u, v, r = y
-    spsi, cpsi = math.sin(psi), math.cos(psi)
+    spsi, cpsi = trig.sin(psi), trig.cos(psi)
     return (
         u * cpsi - v * spsi + current_north,
         u * spsi + v * cpsi + current_east,

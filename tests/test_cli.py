@@ -1,4 +1,5 @@
 import socket
+import types
 
 import pytest
 
@@ -88,6 +89,50 @@ class TestExitCodes:
             assert main(["--config", cfg, "run"]) == EXIT_CONNECT
         finally:
             blocker.close()
+
+
+class TestSocketRunPacing:
+    def test_steps_start_on_a_fixed_grid(self, tmp_path, monkeypatch):
+        # a fake clock: sleep advances it, and each control step takes
+        # 30 ms except one that overruns by 150 ms
+        clock = types.SimpleNamespace(now=50.0, sleeps=[])
+        starts = []
+        durations = iter([0.03, 0.03, 0.25] + [0.03] * 20)
+
+        def sleep(seconds):
+            assert seconds >= 0.0
+            clock.sleeps.append(seconds)
+            clock.now += seconds
+
+        class Client:
+            def __init__(self, *_endpoints):
+                pass
+
+            def close(self):
+                pass
+
+        class Controller:
+            _latest = object()  # telemetry is flowing
+
+            def __init__(self, *_args):
+                pass
+
+            def step(self, now):
+                starts.append(now - 50.0)
+                clock.now += next(durations)
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            monotonic=lambda: clock.now, sleep=sleep))
+        monkeypatch.setattr(cli, "BackseatClient", Client)
+        monkeypatch.setattr(cli.runner, "LosBaselineController", Controller)
+        cfg = cli.load_config(write_config(tmp_path,
+                                           "[bench]\nduration = 1\n"))
+        args = types.SimpleNamespace(controller="baseline")
+        assert cli._cmd_run_socket(args, cfg, None) == EXIT_OK
+        # the step at 0.2 s ends at 0.45 s, past the slots at 0.3 and
+        # 0.4 s, so the next step starts at 0.5 s
+        assert starts == pytest.approx([0.0, 0.1, 0.2, 0.5, 0.6, 0.7, 0.8,
+                                        0.9], abs=1e-9)
 
 
 class TestEmbeddedRun:

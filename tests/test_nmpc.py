@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from otterlink import nmpc, runner
 from otterlink.client import SyncedSample
 from otterlink.guidance import PolylinePath, figure_eight
-from otterlink.nmpc import (ControlSolution, NmpcConfig, cost_gradient,
+from otterlink.nmpc import (ControlSolution, NmpcConfig, _evaluate,
+                            _jacobian, _objective, _residuals, cost_gradient,
                             cost_of_inputs, predict, shift_warm_start,
                             solve_nmpc, state_from_synced, state_vector)
 from otterlink.vessel import (EnvDisturbance, VesselParams, VesselState,
@@ -260,6 +262,86 @@ class TestGradient:
                     <= 1e-12 * np.max(np.abs(grad_ref)))
 
 
+def saturating_instance(rng, config):
+    """A figure-eight problem whose inputs span the whole box, so many
+    |x +/- z| reach or pass the saturation gate at 1, some exactly."""
+    y0 = np.array([rng.uniform(-25, 25), rng.uniform(-12, 12),
+                   rng.uniform(0, 2 * math.pi), rng.uniform(-1.5, 2.5),
+                   rng.uniform(-0.4, 0.4), rng.uniform(-0.6, 0.6)])
+    inputs = rng.uniform(-1, 1, size=(config.steps_N, 2))
+    x = rng.integers(-64, 65, size=config.steps_N // 2) / 64
+    inputs[::2, 0] = x
+    inputs[::2, 1] = np.sign(x) - x
+    return y0, inputs, tuple(rng.uniform(-1, 1, size=2))
+
+
+def linearized(y0, inputs, path, config, prev):
+    """(cost, residuals, Jacobian) at an input sequence."""
+    states, (e_ct, psi_path, port), c = _evaluate(y0, inputs, path, config,
+                                                  P, prev)
+    return (c, _residuals(states, inputs, e_ct, psi_path, config, prev),
+            _jacobian(states, inputs, port, psi_path, config, P))
+
+
+def least_squares_problems():
+    config = NmpcConfig()
+    rng = np.random.default_rng(61)
+    fig8 = figure_eight(20.0)
+    for i in range(24):
+        path = EAST_LINE if i % 3 == 0 else fig8
+        if i % 2:
+            y0, inputs, prev = saturating_instance(rng, config)
+        else:
+            state, inputs = random_instance(rng, config)
+            y0 = state_vector(state)
+            prev = tuple(rng.uniform(-0.4, 0.4, size=2))
+        yield y0, inputs, path, config, prev
+
+
+class TestGaussNewton:
+    def test_residuals_square_to_objective(self):
+        for y0, inputs, path, config, prev in least_squares_problems():
+            states, (e_ct, psi_path, _), c = _evaluate(y0, inputs, path,
+                                                       config, P, prev)
+            r = _residuals(states, inputs, e_ct, psi_path, config, prev)
+            assert r.shape == (7 * config.steps_N,)
+            assert c == _objective(states, inputs, e_ct, psi_path, config,
+                                   prev)
+            assert abs(float(r @ r) - c) <= 1e-12 * c
+
+    def test_half_gradient_is_jacobian_transpose_residuals(self):
+        # the reverse-pass gradient and the forward Jacobian share only
+        # the model: a wrong saturation gate, stage or sign in either
+        # breaks this on the saturating instances
+        for y0, inputs, path, config, prev in least_squares_problems():
+            c, r, J = linearized(y0, inputs, path, config, prev)
+            c_ref, grad = cost_gradient(y0, inputs, path, config, P, prev)
+            assert J.shape == (7 * config.steps_N, 2 * config.steps_N)
+            assert c == c_ref
+            assert (np.max(np.abs(2.0 * J.T @ r - grad.ravel()))
+                    <= 1e-9 * np.max(np.abs(grad)))
+
+    def test_jacobian_matches_central_differences(self):
+        config = NmpcConfig()
+        rng = np.random.default_rng(29)
+        for path in (EAST_LINE, figure_eight(20.0)):
+            state, inputs = random_instance(rng, config)
+            y0 = state_vector(state)
+            prev = (float(inputs[0, 0]), float(inputs[0, 1]))
+            _, _, J = linearized(y0, inputs, path, config, prev)
+            eps = 1e-6
+            fd = np.empty_like(J)
+            for j in range(J.shape[1]):
+                up, dn = inputs.copy(), inputs.copy()
+                up.flat[j] += eps
+                dn.flat[j] -= eps
+                fd[:, j] = (linearized(y0, up, path, config, prev)[1]
+                            - linearized(y0, dn, path, config, prev)[1]
+                            ) / (2.0 * eps)
+            assert (np.max(np.abs(J - fd))
+                    <= 1e-6 * max(1.0, float(np.max(np.abs(fd)))))
+
+
 class TestSolve:
     def test_solution_is_feasible_and_improving(self):
         config = NmpcConfig(time_budget_s=None)
@@ -304,6 +386,65 @@ class TestSolve:
         warm = solve_nmpc(state, EAST_LINE, config, P, warm_start=cold,
                           prev_input=tuple(cold.inputs[0]))
         assert warm.iters <= cold.iters
+
+    def test_converges_on_a_line(self):
+        config = NmpcConfig(time_budget_s=None)
+        state = VesselState(north=3.0, psi=math.pi / 2, u=0.5)
+        sol = solve_nmpc(state, EAST_LINE, config, P)
+        assert sol.converged
+        assert sol.iters < config.max_iters
+
+    def test_solution_reports_its_own_rollout(self):
+        config = NmpcConfig(time_budget_s=None)
+        state = VesselState(north=2.0, psi=1.3, u=0.8)
+        sol = solve_nmpc(state, figure_eight(20.0), config, P)
+        assert np.array_equal(sol.predicted,
+                              predict(state_vector(state), sol.inputs,
+                                      config, P))
+        assert sol.cost == cost_of_inputs(state_vector(state), sol.inputs,
+                                          figure_eight(20.0), config, P,
+                                          (0.0, 0.0))
+
+    def test_solve_calls_neither_reference(self, monkeypatch):
+        # both stay as exact references for tests; the solver linearizes
+        # its own rollouts
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("reference called by the solver")
+
+        monkeypatch.setattr(nmpc, "cost_of_inputs", refuse)
+        monkeypatch.setattr(nmpc, "cost_gradient", refuse)
+        config = NmpcConfig(time_budget_s=None)
+        state = VesselState(north=3.0, psi=math.pi / 2, u=0.5)
+        cold = solve_nmpc(state, figure_eight(20.0), config, P)
+        warm = solve_nmpc(state, figure_eight(20.0), config, P,
+                          warm_start=cold, prev_input=tuple(cold.inputs[0]))
+        assert cold is not None and warm is not None
+
+    def test_mission_solves_end_below_max_iters(self, monkeypatch):
+        # a figure-eight start 0.491 m to port and 5.076 deg to starboard
+        # of the path at 20.584 m of arc: the first warm-started solve,
+        # while the motors still sit in their cold-start delay, used to
+        # run all max_iters iterations
+        path = figure_eight(20.0)
+        north, east = (float(v) for v in path.point_at(20.584))
+        heading = path.project(north, east).path_heading
+        start = VesselState(north=north + 0.491 * math.sin(heading),
+                            east=east - 0.491 * math.cos(heading),
+                            psi=(heading + math.radians(5.076))
+                            % (2 * math.pi))
+        solutions = []
+
+        def recorded(*args, **kwargs):
+            solutions.append(solve_nmpc(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(runner, "solve_nmpc", recorded)
+        runner.run_embedded_mission("nmpc", path, duration=14.0,
+                                    initial_state=start)
+        config = NmpcConfig()
+        assert len(solutions) == 140
+        assert max(sol.iters for sol in solutions) < config.max_iters
+        assert sum(sol.converged for sol in solutions) > 100
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
