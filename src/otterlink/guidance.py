@@ -6,6 +6,14 @@ figure-eight benchmark path is a Gerono lemniscate
 
 Cross-track error is the signed perpendicular distance to the nearest
 segment, positive to port (left) of the path direction.
+
+Nearest-segment search runs one foot-point kernel over every segment.
+The scalar queries `project` and `project_near` first look in an exact
+uniform grid built with the path: each cell lists every segment that
+can be nearest to any point in it, ties included, so the scan over that
+short list returns the same segment, bit for bit, as the full kernel.
+Points off the grid, non-finite points, windows that exclude the
+candidate nearest and paths too large for the grid use the full kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +41,16 @@ class Projection:
     s_along: float        # arc length of the foot point from path start
     cross_track: float    # signed, positive to port of path direction
     path_heading: float   # rad, tangent bearing of the nearest segment
+
+
+# Candidate-segment grid of PolylinePath (see _build_grid)
+_CELL_SEGMENTS = 4.0          # cell side in median segment lengths
+_GRID_MARGIN = 2              # cells around the path's bounding box
+_MAX_CELLS = 4096             # the cell side grows to stay under this
+_MAX_CELL_SEGMENTS = 1 << 20  # cells x segments; above it, no grid
+_BUILD_PAIRS = 8192           # (cell, segment) pairs per build step
+_MAX_COORD = 1e150            # beyond it squared distances may overflow
+_SLACK = 1e-9                 # relative rounding allowance of the lists
 
 
 class PolylinePath:
@@ -66,6 +84,62 @@ class PolylinePath:
         self._sn, self._se = np.ascontiguousarray(self._starts.T)
         self._vn, self._ve = np.ascontiguousarray(self._vecs.T)
         self._tn, self._te = np.ascontiguousarray(self._tangents.T)
+        # Python floats for the scalar queries
+        self._cum_f = self._cum.tolist()
+        self._mids_f = self._mids.tolist()
+        self._lengths_f = self._lengths.tolist()
+        self._headings_f = self._headings.tolist()
+        self._grid = self._build_grid()
+
+    def _build_grid(self):
+        """Uniform grid over the bounding box plus a margin; per cell the
+        ascending tuple of segment rows (index, start, tangent, length,
+        vector) that can be nearest to a point of the cell.
+
+        A point p of a cell lies within half the cell diagonal D of its
+        centre c, and each segment's distance moves by at most |p - c|,
+        so a segment nearest to p (ties included) is within min + D of
+        c. Every segment with dist(c) <= min + D + slack is kept, the
+        slack covering rounding in the computed distances. Returns None
+        (full kernel only) when cells x segments exceeds its cap or the
+        path's coordinates are not finite and moderate.
+        """
+        lo, hi = self.points.min(axis=0), self.points.max(axis=0)
+        if not np.abs([lo, hi]).max() < _MAX_COORD:  # NaN fails too
+            return None
+        n_seg = len(self._lengths)
+        # upper median by sort: np.median imports numpy.ma, ~10 ms cold
+        side = _CELL_SEGMENTS * float(np.sort(self._lengths)[n_seg // 2])
+        while True:
+            nx, ny = (int((hi[k] - lo[k]) // side) + 1 + 2 * _GRID_MARGIN
+                      for k in (0, 1))
+            if nx * ny <= _MAX_CELLS:
+                break
+            side *= max(1.01, math.sqrt(nx * ny / _MAX_CELLS))
+        if nx * ny * n_seg > _MAX_CELL_SEGMENTS:
+            return None
+        x0 = float(lo[0]) - _GRID_MARGIN * side
+        y0 = float(lo[1]) - _GRID_MARGIN * side
+        x1, y1 = x0 + nx * side, y0 + ny * side
+        diag = math.hypot(side, side)
+        reach = diag + _SLACK * (diag + max(abs(x0), abs(x1),
+                                            abs(y0), abs(y1)))
+        rows = list(zip(range(n_seg), self._sn.tolist(), self._se.tolist(),
+                        self._tn.tolist(), self._te.tolist(),
+                        self._lengths_f, self._vn.tolist(),
+                        self._ve.tolist()))
+        centre_n = np.repeat(x0 + (np.arange(nx) + 0.5) * side, ny)
+        centre_e = np.tile(y0 + (np.arange(ny) + 0.5) * side, nx)
+        chunk = max(1, _BUILD_PAIRS // n_seg)
+        cells = []
+        for k in range(0, nx * ny, chunk):
+            _, d2 = self._foot(centre_n[k:k + chunk, None],
+                               centre_e[k:k + chunk, None])
+            dist = np.sqrt(d2)
+            keep = dist <= dist.min(axis=1, keepdims=True) + reach
+            cells.extend(tuple(rows[j] for j in np.flatnonzero(m).tolist())
+                         for m in keep)
+        return x0, y0, x1, y1, side, nx, ny, cells
 
     @property
     def length(self) -> float:
@@ -85,16 +159,72 @@ class PolylinePath:
               + (pe - (self._se + t * self._ve)) ** 2)
         return t, d2
 
-    def _nearest(self, north: float, east: float, t, d2) -> Projection:
+    def _grid_nearest(self, north, east):
+        """(segment, t) of the nearest segment from the query cell's
+        candidates, or None without a grid, off it or for a non-finite
+        point. The scan is `_foot`'s arithmetic in the same order; a
+        strict < keeps the lowest index among equal d2, as np.argmin."""
+        if self._grid is None:
+            return None
+        x0, y0, x1, y1, side, nx, ny, cells = self._grid
+        if not (x0 <= north < x1 and y0 <= east < y1):
+            return None
+        cell = cells[min(int((north - x0) / side), nx - 1) * ny
+                     + min(int((east - y0) / side), ny - 1)]
+        pn, pe = float(north), float(east)
+        best, hit = math.inf, None
+        for i, sn, se, tn, te, length, vn, ve in cell:
+            t = ((pn - sn) * tn + (pe - se) * te) / length
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            dn = pn - (sn + t * vn)
+            de = pe - (se + t * ve)
+            d2 = dn * dn + de * de
+            if d2 < best:
+                best, hit = d2, (i, t)
+        return hit
+
+    def _outside(self, mids, lengths, s_hint: float, window: float):
+        """True where a segment's arc midpoint lies farther than `window`
+        (plus half the segment) from s_hint; arrays or one segment's
+        floats, by the same arithmetic."""
+        length = self.length
+        if self.closed:
+            s_hint = s_hint % length
+        d = mids - s_hint
+        if self.closed:
+            half = 0.5 * length
+            d = (d + half) % length - half
+        return abs(d) > window + 0.5 * lengths
+
+    def _kernel_nearest(self, north, east, s_hint=None, window=10.0):
+        """(segment, t) by the full kernel, outside segments masked."""
+        t, d2 = self._foot(north, east)
+        if s_hint is not None:
+            outside = self._outside(self._mids, self._lengths, s_hint, window)
+            if not outside.all():
+                d2[outside] = np.inf
         i = int(np.argmin(d2))  # ties go to the lowest segment index
+        return i, float(t[i])
+
+    def _projection(self, north, east, i: int, t: float) -> Projection:
         e_ct = float((np.array([north, east]) - self._starts[i])
                      @ self._port[i])
-        s = float(self._cum[i] + t[i] * self._lengths[i])
-        return Projection(i, s, e_ct, float(self._headings[i]))
+        return Projection(i, self._cum_f[i] + t * self._lengths_f[i], e_ct,
+                          self._headings_f[i])
 
     def project(self, north: float, east: float) -> Projection:
-        """Nearest-segment projection of a point onto the path."""
-        return self._nearest(north, east, *self._foot(north, east))
+        """Nearest-segment projection of a point onto the path.
+
+        Answered from the grid cell's candidate list, which holds every
+        segment that can be nearest there; the full kernel serves points
+        the grid does not cover. Both give the same Projection."""
+        hit = self._grid_nearest(north, east)
+        if hit is None:
+            hit = self._kernel_nearest(north, east)
+        return self._projection(north, east, *hit)
 
     def project_near(self, north: float, east: float,
                      s_hint: float | None = None,
@@ -109,19 +239,18 @@ class PolylinePath:
         to inf, so argmin ties resolve to the lowest index as in a
         global projection. With s_hint None, or no segment in range,
         this is the global projection.
+
+        The grid's candidate nearest is the lowest-index global argmin;
+        when it lies in the window it is also the windowed argmin, and
+        is returned as is. Otherwise (or off the grid) the masked full
+        kernel runs.
         """
-        t, d2 = self._foot(north, east)
-        if s_hint is not None:
-            if self.closed:
-                s_hint = s_hint % self.length
-            d = self._mids - s_hint
-            if self.closed:
-                half = 0.5 * self.length
-                d = (d + half) % self.length - half
-            outside = np.abs(d) > window + 0.5 * self._lengths
-            if not outside.all():
-                d2[outside] = np.inf
-        return self._nearest(north, east, t, d2)
+        hit = self._grid_nearest(north, east)
+        if hit is None or (s_hint is not None and self._outside(
+                self._mids_f[hit[0]], self._lengths_f[hit[0]], s_hint,
+                window)):
+            hit = self._kernel_nearest(north, east, s_hint, window)
+        return self._projection(north, east, *hit)
 
     def project_many(self, points: np.ndarray):
         """Vectorized nearest-segment projection of (K, 2) points.

@@ -17,7 +17,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from . import codec
 
@@ -149,10 +149,6 @@ def replay(path, speed_factor: float,
                          wall_time=time.monotonic() - start)
 
 
-def iter_topic(records, topic: str) -> Iterator[LogRecord]:
-    return (rec for rec in records if rec.topic == topic)
-
-
 def export_csv(source_path, topic: str, out_path) -> int:
     """Write one CSV row per record of `topic`; returns the row count."""
     columns = TOPIC_COLUMNS.get(topic)
@@ -163,7 +159,9 @@ def export_csv(source_path, topic: str, out_path) -> int:
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *columns])
-        for rec in iter_topic(records, topic):
+        for rec in records:
+            if rec.topic != topic:
+                continue
             writer.writerow([repr(rec.t_mono)]
                             + [rec.payload.get(col, "") for col in columns])
             count += 1

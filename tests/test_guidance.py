@@ -161,6 +161,30 @@ def reference_project_near(path, north, east, s_hint, window=10.0):
     return Projection(i, s, e_ct, float(path._headings[i]))
 
 
+def reference_masked_project_near(path, north, east, s_hint, window=10.0):
+    """The gather-form d2 masked to inf outside the window, as
+    `project_near` does: for non-finite points, where every d2 is inf or
+    NaN, the argmin may then fall outside the window."""
+    p = np.array([north, east])
+    rel = p - path._starts
+    t = np.clip((rel * path._tangents).sum(axis=1) / path._lengths, 0.0, 1.0)
+    d2 = ((p - (path._starts + t[:, None] * path._vecs)) ** 2).sum(axis=1)
+    if path.closed:
+        s_hint = s_hint % path.length
+    d = path._mids - s_hint
+    if path.closed:
+        half = 0.5 * path.length
+        d = (d + half) % path.length - half
+    outside = np.abs(d) > window + 0.5 * path._lengths
+    if not outside.all():
+        d2[outside] = np.inf
+    i = int(np.argmin(d2))
+    tangent = path._tangents[i]
+    e_ct = float((p - path._starts[i]) @ np.array([tangent[1], -tangent[0]]))
+    s = float(path._cum[i] + t[i] * path._lengths[i])
+    return Projection(i, s, e_ct, float(path._headings[i]))
+
+
 class TestProjectionMatchesReference:
     """`project` and `project_near` share one foot-point kernel and mask
     the window instead of gathering it; every Projection field, argmin
@@ -223,6 +247,165 @@ class TestProjectionMatchesReference:
                 == reference_project(path, north, east)
             assert path.project_near(north, east, s_hint, window) \
                 == reference_project_near(path, north, east, s_hint, window)
+
+    @staticmethod
+    def grid_lines(path, rng):
+        """Cell edges and corners of the path's candidate grid, the far
+        edges included (they lie just off the grid)."""
+        x0, y0, _, _, side, nx, ny, _ = path._grid
+        xs = x0 + side * np.arange(nx + 1)
+        ys = y0 + side * np.arange(ny + 1)
+        corners = np.array([(x, y) for x in xs for y in ys])
+        along_x = np.column_stack([x0 + side * rng.uniform(0, nx, len(ys)),
+                                   ys])
+        along_y = np.column_stack([xs,
+                                   y0 + side * rng.uniform(0, ny, len(xs))])
+        return np.vstack([corners, along_x, along_y])
+
+    @pytest.mark.parametrize("name", ["EIGHT", "SQUARE", "OPEN"])
+    def test_grid_cell_edges_and_corners(self, name):
+        path = getattr(self, name)
+        assert path._grid is not None
+        rng = np.random.default_rng(53)
+        hints = self.hints(path)
+        for k, (north, east) in enumerate(self.grid_lines(path, rng)):
+            assert path.project(north, east) \
+                == reference_project(path, north, east)
+            for s_hint in hints[k % 5::5]:
+                assert path.project_near(north, east, s_hint) \
+                    == reference_project_near(path, north, east, s_hint)
+
+    @pytest.mark.parametrize("name", ["EIGHT", "SQUARE", "OPEN"])
+    def test_windows_excluding_the_nearest_segment(self, name):
+        # the grid's candidate nearest lies outside these windows, so the
+        # masked full kernel must answer
+        path = getattr(self, name)
+        rng = np.random.default_rng(59)
+        excluded = 0
+        for _ in range(300):
+            north, east = rng.uniform(-25.0, 25.0, 2)
+            i = reference_project(path, north, east).seg_index
+            s_hint = path._mids[i] + rng.uniform(0.3, 0.7) * path.length
+            window = float(rng.choice([0.5, 2.0, 10.0]))
+            excluded += bool(path._outside(path._mids[i], path._lengths[i],
+                                           s_hint, window))
+            assert path.project_near(north, east, s_hint, window) \
+                == reference_project_near(path, north, east, s_hint, window)
+        assert excluded > 100
+
+
+def same_projection(a, b):
+    """Field-wise equality that also equates NaN with NaN."""
+    return a.seg_index == b.seg_index and np.array_equal(
+        [a.s_along, a.cross_track, a.path_heading],
+        [b.s_along, b.cross_track, b.path_heading], equal_nan=True)
+
+
+class TestCandidateGrid:
+    """The grid only narrows the search: points it does not cover, and
+    paths it is not built for, get the full kernel's answer."""
+
+    EIGHT = figure_eight(20.0)
+
+    def edge_points(self, path):
+        x0, y0, x1, y1, _, _, _, _ = path._grid
+        nan, inf = math.nan, math.inf
+        below_x, below_y = np.nextafter(x0, -inf), np.nextafter(y0, -inf)
+        return [(nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0),
+                (-inf, 0.0), (0.0, inf), (inf, -inf), (1e300, 0.0),
+                (0.0, -1e300), (1e300, 1e300), (-3e307, 2e305),
+                (x1, 0.0), (0.0, y1), (x1, y1), (below_x, 0.0),
+                (0.0, below_y), (below_x, below_y), (x0, y0),
+                (np.nextafter(x1, -inf), np.nextafter(y1, -inf)),
+                (x1 + 1.0, y0 - 1.0)]
+
+    def test_non_finite_and_off_grid_points(self):
+        path = self.EIGHT
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.check_edge_points(path)
+
+    def check_edge_points(self, path):
+        for north, east in self.edge_points(path):
+            assert same_projection(path.project(north, east),
+                                   reference_project(path, north, east))
+            for s_hint in (0.0, 17.0, 0.5 * path.length, math.nan):
+                assert same_projection(
+                    path.project_near(north, east, s_hint),
+                    reference_masked_project_near(path, north, east, s_hint))
+
+    def test_nan_hint_is_the_global_projection(self):
+        path = self.EIGHT
+        rng = np.random.default_rng(61)
+        for north, east in rng.uniform(-25.0, 25.0, size=(200, 2)):
+            for window in (10.0, 0.5, math.nan):
+                assert path.project_near(north, east, math.nan, window) \
+                    == path.project(north, east) \
+                    == reference_project(path, north, east)
+
+    def test_non_number_raises_type_error(self):
+        for point in [(None, 0.0), (0.0, None)]:
+            with pytest.raises(TypeError):
+                self.EIGHT.project(*point)
+            with pytest.raises(TypeError):
+                self.EIGHT.project_near(*point, 10.0)
+
+    @staticmethod
+    def check_matches_reference(path, points, seed):
+        rng = np.random.default_rng(seed)
+        for north, east in points:
+            s_hint = rng.uniform(-0.2, 1.2) * path.length
+            assert path.project(north, east) \
+                == reference_project(path, north, east)
+            assert path.project_near(north, east, s_hint, 2.0) \
+                == reference_project_near(path, north, east, s_hint, 2.0)
+
+    def test_long_waypoint_path_builds_no_grid(self):
+        k = np.arange(5000)
+        zigzag = PolylinePath(np.column_stack([1.0 * k, 5.0 * (-1.0) ** k]))
+        assert zigzag._grid is None
+        rng = np.random.default_rng(67)
+        points = np.column_stack([rng.uniform(-10.0, 5010.0, 150),
+                                  rng.uniform(-8.0, 8.0, 150)])
+        self.check_matches_reference(zigzag, points, 71)
+
+    def test_small_waypoint_path_builds_a_grid(self):
+        rng = np.random.default_rng(73)
+        walk = PolylinePath(np.cumsum(rng.uniform(-3.0, 3.0, (40, 2)),
+                                      axis=0))
+        assert walk._grid is not None
+        x0, y0, x1, y1 = walk._grid[:4]
+        points = np.column_stack([rng.uniform(x0 - 2.0, x1 + 2.0, 1500),
+                                  rng.uniform(y0 - 2.0, y1 + 2.0, 1500)])
+        points = np.vstack([points, walk.points])
+        self.check_matches_reference(walk, points, 79)
+
+    @pytest.mark.parametrize("path", [
+        figure_eight(20.0),
+        PolylinePath([(0, 0), (10, 0), (10, 10), (0, 10)], closed=True),
+        PolylinePath([(0, 0), (0, 6), (4, 6), (4, 1)])])
+    def test_cell_lists_hold_every_nearest_segment(self, path):
+        # independent of the scan: the exact argmin of the reference d2,
+        # with all its ties, is among the candidates of the point's cell
+        x0, y0, x1, y1, side, nx, ny, cells = path._grid
+        rng = np.random.default_rng(83)
+        inner = np.column_stack([rng.uniform(x0, x1, 5000),
+                                 rng.uniform(y0, y1, 5000)])
+        # mirror axis of the figure-eight and diagonals of the square:
+        # exactly equidistant segments
+        ties = np.array([(v, w) for v in np.linspace(-25.0, 25.0, 101)
+                         for w in (0.0, v, 10.0 - v)
+                         if x0 <= v < x1 and y0 <= w < y1])
+        for north, east in np.vstack([inner, ties, path.points]):
+            p = np.array([north, east])
+            rel = p - path._starts
+            t = np.clip((rel * path._tangents).sum(axis=1) / path._lengths,
+                        0.0, 1.0)
+            d2 = ((p - (path._starts + t[:, None] * path._vecs)) ** 2
+                  ).sum(axis=1)
+            nearest = set(np.flatnonzero(d2 == d2.min()).tolist())
+            cell = cells[min(int((north - x0) / side), nx - 1) * ny
+                         + min(int((east - y0) / side), ny - 1)]
+            assert nearest <= {row[0] for row in cell}
 
 
 class TestFigureEight:
