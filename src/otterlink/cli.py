@@ -112,6 +112,10 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not args.embedded:
+        if args.log or args.metrics_csv:
+            print("usage error: --log and --metrics-csv need --embedded",
+                  file=sys.stderr)
+            return EXIT_CONFIG
         return _cmd_run_socket(args, cfg, path)
     dropout = None
     if cfg.bench.dropout_start >= 0:
@@ -145,14 +149,13 @@ def _cmd_run_socket(args, cfg: RunConfig, path) -> int:
                                            cfg.vessel.origin_lat,
                                            cfg.vessel.origin_lon)
     period = 1.0 / runner.CONTROL_HZ
-    slot = got_any = time.monotonic()
+    slot = started = time.monotonic()
     deadline = slot + cfg.bench.duration
+    fed = 0
     try:
         while time.monotonic() < deadline:
             ctl.step(time.monotonic())
-            if getattr(ctl, "_latest", None) is not None:
-                got_any = time.monotonic()
-            elif time.monotonic() - got_any > 5.0:
+            if not fed and time.monotonic() - started > 5.0:
                 print("no telemetry received: is the simulator running?",
                       file=sys.stderr)
                 return EXIT_CONNECT
@@ -162,7 +165,7 @@ def _cmd_run_socket(args, cfg: RunConfig, path) -> int:
             now = time.monotonic()
             if now > slot:
                 slot += math.ceil((now - slot) / period) * period
-            time.sleep(max(0.0, slot - now))
+            fed += client.poll(max(0.0, slot - now))
     except KeyboardInterrupt:
         pass
     finally:

@@ -5,6 +5,10 @@ and relayed immediately, exactly once per publish call. Which message
 maps to which topic is defined by ``codec.CATALOG``. Resend cadence is
 the publisher's responsibility.
 
+`BackseatClient` puts the gateway on UDP sockets and runs on a single
+thread: the caller alternates `poll`, which feeds the telemetry that
+arrives within a timeout, with its own control steps.
+
 Decode failures increment a counter and are otherwise ignored: corrupt
 traffic must never take the client down.
 """
@@ -12,7 +16,6 @@ traffic must never take the client down.
 from __future__ import annotations
 
 import socket
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -148,44 +151,31 @@ class BackseatClient(TopicGateway):
     """Socket-backed gateway: listens for telemetry on one UDP port and
     sends commands to another.
 
-    Consumers run on the single internal dispatch thread; publish_command
-    may be called from any context.
+    Starts no thread: consumers and synchronizers run inside poll(), on
+    the caller's thread.
     """
 
-    def __init__(self,
-                 telemetry_endpoint: transport.Endpoint | None = None,
-                 command_endpoint: transport.Endpoint | None = None):
-        self._cmd_endpoint = (command_endpoint
-                              or transport.default_command_endpoint())
-        self._cmd_sock = None
+    def __init__(self, telemetry_endpoint: transport.Endpoint,
+                 command_endpoint: transport.Endpoint):
         super().__init__(command_sender=self._send_command)
-        self._listener = transport.open_listener(
-            telemetry_endpoint or transport.default_telemetry_endpoint())
+        self._cmd_endpoint = command_endpoint
+        self._listener = transport.open_listener(telemetry_endpoint)
         self._cmd_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._cmd_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._dispatch_loop,
-                                        daemon=True)
-        self._thread.start()
 
     def _send_command(self, line: str) -> None:
         if self._cmd_sock is None:
             raise transport.TransportClosedError("client closed")
-        with self._cmd_lock:
-            self._cmd_sock.sendto(line.encode("ascii"),
-                                  self._cmd_endpoint.addr)
+        self._cmd_sock.sendto(line.encode("ascii"), self._cmd_endpoint.addr)
 
-    def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                for line, stamp in self._listener.poll(0.05):
-                    self.feed_line(line, stamp)
-            except transport.TransportError:
-                return
+    def poll(self, timeout: float) -> int:
+        """Feed every datagram that arrives within `timeout` seconds;
+        returns how many lines were fed."""
+        lines = self._listener.poll(timeout)
+        for line, stamp in lines:
+            self.feed_line(line, stamp)
+        return len(lines)
 
     def close(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
         self._listener.close()
         if self._cmd_sock is not None:
             self._cmd_sock.close()

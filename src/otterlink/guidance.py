@@ -328,6 +328,8 @@ class LapTracker:
         self.total = 0.0
 
     def update(self, north: float, east: float) -> float:
+        if not (math.isfinite(north) and math.isfinite(east)):
+            return self.total  # a non-finite fix has no arc position
         s = self.path.project_near(north, east, self._last_s).s_along
         if self._last_s is not None:
             delta = s - self._last_s

@@ -1,6 +1,6 @@
 """UDP transport: rate-limited telemetry broadcaster and command
-listener, with an injectable sender-side fault model (dropout windows,
-random loss, constant latency).
+listener, with a sender-side fault model (dropout windows and seeded
+random loss) fixed when the broadcaster is opened.
 
 One sentence per datagram. Receive timestamps are monotonic-clock
 seconds; UTC only ever appears inside message payloads.
@@ -8,16 +8,11 @@ seconds; UTC only ever appears inside message payloads.
 
 from __future__ import annotations
 
-import heapq
-import os
 import random
 import socket
 import threading
 import time
 from dataclasses import dataclass
-
-DEFAULT_TELEM_PORT = 10010
-DEFAULT_CMD_PORT = 10011
 
 RATE_MIN_HZ = 1.0
 RATE_MAX_HZ = 20.0
@@ -49,24 +44,6 @@ class Endpoint:
         return (self.host, self.port)
 
 
-def _endpoint_from_env(var: str, default_port: int) -> Endpoint:
-    raw = os.environ.get(var)
-    if not raw:
-        return Endpoint("127.0.0.1", default_port)
-    host, _, port = raw.rpartition(":")
-    if not host:
-        raise ConfigError(f"{var} must be host:port, got {raw!r}")
-    return Endpoint(host, int(port))
-
-
-def default_telemetry_endpoint() -> Endpoint:
-    return _endpoint_from_env("OTTERLINK_TELEM_ADDR", DEFAULT_TELEM_PORT)
-
-
-def default_command_endpoint() -> Endpoint:
-    return _endpoint_from_env("OTTERLINK_CMD_ADDR", DEFAULT_CMD_PORT)
-
-
 @dataclass(frozen=True)
 class RateConfig:
     telemetry_hz: float = 10.0
@@ -82,14 +59,11 @@ class RateConfig:
 class FaultProfile:
     dropout_windows: tuple[tuple[float, float], ...] = ()  # (start, duration) s
     loss_prob: float = 0.0
-    latency: float = 0.0  # s
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ConfigError(f"loss_prob {self.loss_prob} outside [0, 1]")
-        if self.latency < 0.0:
-            raise ConfigError("latency must be >= 0")
         for start, duration in self.dropout_windows:
             if duration < 0.0:
                 raise ConfigError("dropout duration must be >= 0")
@@ -102,8 +76,8 @@ class FaultProfile:
 class UdpBroadcaster:
     """Rate-paced UDP sender with sender-side fault shaping.
 
-    One producing context may call send(); the fault profile may be
-    swapped atomically from any context.
+    One producing context may call send(); a worker thread paces the
+    queued lines onto the socket.
     """
 
     def __init__(self, endpoint: Endpoint, rate: RateConfig,
@@ -120,10 +94,8 @@ class UdpBroadcaster:
             raise TransportError(f"socket setup failed: {exc}") from exc
         self._lock = threading.Condition()
         self._queue: list[bytes] = []
-        self._delayed: list[tuple[float, int, bytes]] = []  # (due, seq, data)
         self._fault = fault or FaultProfile()
         self._rng = random.Random(self._fault.seed)
-        self._seq = 0
         self._closed = False
         self.t0 = time.monotonic()
         self._next_send = self.t0
@@ -138,17 +110,9 @@ class UdpBroadcaster:
             self._queue.append(line.encode("ascii"))
             self._lock.notify()
 
-    def inject_fault(self, profile: FaultProfile) -> None:
-        """Atomically replace the fault profile (and reseed the RNG)."""
-        with self._lock:
-            if self._closed:
-                raise TransportClosedError("inject_fault on closed broadcaster")
-            self._fault = profile
-            self._rng = random.Random(profile.seed)
-
     def pending(self) -> int:
         with self._lock:
-            return len(self._queue) + len(self._delayed)
+            return len(self._queue)
 
     def close(self) -> None:
         with self._lock:
@@ -161,50 +125,32 @@ class UdpBroadcaster:
 
     def _run(self) -> None:
         interval = 1.0 / self.rate.telemetry_hz
+        fault = self._fault
         while True:
             to_send: list[bytes] = []
             with self._lock:
-                while True:
+                while not to_send:
                     if self._closed:
                         return
                     now = time.monotonic()
-                    while self._delayed and self._delayed[0][0] <= now:
-                        to_send.append(heapq.heappop(self._delayed)[2])
-                    if to_send:
-                        break
-                    wake = None
+                    if not self._queue:
+                        self._lock.wait()
+                        continue
+                    if now < self._next_send:
+                        self._lock.wait(timeout=self._next_send - now)
+                        continue
                     # one rate slot admits up to `burst` queued lines
                     # (burst=1 gives strict per-datagram pacing)
-                    if self._queue:
-                        if now >= self._next_send:
-                            chunk = self._queue[:self.burst]
-                            del self._queue[:self.burst]
-                            self._next_send = max(self._next_send + interval,
-                                                  now)
-                            fault = self._fault
-                            for data in chunk:
-                                if fault.in_dropout(now - self.t0):
-                                    continue
-                                if (fault.loss_prob > 0.0
-                                        and self._rng.random()
-                                        < fault.loss_prob):
-                                    continue
-                                if fault.latency > 0.0:
-                                    self._seq += 1
-                                    heapq.heappush(
-                                        self._delayed,
-                                        (now + fault.latency, self._seq,
-                                         data))
-                                    continue
-                                to_send.append(data)
-                            if to_send:
-                                break
+                    chunk = self._queue[:self.burst]
+                    del self._queue[:self.burst]
+                    self._next_send = max(self._next_send + interval, now)
+                    for data in chunk:
+                        if fault.in_dropout(now - self.t0):
                             continue
-                        wake = self._next_send - now
-                    if self._delayed:
-                        due = self._delayed[0][0] - now
-                        wake = due if wake is None else min(wake, due)
-                    self._lock.wait(timeout=wake)
+                        if (fault.loss_prob > 0.0
+                                and self._rng.random() < fault.loss_prob):
+                            continue
+                        to_send.append(data)
             for data in to_send:
                 try:
                     self._sock.sendto(data, self.endpoint.addr)

@@ -90,30 +90,46 @@ class TestExitCodes:
         finally:
             blocker.close()
 
+    @pytest.mark.parametrize("flag", ["--log", "--metrics-csv"])
+    def test_run_socket_mode_rejects_output_flags(self, tmp_path, capsys,
+                                                  monkeypatch, flag):
+        # socket mode writes no log and no metrics, so asking for them
+        # is a usage error raised before any socket is opened
+        def no_client(*_endpoints):
+            raise AssertionError("socket mode started")
+
+        monkeypatch.setattr(cli, "BackseatClient", no_client)
+        out = tmp_path / "out.file"
+        cfg = write_config(tmp_path, "[bench]\nduration = 0.1\n")
+        assert main(["--config", cfg, "run", flag, str(out)]) == EXIT_CONFIG
+        assert "need --embedded" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSocketRunPacing:
-    def test_steps_start_on_a_fixed_grid(self, tmp_path, monkeypatch):
-        # a fake clock: sleep advances it, and each control step takes
-        # 30 ms except one that overruns by 150 ms
-        clock = types.SimpleNamespace(now=50.0, sleeps=[])
+    @staticmethod
+    def run_socket(tmp_path, monkeypatch, durations, lines_per_poll,
+                   duration):
+        """Run socket mode against a fake client and clock: polling the
+        client advances the clock by its timeout, and each control step
+        by the next of `durations`. Returns (exit code, step starts)."""
+        clock = types.SimpleNamespace(now=50.0)
         starts = []
-        durations = iter([0.03, 0.03, 0.25] + [0.03] * 20)
-
-        def sleep(seconds):
-            assert seconds >= 0.0
-            clock.sleeps.append(seconds)
-            clock.now += seconds
+        durations = iter(durations)
 
         class Client:
             def __init__(self, *_endpoints):
                 pass
 
+            def poll(self, timeout):
+                assert timeout >= 0.0
+                clock.now += timeout
+                return lines_per_poll
+
             def close(self):
                 pass
 
         class Controller:
-            _latest = object()  # telemetry is flowing
-
             def __init__(self, *_args):
                 pass
 
@@ -122,17 +138,32 @@ class TestSocketRunPacing:
                 clock.now += next(durations)
 
         monkeypatch.setattr(cli, "time", types.SimpleNamespace(
-            monotonic=lambda: clock.now, sleep=sleep))
+            monotonic=lambda: clock.now))
         monkeypatch.setattr(cli, "BackseatClient", Client)
         monkeypatch.setattr(cli.runner, "LosBaselineController", Controller)
-        cfg = cli.load_config(write_config(tmp_path,
-                                           "[bench]\nduration = 1\n"))
+        cfg = cli.load_config(write_config(
+            tmp_path, f"[bench]\nduration = {duration}\n"))
         args = types.SimpleNamespace(controller="baseline")
-        assert cli._cmd_run_socket(args, cfg, None) == EXIT_OK
+        return cli._cmd_run_socket(args, cfg, None), starts
+
+    def test_steps_start_on_a_fixed_grid(self, tmp_path, monkeypatch):
+        # 30 ms steps except one that overruns by 150 ms
+        code, starts = self.run_socket(
+            tmp_path, monkeypatch, [0.03, 0.03, 0.25] + [0.03] * 20,
+            lines_per_poll=1, duration=1)
+        assert code == EXIT_OK
         # the step at 0.2 s ends at 0.45 s, past the slots at 0.3 and
         # 0.4 s, so the next step starts at 0.5 s
         assert starts == pytest.approx([0.0, 0.1, 0.2, 0.5, 0.6, 0.7, 0.8,
                                         0.9], abs=1e-9)
+
+    def test_no_telemetry_exits_3_after_5_s(self, tmp_path, monkeypatch,
+                                            capsys):
+        code, starts = self.run_socket(tmp_path, monkeypatch, [0.03] * 100,
+                                       lines_per_poll=0, duration=60)
+        assert code == EXIT_CONNECT
+        assert "no telemetry received" in capsys.readouterr().err
+        assert starts[-1] == pytest.approx(5.0, abs=1e-9)
 
 
 class TestEmbeddedRun:

@@ -492,3 +492,18 @@ class TestLapTracker:
             pt = path.point_at(float(s)) + rng.uniform(-0.5, 0.5, 2)
             tracker.update(pt[0], pt[1])
         assert tracker.laps == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 0.0),
+                                     (0.0, -math.inf)])
+    def test_non_finite_fix_is_skipped(self, bad):
+        # two fixes, one non-finite fix, then five more: the bad fix
+        # must not poison the unwrapped progress for the rest of the run
+        path = figure_eight(20.0)
+        clean, tracker = LapTracker(path), LapTracker(path)
+        for k, s in enumerate(np.linspace(0.0, 16.0, 7)):
+            pt = path.point_at(float(s))
+            clean.update(pt[0], pt[1])
+            tracker.update(pt[0], pt[1])
+            if k == 1:
+                assert tracker.update(*bad) == clean.total
+        assert tracker.total == clean.total == pytest.approx(16.0)

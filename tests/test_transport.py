@@ -43,8 +43,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             FaultProfile(loss_prob=1.5)
         with pytest.raises(ConfigError):
-            FaultProfile(latency=-0.1)
-        with pytest.raises(ConfigError):
             FaultProfile(dropout_windows=((0.0, -1.0),))
 
     def test_dropout_membership(self):
@@ -54,20 +52,6 @@ class TestConfigValidation:
         assert fault.in_dropout(2.9)
         assert not fault.in_dropout(3.0)
         assert fault.in_dropout(10.2)
-
-    def test_env_endpoint_parsing(self, monkeypatch):
-        monkeypatch.setenv("OTTERLINK_TELEM_ADDR", "10.0.0.9:1234")
-        ep = transport.default_telemetry_endpoint()
-        assert ep.addr == ("10.0.0.9", 1234)
-        monkeypatch.setenv("OTTERLINK_TELEM_ADDR", "nonsense")
-        with pytest.raises(ConfigError):
-            transport.default_telemetry_endpoint()
-
-    def test_default_ports(self, monkeypatch):
-        monkeypatch.delenv("OTTERLINK_TELEM_ADDR", raising=False)
-        monkeypatch.delenv("OTTERLINK_CMD_ADDR", raising=False)
-        assert transport.default_telemetry_endpoint().port == 10010
-        assert transport.default_command_endpoint().port == 10011
 
 
 class TestLoopback:
@@ -154,19 +138,6 @@ class TestLoopback:
             broadcaster.close()
             listener.close()
 
-    def test_latency_delays_delivery(self):
-        broadcaster, listener = make_pair(
-            fault=FaultProfile(latency=0.3))
-        try:
-            t_send = time.monotonic()
-            broadcaster.send("$POTCMD,DRIFT,1*6C\r\n")
-            got = listener.poll(1.0)
-            assert len(got) == 1
-            assert got[0][1] - t_send >= 0.28
-        finally:
-            broadcaster.close()
-            listener.close()
-
     def test_initial_dropout_window_blocks_sends(self):
         broadcaster, listener = make_pair(
             fault=FaultProfile(dropout_windows=((0.0, 0.5),)))
@@ -176,18 +147,6 @@ class TestLoopback:
             time.sleep(0.4)
             broadcaster.send("$POTCMD,DRIFT,1*6C\r\n")
             assert len(listener.poll(0.5)) == 1
-        finally:
-            broadcaster.close()
-            listener.close()
-
-    def test_inject_fault_swaps_profile_live(self):
-        broadcaster, listener = make_pair()
-        try:
-            broadcaster.send("$POTCMD,DRIFT,1*6C\r\n")
-            assert len(listener.poll(0.5)) == 1
-            broadcaster.inject_fault(FaultProfile(loss_prob=1.0))
-            broadcaster.send("$POTCMD,DRIFT,1*6C\r\n")
-            assert listener.poll(0.3) == []
         finally:
             broadcaster.close()
             listener.close()
