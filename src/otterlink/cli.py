@@ -49,6 +49,17 @@ def _path_from_args(cfg: RunConfig, spec: str) -> guidance.PolylinePath:
     return guidance.PolylinePath(points, closed=False)
 
 
+def _check_outputs(*paths) -> None:
+    """Open each given output path for appending, so that one that
+    cannot be written is a config error before any mission runs."""
+    for path in filter(None, paths):
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise ConfigFileError(f"cannot write {path!r}: {exc}") from exc
+
+
 def cmd_sim(args) -> int:
     cfg = _load(args)
     rate_hz = args.rate if args.rate is not None else cfg.transport.rate_hz
@@ -117,6 +128,7 @@ def cmd_run(args) -> int:
                   file=sys.stderr)
             return EXIT_CONFIG
         return _cmd_run_socket(args, cfg, path)
+    _check_outputs(args.log, args.metrics_csv)
     dropout = None
     if cfg.bench.dropout_start >= 0:
         dropout = DropoutWindow(cfg.bench.dropout_start,
@@ -176,11 +188,11 @@ def _cmd_run_socket(args, cfg: RunConfig, path) -> int:
 def cmd_bench_fig8(args) -> int:
     cfg = _load(args)
     path = guidance.figure_eight(cfg.bench.amplitude)
-    rows = []
-    for kind in ("nmpc", "baseline"):
-        log_path = (f"{args.out_prefix}_{kind}.olog"
-                    if args.out_prefix else None)
-        rows.append((kind, _run_embedded(cfg, kind, path, log_path)))
+    logs = {kind: f"{args.out_prefix}_{kind}.olog" if args.out_prefix
+            else None for kind in ("nmpc", "baseline")}
+    _check_outputs(*logs.values(), args.csv)
+    rows = [(kind, _run_embedded(cfg, kind, path, log_path))
+            for kind, log_path in logs.items()]
     header = f"{'controller':<10} {'rms_ct[m]':>10} {'max_ct[m]':>10} " \
              f"{'laps':>6} {'time[s]':>8}"
     print(header)

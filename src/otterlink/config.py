@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 
 from .guidance import LosConfig
 from .nmpc import NmpcConfig
-from .transport import Endpoint, RateConfig
+from .transport import Endpoint
 from .vessel import EnvDisturbance, VesselParams
 
 
@@ -43,10 +43,6 @@ class TransportSection:
     @property
     def command_endpoint(self) -> Endpoint:
         return Endpoint(self.cmd_host, self.cmd_port)
-
-    @property
-    def rate(self) -> RateConfig:
-        return RateConfig(self.rate_hz)
 
 
 @dataclass(frozen=True)

@@ -110,13 +110,15 @@ def read_records(path) -> tuple[list[LogRecord], int]:
     """All parseable records plus the corrupt-line count."""
     records: list[LogRecord] = []
     corrupt = 0
-    with open(path, encoding="utf-8") as fh:
+    # bytes, so a line that is not UTF-8 counts as corrupt
+    # (UnicodeDecodeError is a ValueError) instead of ending the read
+    with open(path, "rb") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(LogRecord.from_json(line))
+                records.append(LogRecord.from_json(line.decode("utf-8")))
             except (ValueError, KeyError, TypeError):
                 corrupt += 1
     return records, corrupt

@@ -24,10 +24,10 @@ next linearization. The solve has converged when an accepted step
 improves the cost by at most 1e-3 (1 + cost), or when no entry of the
 projected gradient reaches grad_tol.
 
-`cost_gradient` is the exact reference gradient, which the solver does
-not call: a reverse pass through each RK4 step of the rollout
-recomputes its stage points and sums scalar vector-Jacobian products of
-the model there.
+`cost_of_inputs` and `cost_gradient`, which the solver does not call,
+evaluate the same rollout, objective, residuals and Jacobian: the
+gradient of r.r is 2 J^T r, exact wherever no motor sits on its
+saturation kink.
 """
 
 from __future__ import annotations
@@ -103,56 +103,6 @@ def predict(y0: np.ndarray, inputs: np.ndarray, config: NmpcConfig,
     return states
 
 
-def _rk4_vjp(y, x: float, z: float, lam, p: VesselParams, dt: float):
-    """Adjoint of one `rk4_step` of the nominal model from state y under
-    input (x, z): given lam = dL/dy', returns (dL/dy, dL/dx, dL/dz).
-
-    Recomputes the stage points y1 = y, y2 = y + h k1, y3 = y + h k2 and
-    y4 = y + dt k3 (h = dt/2), then runs back through
-    y' = y + dt/6 (k1 + 2 k2 + 2 k3 + k4) with one vector-Jacobian
-    product of k_i = f(y_i) per stage. f does not read north or east, so
-    their adjoints pass through unchanged; the psi wrap has slope 1.
-    """
-    mixed_p, mixed_s = mix(x, z)
-    fp, fs = p.F_max * mixed_p, p.F_max * mixed_s
-    m11, m22, m33, munk = p.m11, p.m22, p.m33, p.m22 - p.m11
-    h = 0.5 * dt
-    _, _, psi0, u0, v0, r0 = y
-    points = [(psi0, u0, v0, r0)]  # (psi, u, v, r) of y1..y4
-    for step in (h, h, dt):
-        _, _, kpsi, ku, kv, kr = dynamics_deriv((0.0, 0.0) + points[-1],
-                                                fp, fs, 0.0, 0.0, p)
-        points.append((psi0 + step * kpsi, u0 + step * ku,
-                       v0 + step * kv, r0 + step * kr))
-    ln, le, lpsi, lu, lv, lr = lam
-    out_psi, out_u, out_v, out_r = lpsi, lu, lv, lr
-    g_psi = g_u = g_v = g_r = sum_u = sum_r = 0.0
-    # stage i's weight in y' and the step by which y(i+1) holds k_i
-    for (psi, u, v, r), w, step in zip(reversed(points),
-                                       (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0),
-                                       (0.0, dt, h, h)):
-        an, ae = w * ln, w * le  # cotangent of k_i, (g_*) that of y(i+1)
-        ap = w * lpsi + step * g_psi
-        a3 = (w * lu + step * g_u) / m11
-        a4 = (w * lv + step * g_v) / m22
-        a5 = (w * lr + step * g_r) / m33
-        s, c = math.sin(psi), math.cos(psi)
-        g_psi = an * (-u * s - v * c) + ae * (u * c - v * s)
-        g_u = (an * c + ae * s - a3 * (p.d1u + 2.0 * p.d2u * abs(u))
-               - a4 * m11 * r - a5 * munk * v)
-        g_v = -an * s + ae * c + a3 * m22 * r - a4 * p.d1v - a5 * munk * u
-        g_r = ap + a3 * m22 * v - a4 * m11 * u - a5 * p.d1r
-        out_psi, out_u = out_psi + g_psi, out_u + g_u
-        out_v, out_r = out_v + g_v, out_r + g_r
-        sum_u, sum_r = sum_u + a3, sum_r + a5
-    # the thrusts enter u' and r' only; a motor's saturation gate is
-    # open where its mixed command is strictly inside (-1, 1)
-    port = (sum_u + p.lever * sum_r) if abs(mixed_p) < 1.0 else 0.0
-    stbd = (sum_u - p.lever * sum_r) if abs(mixed_s) < 1.0 else 0.0
-    return ((ln, le, out_psi, out_u, out_v, out_r),
-            p.F_max * (port + stbd), p.F_max * (port - stbd))
-
-
 def _objective(states: np.ndarray, inputs: np.ndarray, e_ct, psi_path,
                config: NmpcConfig, prev_input) -> float:
     """The stated objective, given the path projection (e_ct, psi_path)
@@ -167,55 +117,6 @@ def _objective(states: np.ndarray, inputs: np.ndarray, e_ct, psi_path,
     input_cost = (config.w_u * np.sum(inputs ** 2)
                   + config.w_du * np.sum(diffs ** 2))
     return float(state_cost + input_cost)
-
-
-def cost(states: np.ndarray, inputs: np.ndarray, path: PolylinePath,
-         config: NmpcConfig, prev_input) -> float:
-    """Evaluate the stated objective on a rollout."""
-    e_ct, psi_path, _ = path.project_many(states[1:, :2])
-    return _objective(states, inputs, e_ct, psi_path, config, prev_input)
-
-
-def cost_of_inputs(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
-                   config: NmpcConfig, params: VesselParams,
-                   prev_input) -> float:
-    return cost(predict(y0, inputs, config, params), inputs, path, config,
-                prev_input)
-
-
-def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
-                  config: NmpcConfig, params: VesselParams,
-                  prev_input) -> tuple[float, np.ndarray]:
-    """Exact (cost, d cost / d inputs): the `predict` rollout, then a
-    reverse pass of vector-Jacobian products through its RK4 steps."""
-    n = len(inputs)
-    states = predict(y0, inputs, config, params)
-    e_ct, psi_path, port = path.project_many(states[1:, :2])
-    psi = states[1:, 2]
-    u = states[1:, 3]
-    total = _objective(states, inputs, e_ct, psi_path, config, prev_input)
-
-    # d(stage cost k)/d(state k) for k = 1..N
-    lx = np.zeros((n, 6))
-    lx[:, 0] = 2.0 * config.w_ct * e_ct * port[:, 0]
-    lx[:, 1] = 2.0 * config.w_ct * e_ct * port[:, 1]
-    lx[:, 2] = config.w_head * np.sin(psi - psi_path)
-    lx[:, 3] = 2.0 * config.w_speed * (u - config.ref_speed)
-
-    prev = np.asarray(prev_input, dtype=float)
-    diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
-    grad = 2.0 * config.w_u * inputs + 2.0 * config.w_du * diffs
-    grad[:-1] -= 2.0 * config.w_du * diffs[1:]
-
-    rows, stage, steps = states.tolist(), lx.tolist(), inputs.tolist()
-    lam = stage[n - 1]
-    through = []  # lam_{k+1}^T d(state k+1)/d(input k), for k = N-1..0
-    for k in range(n - 1, -1, -1):
-        lam, gx, gz = _rk4_vjp(rows[k], *steps[k], lam, params, config.dt)
-        through.append((gx, gz))
-        if k > 0:
-            lam = [a + b for a, b in zip(stage[k - 1], lam)]
-    return total, grad + through[::-1]
 
 
 def _project(u: np.ndarray) -> np.ndarray:
@@ -288,7 +189,8 @@ def _rollout_jacobian(states: np.ndarray, inputs: np.ndarray,
     h = 0.5 * dt
     mixed = np.array([mix(x, z) for x, z in inputs.tolist()])  # (N, 2)
     fp, fs = p.F_max * mixed.T
-    # the thrusts enter u' and r' only, through the gates of _rk4_vjp
+    # the thrusts enter u' and r' only; a motor's saturation gate is
+    # open where its mixed command is strictly inside (-1, 1)
     gate = np.where(np.abs(mixed) < 1.0, p.F_max, 0.0)
     both, diff = gate[:, 0] + gate[:, 1], gate[:, 0] - gate[:, 1]
     B = np.zeros((n, 6, 8))  # [0 | df/dw]
@@ -389,6 +291,23 @@ def _evaluate(y0, inputs, path: PolylinePath, config: NmpcConfig,
     e_ct, psi_path, port = path.project_many(states[1:, :2])
     c = _objective(states, inputs, e_ct, psi_path, config, prev_input)
     return states, (e_ct, psi_path, port), c
+
+
+def cost_of_inputs(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
+                   config: NmpcConfig, params: VesselParams,
+                   prev_input) -> float:
+    return _evaluate(y0, inputs, path, config, params, prev_input)[2]
+
+
+def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
+                  config: NmpcConfig, params: VesselParams,
+                  prev_input) -> tuple[float, np.ndarray]:
+    """Exact (cost, d cost / d inputs) as 2 J^T r at the rollout."""
+    states, (e_ct, psi_path, port), c = _evaluate(y0, inputs, path, config,
+                                                  params, prev_input)
+    r = _residuals(states, inputs, e_ct, psi_path, config, prev_input)
+    J = _jacobian(states, inputs, port, psi_path, config, params)
+    return c, (2.0 * J.T @ r).reshape(inputs.shape)
 
 
 def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,

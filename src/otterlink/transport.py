@@ -9,6 +9,7 @@ seconds; UTC only ever appears inside message payloads.
 from __future__ import annotations
 
 import random
+import select
 import socket
 import threading
 import time
@@ -167,6 +168,7 @@ class UdpListener:
             self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 0)
             self._sock.bind(endpoint.addr)
+            self._sock.setblocking(False)
         except OSError as exc:
             raise TransportError(
                 f"bind {endpoint.addr} failed: {exc}") from exc
@@ -182,12 +184,17 @@ class UdpListener:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return out
-            self._sock.settimeout(remaining)
             try:
-                data, _ = self._sock.recvfrom(65536)
-            except socket.timeout:
-                return out
-            except OSError:
+                try:
+                    data, _ = self._sock.recvfrom(65536)
+                except BlockingIOError:
+                    # nothing queued: select keeps the wait to the
+                    # microsecond, where a socket timeout rounds it up
+                    # to whole milliseconds
+                    if not select.select([self._sock], [], [], remaining)[0]:
+                        return out
+                    continue
+            except (OSError, ValueError):  # ValueError: select after close
                 if self._closed:
                     raise TransportClosedError("listener closed during poll")
                 raise

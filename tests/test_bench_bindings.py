@@ -6,9 +6,12 @@ fail here, in the unit suite, not only when the benchmark runs."""
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from otterlink import client, codec
+from otterlink import client, codec, nmpc
+from otterlink.guidance import figure_eight
+from otterlink.vessel import VesselParams
 
 BENCH = Path(__file__).resolve().parents[1] / "otterbench"
 
@@ -55,6 +58,23 @@ def test_tracer_spans_reach_the_gateway(bench):
     assert tracer.span_count("codec.encode") == 1
     assert tracer.span_count("client.feed_line") == 1
     assert tracer.span_count("codec.decode") == 1
+
+
+def test_tracer_counts_the_nmpc_references(bench):
+    # the tracer unpacks (cost, gradient) and reads the cost as a float
+    tracer_mod, _ = bench
+    tracer = tracer_mod.Tracer()
+    config = nmpc.NmpcConfig()
+    args = (np.zeros(6), np.full((config.steps_N, 2), 0.3), figure_eight(20.0),
+            config, VesselParams(), (0.0, 0.0))
+    tracer.install()
+    try:
+        nmpc.cost_gradient(*args)
+        nmpc.cost_of_inputs(*args)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["nmpc.gradient_evals"] == 1
+    assert tracer.counts["nmpc.cost_evals"] == 1
 
 
 def test_timers_binding_sites_exist(bench):

@@ -56,6 +56,20 @@ class TestExitCodes:
         assert main(command.split()) == EXIT_NUMERIC
         assert "numeric fault: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        "run --embedded --log", "run --embedded --metrics-csv",
+        "bench-fig8 --out-prefix", "bench-fig8 --csv"])
+    def test_unwritable_output_is_a_config_error(self, monkeypatch, tmp_path,
+                                                 capsys, command):
+        # checked before any mission runs, not after it
+        def no_mission(*_args, **_kwargs):
+            raise AssertionError("mission started")
+
+        monkeypatch.setattr(cli, "run_embedded_mission", no_mission)
+        out = str(tmp_path / "missing" / "out.file")
+        assert main(command.split() + [out]) == EXIT_CONFIG
+        assert "config error: cannot write" in capsys.readouterr().err
+
     def test_default_section_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[DEFAULT]\nrate_hz = 5\n" + FAST_BENCH)
         assert main(["--config", cfg, "run", "--embedded"]) == EXIT_CONFIG
@@ -226,3 +240,9 @@ class TestReplayCommand:
     def test_csv_export_unknown_topic(self, logfile, capsys):
         assert main(["replay", str(logfile), "--csv-topic", "sonar"]) \
             == EXIT_CONFIG
+
+    def test_undecodable_line_is_skipped(self, logfile, capsys):
+        with open(logfile, "ab") as fh:
+            fh.write(b'{"v":1,\xff}\n')
+        assert main(["replay", str(logfile)]) == EXIT_OK
+        assert "skipped 1 corrupt lines" in capsys.readouterr().err

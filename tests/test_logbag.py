@@ -60,6 +60,19 @@ class TestWriterReader:
         assert back == good
         assert corrupt == 2
 
+    def test_undecodable_line_is_corrupt(self, tmp_path):
+        path = tmp_path / "run.olog"
+        good = [rec(0.0), rec(1.0)]
+        with open(path, "wb") as fh:
+            fh.write(good[0].to_json().encode() + b"\n")
+            fh.write(b'{"v":1,"t_mono":\xff}\n')
+            fh.write(good[1].to_json().encode() + b"\n")
+        assert read_records(path) == (good, 1)
+        seen = []
+        assert replay(path, 0.0, seen.append).corrupt_count == 1
+        assert seen == good
+        assert export_csv(path, "otter_gps", tmp_path / "gps.csv") == 2
+
     def test_io_failure_disables_but_does_not_raise(self, tmp_path):
         path = tmp_path / "run.olog"
         writer = LogWriter(path)

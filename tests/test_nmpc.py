@@ -310,12 +310,13 @@ class TestGaussNewton:
             assert abs(float(r @ r) - c) <= 1e-12 * c
 
     def test_half_gradient_is_jacobian_transpose_residuals(self):
-        # the reverse-pass gradient and the forward Jacobian share only
-        # the model: a wrong saturation gate, stage or sign in either
-        # breaks this on the saturating instances
+        # the batched Jacobian and the dense per-stage reference share
+        # only the model: a wrong saturation gate, stage or sign in the
+        # Jacobian breaks this on the saturating instances
         for y0, inputs, path, config, prev in least_squares_problems():
             c, r, J = linearized(y0, inputs, path, config, prev)
-            c_ref, grad = cost_gradient(y0, inputs, path, config, P, prev)
+            c_ref, grad = dense_cost_gradient(y0, inputs, path, config, P,
+                                              prev)
             assert J.shape == (7 * config.steps_N, 2 * config.steps_N)
             assert c == c_ref
             assert (np.max(np.abs(2.0 * J.T @ r - grad.ravel()))
@@ -406,8 +407,8 @@ class TestSolve:
                                           (0.0, 0.0))
 
     def test_solve_calls_neither_reference(self, monkeypatch):
-        # both stay as exact references for tests; the solver linearizes
-        # its own rollouts
+        # both wrap the solver's own rollout, objective and Jacobian for
+        # tests and the benchmark; the solver calls neither
         def refuse(*_args, **_kwargs):
             raise AssertionError("reference called by the solver")
 

@@ -1,3 +1,4 @@
+import statistics
 import time
 
 import pytest
@@ -177,3 +178,20 @@ class TestLifecycle:
                 UdpListener(ep)
         finally:
             first.close()
+
+
+class TestPollTiming:
+    def test_idle_poll_ends_near_its_deadline(self):
+        # a socket timeout rounds each wait up to whole milliseconds,
+        # which put the median overshoot near 0.8 ms
+        listener = UdpListener(fresh_endpoint())
+        try:
+            overshoot = []
+            for i in range(40):
+                timeout = 0.001 + 0.00037 * i
+                start = time.monotonic()
+                assert listener.poll(timeout) == []
+                overshoot.append(time.monotonic() - start - timeout)
+        finally:
+            listener.close()
+        assert statistics.median(overshoot) < 0.0004
