@@ -162,11 +162,12 @@ def _cmd_run_socket(args, cfg: RunConfig, path) -> int:
                                            cfg.vessel.origin_lon)
     period = 1.0 / runner.CONTROL_HZ
     slot = started = time.monotonic()
-    deadline = slot + cfg.bench.duration
+    end = slot + cfg.bench.duration
     fed = 0
     try:
-        while time.monotonic() < deadline:
-            ctl.step(time.monotonic())
+        while (now := time.monotonic()) < end:
+            # a step's deadline is the next slot on the grid
+            ctl.step(now, slot + period)
             if not fed and time.monotonic() - started > 5.0:
                 print("no telemetry received: is the simulator running?",
                       file=sys.stderr)
@@ -218,20 +219,27 @@ def cmd_bench_fig8(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    out = args.out or "export.csv"
     try:
         if args.csv_topic:
-            count = logbag.export_csv(args.logfile, args.csv_topic,
-                                      args.out or "export.csv")
-            print(f"exported {count} rows to {args.out or 'export.csv'}")
+            count = logbag.export_csv(args.logfile, args.csv_topic, out)
+            print(f"exported {count} rows to {out}")
             return EXIT_OK
         summary = logbag.replay(
             args.logfile, args.speed,
             lambda rec: print(f"[{rec.t_mono:10.3f}] {rec.direction} "
                               f"{rec.topic}: {rec.payload}"))
-    except FileNotFoundError:
-        print(f"no such log file: {args.logfile}", file=sys.stderr)
-        return EXIT_CONFIG
-    except logbag.UnknownTopicError as exc:
+    except OSError as exc:
+        if exc.filename == args.logfile:
+            print(f"cannot read log file {args.logfile}: {exc.strerror}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        # export_csv opens the CSV only once the log is read, so an
+        # unknown topic or an unreadable log leaves no empty CSV behind
+        if exc.filename == out:
+            raise ConfigFileError(f"cannot write {out!r}: {exc}") from exc
+        raise
+    except ValueError as exc:  # an unknown topic or a negative speed
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if summary.corrupt_count:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-V_MAX = 3.0  # m/s, commanded-speed ceiling shared with the vessel model
+from .vessel import DEFAULT_V_MAX as V_MAX  # m/s, commanded-speed ceiling
 
 CRLF = "\r\n"
 

@@ -7,16 +7,15 @@ the fields of `VesselParams`. Each value is cast to its field's type,
 and a key a file omits keeps its field's default. The defaults live with
 the dataclasses: `TransportSection`, `VesselSection` and `BenchSection`
 below, `VesselParams` in vessel.py, `NmpcConfig` in nmpc.py and
-`LosConfig` in guidance.py. `time_budget_s = none` disables the NMPC
-wall-clock budget. Unknown sections (including [DEFAULT]) or keys are
-rejected so a typo cannot silently fall back to a default.
+`LosConfig` in guidance.py. Unknown sections (including [DEFAULT]) or
+keys are rejected so a typo cannot silently fall back to a default.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 from .guidance import LosConfig
 from .nmpc import NmpcConfig
@@ -93,11 +92,6 @@ def _keys(cls) -> set[str]:
 
 
 def _value(key: str, raw: str, kind):
-    options = get_args(kind)
-    if type(None) in options:  # `float | None`: "none" or empty is None
-        if raw.strip().lower() in ("", "none"):
-            return None
-        (kind,) = set(options) - {type(None)}
     try:
         return kind(raw)
     except ValueError as exc:

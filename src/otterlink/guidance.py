@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
 @dataclass(frozen=True)
 class LosConfig:
     lookahead: float = 8.0      # m
@@ -276,14 +275,14 @@ class PolylinePath:
         return self._starts[i] + frac * self._vecs[i]
 
 
-def figure_eight(amplitude: float, center=(0.0, 0.0),
-                 samples: int = 256) -> PolylinePath:
-    """Gerono lemniscate sampled into a closed polyline."""
+def figure_eight(amplitude: float) -> PolylinePath:
+    """Gerono lemniscate about the origin, sampled into a closed
+    polyline of 256 vertices."""
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
-    t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    north = center[0] + amplitude * np.sin(t)
-    east = center[1] + amplitude * np.sin(t) * np.cos(t)
+    t = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+    north = amplitude * np.sin(t)
+    east = amplitude * np.sin(t) * np.cos(t)
     return PolylinePath(np.column_stack([north, east]), closed=True)
 
 

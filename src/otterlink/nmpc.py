@@ -56,7 +56,6 @@ class NmpcConfig:
     ref_speed: float = 1.0
     max_iters: int = 40
     grad_tol: float = 1e-3
-    time_budget_s: float | None = 0.09  # None disables the wall-clock cap
 
     def __post_init__(self):
         if self.horizon_T <= 0 or self.steps_N < 2:
@@ -313,9 +312,11 @@ def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
 def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
                params: VesselParams,
                warm_start: ControlSolution | None = None,
-               prev_input=(0.0, 0.0)) -> ControlSolution | None:
+               prev_input=(0.0, 0.0),
+               budget_s: float | None = None) -> ControlSolution | None:
     """Box-constrained Gauss-Newton solve; returns None on numeric
-    failure."""
+    failure. Past `budget_s` seconds of wall time no further iteration
+    starts (the first always runs); None sets no wall-clock limit."""
     t_start = time.perf_counter()
     y0 = state_vector(state)
     n = config.steps_N
@@ -370,8 +371,7 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
         if improvement <= 1e-3 * (1.0 + abs(c)):
             converged = True
             break
-        if (config.time_budget_s is not None
-                and time.perf_counter() - t_start > config.time_budget_s):
+        if budget_s is not None and time.perf_counter() - t_start > budget_s:
             break
     return ControlSolution(inputs=u_seq, predicted=states, cost=c,
                            iters=iters,

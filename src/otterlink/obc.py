@@ -15,13 +15,14 @@ import math
 from dataclasses import dataclass
 
 from . import codec, geo
+from .transport import RATE_MAX_HZ, RATE_MIN_HZ
 from .vessel import (EnvDisturbance, MotorState, STATIONARY_SPEED_EPS,
                      VesselParams, VesselState, apply_motor_lag, mix, saturate,
                      step_dynamics)
 
 SIM_DT = 0.02          # s, internal physics step
 STATUS_HZ = 1.0
-DEFAULT_UTC_DATE = 20250101
+UTC_DATE = 20250101
 DEFAULT_UTC0 = 43200.0  # seconds of day at t = 0
 
 IDLE_POWER_W = 35.0
@@ -40,6 +41,9 @@ class ControlGains:
     integ_limit: float = 2.0
     sk_deadband: float = 2.0   # m
     sk_gain: float = 0.2       # 1/s, distance-to-speed gain
+
+
+GAINS = ControlGains()
 
 
 def wrap_deg180(angle: float) -> float:
@@ -95,20 +99,17 @@ class OtterObc:
                  telemetry_hz: float = 10.0,
                  env: EnvDisturbance | None = None,
                  initial_state: VesselState | None = None,
-                 gains: ControlGains | None = None,
-                 utc_date: int = DEFAULT_UTC_DATE,
                  utc0: float = DEFAULT_UTC0):
-        if not 1.0 <= telemetry_hz <= 20.0:
-            raise ValueError(f"telemetry rate {telemetry_hz} Hz outside [1, 20]")
+        if not RATE_MIN_HZ <= telemetry_hz <= RATE_MAX_HZ:
+            raise ValueError(f"telemetry rate {telemetry_hz} Hz outside "
+                             f"[{RATE_MIN_HZ:g}, {RATE_MAX_HZ:g}]")
         self.params = params or VesselParams()
         self.env = env or EnvDisturbance()
         self.state = initial_state or VesselState()
-        self.gains = gains or ControlGains()
         self.mode: codec.OtterMessage = codec.DriftCmd(True)
         self.motor_port = MotorState()
         self.motor_stbd = MotorState()
         self.telemetry_hz = telemetry_hz
-        self.utc_date = utc_date
         self.utc0 = utc0
         self.battery = 100.0
         self.power = IDLE_POWER_W
@@ -146,12 +147,12 @@ class OtterObc:
             return saturate(mode.x), saturate(mode.z)
         if isinstance(mode, codec.CourseSpeedCmd):
             x, z, self._integ_u = builtin_course_speed(
-                self.state, mode.course, mode.speed, self.gains,
+                self.state, mode.course, mode.speed, GAINS,
                 self._integ_u, SIM_DT)
             return x, z
         if isinstance(mode, codec.StationKeepCmd):
             x, z, self._integ_u = builtin_station_keep(
-                self.state, mode.lat, mode.lon, mode.speed, self.gains,
+                self.state, mode.lat, mode.lon, mode.speed, GAINS,
                 self._integ_u, SIM_DT)
             return x, z
         return 0.0, 0.0
@@ -232,4 +233,4 @@ class OtterObc:
                                   22.5, self.battery, self.power)
 
     def _time_report(self) -> codec.TimeReport:
-        return codec.TimeReport(self.utc_date, self._utc())
+        return codec.TimeReport(UTC_DATE, self._utc())

@@ -9,7 +9,7 @@ UDP transport carries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .vessel import EnvDisturbance, VesselParams, VesselState
 CONTROL_HZ = 10.0
 STALE_AFTER = 1.0       # s without a synced sample -> controller pauses
 FAILSAFE_AFTER = 3      # consecutive solver failures -> zero inputs
+SOLVE_RESERVE_S = 0.01  # s of a control slot kept back from the solve
 
 
 class NmpcController:
@@ -31,8 +32,7 @@ class NmpcController:
 
     def __init__(self, gateway: TopicGateway, path: PolylinePath,
                  config: NmpcConfig, params: VesselParams,
-                 origin_lat: float, origin_lon: float,
-                 slop: float = DEFAULT_SLOP, event_log=None):
+                 origin_lat: float, origin_lon: float, event_log=None):
         self.gateway = gateway
         self.path = path
         self.config = config
@@ -47,7 +47,7 @@ class NmpcController:
         self.dropout_events = 0
         self.solve_times: list[float] = []
         self.solve_iters: list[int] = []
-        gateway.synchronize(SYNC_TOPICS, slop, self._on_synced)
+        gateway.synchronize(SYNC_TOPICS, DEFAULT_SLOP, self._on_synced)
 
     def _on_synced(self, sample) -> None:
         self._latest = sample
@@ -60,7 +60,9 @@ class NmpcController:
         self.gateway.publish_command(
             "control_cmds", codec.ManualCmd(float(x), 0.0, float(z)))
 
-    def step(self, now: float) -> None:
+    def step(self, now: float, deadline: float | None = None) -> None:
+        """One control step at `now`; the solve stops iterating
+        SOLVE_RESERVE_S before `deadline` (None: no wall-clock limit)."""
         sample = self._latest
         if sample is None:
             return  # nothing received yet; stay quiet until telemetry flows
@@ -74,9 +76,10 @@ class NmpcController:
             return
         self._in_dropout = False
         state = state_from_synced(sample, *self.origin)
+        budget = None if deadline is None else deadline - now - SOLVE_RESERVE_S
         solution = solve_nmpc(state, self.path, self.config, self.params,
                               warm_start=self._prev_solution,
-                              prev_input=self._applied)
+                              prev_input=self._applied, budget_s=budget)
         if solution is None:
             self._fail_count += 1
             if self._fail_count >= FAILSAFE_AFTER:
@@ -109,8 +112,8 @@ class LosBaselineController:
     def _on_gps(self, sample) -> None:
         self._latest = sample
 
-    def step(self, now: float) -> None:
-        sample = self._latest
+    def step(self, now: float, deadline: float | None = None) -> None:
+        sample = self._latest  # LOS is cheap: `deadline` is not needed
         if sample is None or now - sample.stamp > STALE_AFTER:
             return
         north, east = geo.latlon_to_local(
@@ -157,14 +160,11 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     `controller_kind` is "nmpc" or "baseline". A telemetry dropout
     window silently discards the OBC's lines (all telemetry) before they
     reach the gateway, mimicking the field-observed network dropouts.
+    An `initial_state` must carry the mission origin. Control steps get
+    no deadline, so solves are unbudgeted and runs bit-reproducible.
     """
     params = params or VesselParams()
     nmpc_config = nmpc_config or NmpcConfig()
-    if nmpc_config.time_budget_s is not None:
-        # wall time is meaningless on the virtual clock, and a binding
-        # budget would make iteration counts load-dependent; embedded
-        # runs must be bit-reproducible
-        nmpc_config = replace(nmpc_config, time_budget_s=None)
     los_config = los_config or LosConfig()
     if initial_state is None:
         start = path.point_at(0.0)
@@ -173,6 +173,12 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
                                     east=float(start[1]), psi=heading,
                                     origin_lat=origin_lat,
                                     origin_lon=origin_lon)
+    elif ((initial_state.origin_lat, initial_state.origin_lon)
+          != (origin_lat, origin_lon)):
+        raise ValueError(
+            f"initial_state origin ({initial_state.origin_lat}, "
+            f"{initial_state.origin_lon}) is not the mission origin "
+            f"({origin_lat}, {origin_lon})")
     obc = OtterObc(params=params, telemetry_hz=telemetry_hz, env=env,
                    initial_state=initial_state)
 

@@ -283,7 +283,7 @@ def test_criterion_07_gradient_check():
 
 
 def test_criterion_08_solve_time_budget():
-    config = NmpcConfig()  # stock settings, 90 ms budget active
+    config = NmpcConfig()  # stock settings; 90 ms is an on-time live budget
     path = figure_eight(20.0)
     rng = np.random.default_rng(4)
     times = []
@@ -301,7 +301,7 @@ def test_criterion_08_solve_time_budget():
                             v=rng.uniform(-0.1, 0.1),
                             r=rng.uniform(-0.2, 0.2))
         sol = solve_nmpc(state, path, config, PARAMS, warm_start=previous,
-                         prev_input=prev_input)
+                         prev_input=prev_input, budget_s=0.09)
         assert sol is not None
         times.append(sol.solve_time)
         previous = sol

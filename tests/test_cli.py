@@ -35,9 +35,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["bench-fig8", "sim", "listen"])
     def test_bad_time_budget_is_a_config_error(self, tmp_path, capsys,
                                                command):
-        cfg = write_config(tmp_path, "[nmpc]\ntime_budget_s = fast\n")
+        cfg = write_config(tmp_path, "[nmpc]\ngrad_tol = fast\n")
         assert main(["--config", cfg, command]) == EXIT_CONFIG
-        assert "bad value for time_budget_s" in capsys.readouterr().err
+        assert "bad value for grad_tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command",
                              ["bench-fig8", "sim", "listen", "run --embedded"])
@@ -126,9 +126,11 @@ class TestSocketRunPacing:
                    duration):
         """Run socket mode against a fake client and clock: polling the
         client advances the clock by its timeout, and each control step
-        by the next of `durations`. Returns (exit code, step starts)."""
+        by the next of `durations`. Returns (exit code, step starts,
+        step deadlines)."""
         clock = types.SimpleNamespace(now=50.0)
         starts = []
+        deadlines = []
         durations = iter(durations)
 
         class Client:
@@ -147,8 +149,9 @@ class TestSocketRunPacing:
             def __init__(self, *_args):
                 pass
 
-            def step(self, now):
+            def step(self, now, deadline):
                 starts.append(now - 50.0)
+                deadlines.append(deadline - 50.0)
                 clock.now += next(durations)
 
         monkeypatch.setattr(cli, "time", types.SimpleNamespace(
@@ -158,11 +161,11 @@ class TestSocketRunPacing:
         cfg = cli.load_config(write_config(
             tmp_path, f"[bench]\nduration = {duration}\n"))
         args = types.SimpleNamespace(controller="baseline")
-        return cli._cmd_run_socket(args, cfg, None), starts
+        return cli._cmd_run_socket(args, cfg, None), starts, deadlines
 
     def test_steps_start_on_a_fixed_grid(self, tmp_path, monkeypatch):
         # 30 ms steps except one that overruns by 150 ms
-        code, starts = self.run_socket(
+        code, starts, deadlines = self.run_socket(
             tmp_path, monkeypatch, [0.03, 0.03, 0.25] + [0.03] * 20,
             lines_per_poll=1, duration=1)
         assert code == EXIT_OK
@@ -170,11 +173,15 @@ class TestSocketRunPacing:
         # 0.4 s, so the next step starts at 0.5 s
         assert starts == pytest.approx([0.0, 0.1, 0.2, 0.5, 0.6, 0.7, 0.8,
                                         0.9], abs=1e-9)
+        # each step's deadline is the next slot on the grid
+        assert deadlines == pytest.approx([0.1, 0.2, 0.3, 0.6, 0.7, 0.8,
+                                           0.9, 1.0], abs=1e-9)
 
     def test_no_telemetry_exits_3_after_5_s(self, tmp_path, monkeypatch,
                                             capsys):
-        code, starts = self.run_socket(tmp_path, monkeypatch, [0.03] * 100,
-                                       lines_per_poll=0, duration=60)
+        code, starts, _ = self.run_socket(tmp_path, monkeypatch,
+                                          [0.03] * 100, lines_per_poll=0,
+                                          duration=60)
         assert code == EXIT_CONNECT
         assert "no telemetry received" in capsys.readouterr().err
         assert starts[-1] == pytest.approx(5.0, abs=1e-9)
@@ -246,3 +253,23 @@ class TestReplayCommand:
             fh.write(b'{"v":1,\xff}\n')
         assert main(["replay", str(logfile)]) == EXIT_OK
         assert "skipped 1 corrupt lines" in capsys.readouterr().err
+
+    def test_unwritable_out_is_a_config_error(self, logfile, tmp_path,
+                                              capsys):
+        out_csv = tmp_path / "missing" / "gps.csv"
+        assert main(["replay", str(logfile), "--csv-topic", "otter_gps",
+                     "--out", str(out_csv)]) == EXIT_CONFIG
+        assert "config error: cannot write" in capsys.readouterr().err
+
+    def test_negative_speed_is_a_usage_error(self, logfile, capsys):
+        assert main(["replay", str(logfile), "--speed", "-1"]) == EXIT_CONFIG
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("export", [False, True])
+    def test_directory_log_is_reported(self, tmp_path, capsys, export):
+        argv = ["replay", str(tmp_path)]
+        if export:
+            argv += ["--csv-topic", "otter_gps",
+                     "--out", str(tmp_path / "gps.csv")]
+        assert main(argv) == EXIT_CONFIG
+        assert f"cannot read log file {tmp_path}" in capsys.readouterr().err

@@ -50,11 +50,11 @@ def section_items(section):
 
 class TestSchema:
     @pytest.mark.parametrize("name, size", [
-        ("transport", 5), ("vessel", 16), ("nmpc", 11), ("los", 3),
+        ("transport", 5), ("vessel", 16), ("nmpc", 10), ("los", 3),
         ("bench", 5)])
     def test_keys_are_the_lowercased_field_names(self, tmp_path, name, size):
         section = getattr(RunConfig(), name)
-        assert len(dict(section_items(section))) == size  # 40 in all
+        assert len(dict(section_items(section))) == size  # 39 in all
         for key, value in section_items(section):
             cfg = load_config(write(tmp_path, f"[{name}]\n{key} = {value}\n"))
             assert cfg == RunConfig()
@@ -98,14 +98,6 @@ target_laps = 2
         assert cfg.bench.amplitude == 15.0
         assert cfg.bench.target_laps == 2.0
 
-    def test_time_budget_none(self, tmp_path):
-        cfg = load_config(write(tmp_path, "[nmpc]\ntime_budget_s = none\n"))
-        assert cfg.nmpc.time_budget_s is None
-        cfg = load_config(write(tmp_path, "[nmpc]\ntime_budget_s = 0.05\n"))
-        assert cfg.nmpc.time_budget_s == 0.05
-        cfg = load_config(write(tmp_path, "[nmpc]\ntime_budget_s =\n"))
-        assert cfg.nmpc.time_budget_s is None
-
     def test_vessel_params_keys(self, tmp_path):
         cfg = load_config(write(tmp_path, "[vessel]\nm11 = 130\n"
                                           "motor_tau = 0.25\n"))
@@ -131,12 +123,19 @@ class TestRejection:
         with pytest.raises(ConfigFileError, match="unknown key"):
             load_config(write(tmp_path, f"[bench]\n{key} = 3\n"))
 
+    @pytest.mark.parametrize("raw", ["0.09", "none"])
+    def test_time_budget_is_unknown(self, tmp_path, raw):
+        # the solver's budget comes from the live loop's slot deadline
+        with pytest.raises(ConfigFileError,
+                           match="unknown key 'time_budget_s' in section"):
+            load_config(write(tmp_path, f"[nmpc]\ntime_budget_s = {raw}\n"))
+
     def test_bad_value_type(self, tmp_path):
         with pytest.raises(ConfigFileError, match="bad value"):
             load_config(write(tmp_path, "[transport]\nrate_hz = fast\n"))
 
     @pytest.mark.parametrize("section, key, raw", [
-        ("nmpc", "time_budget_s", "fast"), ("nmpc", "steps_n", "2.5"),
+        ("nmpc", "grad_tol", "fast"), ("nmpc", "steps_n", "2.5"),
         ("vessel", "m11", "heavy")])
     def test_bad_value_names_the_key(self, tmp_path, section, key, raw):
         with pytest.raises(ConfigFileError,

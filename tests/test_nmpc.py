@@ -345,7 +345,7 @@ class TestGaussNewton:
 
 class TestSolve:
     def test_solution_is_feasible_and_improving(self):
-        config = NmpcConfig(time_budget_s=None)
+        config = NmpcConfig()
         state = VesselState(north=3.0, psi=math.pi / 2, u=0.5)
         zero_cost = cost_of_inputs(state_vector(state),
                                    np.zeros((config.steps_N, 2)),
@@ -361,13 +361,13 @@ class TestSolve:
     def test_steers_back_toward_path(self):
         # offset to port of an east-going line: the plan's endpoint must
         # close most of the cross-track gap
-        config = NmpcConfig(time_budget_s=None)
+        config = NmpcConfig()
         state = VesselState(north=4.0, psi=math.pi / 2, u=1.0)
         sol = solve_nmpc(state, EAST_LINE, config, P)
         assert abs(sol.predicted[-1, 0]) < 2.0
 
     def test_none_on_nonfinite_state(self):
-        config = NmpcConfig(time_budget_s=None)
+        config = NmpcConfig()
         state = VesselState(u=float("nan"))
         assert solve_nmpc(state, EAST_LINE, config, P) is None
 
@@ -381,7 +381,7 @@ class TestSolve:
         assert np.array_equal(shifted[-1], inputs[-1])
 
     def test_warm_started_resolve_is_cheap(self):
-        config = NmpcConfig(time_budget_s=None)
+        config = NmpcConfig()
         state = VesselState(psi=math.pi / 2, u=1.0)
         cold = solve_nmpc(state, EAST_LINE, config, P)
         warm = solve_nmpc(state, EAST_LINE, config, P, warm_start=cold,
@@ -389,14 +389,27 @@ class TestSolve:
         assert warm.iters <= cold.iters
 
     def test_converges_on_a_line(self):
-        config = NmpcConfig(time_budget_s=None)
+        config = NmpcConfig()
         state = VesselState(north=3.0, psi=math.pi / 2, u=0.5)
         sol = solve_nmpc(state, EAST_LINE, config, P)
         assert sol.converged
         assert sol.iters < config.max_iters
 
+    @pytest.mark.parametrize("budget_s", [0.0, -0.05])
+    def test_spent_budget_stops_after_one_iteration(self, budget_s):
+        # a step that starts at or past its deadline still gets the
+        # first iteration, and no other
+        config = NmpcConfig()
+        state = VesselState(north=3.0, psi=math.pi / 2, u=0.5)
+        free = solve_nmpc(state, EAST_LINE, config, P)
+        spent = solve_nmpc(state, EAST_LINE, config, P, budget_s=budget_s)
+        one = solve_nmpc(state, EAST_LINE, NmpcConfig(max_iters=1), P)
+        assert free.iters > 1
+        assert spent.iters == 1 and not spent.converged
+        assert np.array_equal(spent.inputs, one.inputs)
+
     def test_solution_reports_its_own_rollout(self):
-        config = NmpcConfig(time_budget_s=None)
+        config = NmpcConfig()
         state = VesselState(north=2.0, psi=1.3, u=0.8)
         sol = solve_nmpc(state, figure_eight(20.0), config, P)
         assert np.array_equal(sol.predicted,
@@ -414,7 +427,7 @@ class TestSolve:
 
         monkeypatch.setattr(nmpc, "cost_of_inputs", refuse)
         monkeypatch.setattr(nmpc, "cost_gradient", refuse)
-        config = NmpcConfig(time_budget_s=None)
+        config = NmpcConfig()
         state = VesselState(north=3.0, psi=math.pi / 2, u=0.5)
         cold = solve_nmpc(state, figure_eight(20.0), config, P)
         warm = solve_nmpc(state, figure_eight(20.0), config, P,

@@ -2,12 +2,16 @@ import math
 
 import pytest
 
+from otterlink.client import TopicGateway
 from otterlink.guidance import PolylinePath, figure_eight
 from otterlink.logbag import LogRecord, LogWriter, read_records
-from otterlink.runner import (DropoutWindow, compute_metrics,
+from otterlink.nmpc import NmpcConfig, solve_nmpc
+from otterlink.obc import OtterObc
+from otterlink.runner import (DropoutWindow, NmpcController, compute_metrics,
                               metrics_from_records, run_embedded_mission,
                               write_metrics_csv)
-from otterlink import geo
+from otterlink.vessel import VesselParams, VesselState
+from otterlink import geo, runner
 
 ORIGIN = (45.0, -76.0)
 
@@ -110,8 +114,56 @@ class TestEmbeddedMission:
         assert result.dropout_events == 0
         assert "solve_time_mean_s" in result.metrics
 
+    @pytest.mark.parametrize("lat, lon", [(45.001, -76.0), (45.0, -76.001)])
+    def test_start_state_origin_must_be_the_mission_origin(self, lat, lon):
+        start = VesselState(origin_lat=lat, origin_lon=lon)
+        with pytest.raises(ValueError, match="not the mission origin"):
+            run_embedded_mission("baseline", figure_eight(20.0),
+                                 duration=1.0, initial_state=start,
+                                 origin_lat=45.0, origin_lon=-76.0)
+
     def test_record_stream_is_time_ordered(self):
         result = run_embedded_mission("baseline", figure_eight(20.0),
                                       duration=10.0)
         stamps = [r.t_mono for r in result.records]
         assert stamps == sorted(stamps)
+
+
+def record_budgets(monkeypatch) -> list:
+    """Make `runner.solve_nmpc` record the budget of every solve."""
+    budgets = []
+
+    def recorded(*args, budget_s=None, **kwargs):
+        budgets.append(budget_s)
+        return solve_nmpc(*args, budget_s=budget_s, **kwargs)
+
+    monkeypatch.setattr(runner, "solve_nmpc", recorded)
+    return budgets
+
+
+class TestSolveBudget:
+    @staticmethod
+    def controller() -> NmpcController:
+        """A controller holding one synced sample stamped 1.0 s."""
+        gateway = TopicGateway(command_sender=lambda _line: None)
+        ctl = NmpcController(gateway, figure_eight(20.0), NmpcConfig(),
+                             VesselParams(), *ORIGIN)
+        for line in OtterObc().tick(1.0):
+            gateway.feed_line(line, 1.0)
+        return ctl
+
+    @pytest.mark.parametrize("deadline, budget", [
+        (1.1, 0.09),     # on time: the slot less SOLVE_RESERVE_S
+        (1.05, 0.04),    # started late: what is left of the slot
+        (0.9, -0.11),    # deadline passed: one iteration (test_nmpc.py)
+        (None, None)])   # no deadline: no wall-clock limit
+    def test_step_budgets_the_solve_to_its_deadline(self, monkeypatch,
+                                                    deadline, budget):
+        budgets = record_budgets(monkeypatch)
+        self.controller().step(1.0, deadline)
+        assert budgets == [pytest.approx(budget, abs=1e-12)]
+
+    def test_embedded_solves_have_no_budget(self, monkeypatch):
+        budgets = record_budgets(monkeypatch)
+        run_embedded_mission("nmpc", figure_eight(20.0), duration=2.0)
+        assert len(budgets) == 20 and set(budgets) == {None}
