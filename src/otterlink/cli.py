@@ -7,8 +7,14 @@ Subcommands:
   replay      replay a .olog file or export one topic as CSV
   listen      tail and decode telemetry from a UDP endpoint
 
-Exit codes: 0 success, 2 config/usage error, 3 connectivity error,
-4 numeric fault.
+Exit codes. A failure is raised as a typed error, and `main` maps its
+type to a stderr prefix and an exit code (`FAILURES`); any other
+exception propagates as a traceback, so a bug stays visible.
+  0  success               1  bench-fig8's ordering check (NMPC < LOS) failed
+  2  config error: ConfigFileError, transport.ConfigError
+  2  usage error: UsageError
+  3  transport error: transport.TransportError
+  4  numeric fault: vessel.NumericFault
 """
 
 from __future__ import annotations
@@ -26,9 +32,21 @@ from .runner import DropoutWindow, run_embedded_mission, write_metrics_csv
 from .vessel import NumericFault
 
 EXIT_OK = 0
+EXIT_ORDERING = 1
 EXIT_CONFIG = 2
 EXIT_CONNECT = 3
 EXIT_NUMERIC = 4
+
+
+class UsageError(Exception):
+    """A command line the command cannot carry out."""
+
+
+FAILURES = {ConfigFileError: ("config error", EXIT_CONFIG),
+            transport.ConfigError: ("config error", EXIT_CONFIG),
+            UsageError: ("usage error", EXIT_CONFIG),
+            transport.TransportError: ("transport error", EXIT_CONNECT),
+            NumericFault: ("numeric fault", EXIT_NUMERIC)}
 
 
 def _load(args) -> RunConfig:
@@ -39,14 +57,17 @@ def _path_from_args(cfg: RunConfig, spec: str) -> guidance.PolylinePath:
     if spec in ("fig8", "figure-eight", "figure8"):
         return guidance.figure_eight(cfg.bench.amplitude)
     points = []
-    with open(spec, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            north, east = (float(part) for part in line.split(","))
-            points.append((north, east))
-    return guidance.PolylinePath(points, closed=False)
+    try:
+        with open(spec, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                north, east = (float(part) for part in line.split(","))
+                points.append((north, east))
+        return guidance.PolylinePath(points, closed=False)
+    except (OSError, ValueError) as exc:
+        raise ConfigFileError(f"bad waypoint file {spec!r}: {exc}") from exc
 
 
 def _check_outputs(*paths) -> None:
@@ -63,21 +84,19 @@ def _check_outputs(*paths) -> None:
 def cmd_sim(args) -> int:
     cfg = _load(args)
     rate_hz = args.rate if args.rate is not None else cfg.transport.rate_hz
+    rate = transport.RateConfig(rate_hz)
+    obc = OtterObc(params=cfg.vessel.params, telemetry_hz=rate_hz,
+                   env=cfg.vessel.env)
+    # the listener binds first: a failed bind leaves no broadcaster thread
+    listener = transport.open_listener(cfg.transport.command_endpoint)
     try:
-        rate = transport.RateConfig(rate_hz)
-        obc = OtterObc(params=cfg.vessel.params, telemetry_hz=rate_hz,
-                       env=cfg.vessel.env)
         # each telemetry cycle is up to 4 sentences (pos, att, and the
         # 1 Hz status/time pair); burst keeps the paced stream current
         broadcaster = transport.open_broadcaster(
             cfg.transport.telemetry_endpoint, rate, burst=4)
-        listener = transport.open_listener(cfg.transport.command_endpoint)
-    except (transport.ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except transport.TransportError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except transport.TransportError:
+        listener.close()
+        raise
     print(f"telemetry -> {cfg.transport.telemetry_endpoint.addr} "
           f"at {rate_hz:g} Hz, commands <- "
           f"{cfg.transport.command_endpoint.addr}")
@@ -116,17 +135,11 @@ def _run_embedded(cfg: RunConfig, controller: str, path, log_path,
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load(args)
-        path = _path_from_args(cfg, args.path)
-    except (ConfigFileError, OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
+    path = _path_from_args(cfg, args.path)
     if not args.embedded:
         if args.log or args.metrics_csv:
-            print("usage error: --log and --metrics-csv need --embedded",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise UsageError("--log and --metrics-csv need --embedded")
         return _cmd_run_socket(args, cfg, path)
     _check_outputs(args.log, args.metrics_csv)
     dropout = None
@@ -145,21 +158,14 @@ def cmd_run(args) -> int:
 
 def _cmd_run_socket(args, cfg: RunConfig, path) -> int:
     """Drive a controller against an already-running `otterlink sim`."""
-    try:
-        client = BackseatClient(cfg.transport.telemetry_endpoint,
-                                cfg.transport.command_endpoint)
-    except transport.TransportError as exc:
-        print(f"cannot reach simulator: {exc}", file=sys.stderr)
-        return EXIT_CONNECT
+    client = BackseatClient(cfg.transport.telemetry_endpoint,
+                            cfg.transport.command_endpoint)
+    origin = (cfg.vessel.origin_lat, cfg.vessel.origin_lon)
     if args.controller == "nmpc":
         ctl = runner.NmpcController(client, path, cfg.nmpc,
-                                    cfg.vessel.params,
-                                    cfg.vessel.origin_lat,
-                                    cfg.vessel.origin_lon)
+                                    cfg.vessel.params, *origin)
     else:
-        ctl = runner.LosBaselineController(client, path, cfg.los,
-                                           cfg.vessel.origin_lat,
-                                           cfg.vessel.origin_lon)
+        ctl = runner.LosBaselineController(client, path, cfg.los, *origin)
     period = 1.0 / runner.CONTROL_HZ
     slot = started = time.monotonic()
     end = slot + cfg.bench.duration
@@ -169,9 +175,8 @@ def _cmd_run_socket(args, cfg: RunConfig, path) -> int:
             # a step's deadline is the next slot on the grid
             ctl.step(now, slot + period)
             if not fed and time.monotonic() - started > 5.0:
-                print("no telemetry received: is the simulator running?",
-                      file=sys.stderr)
-                return EXIT_CONNECT
+                raise transport.TransportError(
+                    "no telemetry received: is the simulator running?")
             # steps start on a fixed 10 Hz grid; slots an overrunning
             # step has already passed are skipped, not run back to back
             slot += period
@@ -215,7 +220,7 @@ def cmd_bench_fig8(args) -> int:
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("\n".join(csv_lines) + "\n")
-    return EXIT_OK if ordering else 1
+    return EXIT_OK if ordering else EXIT_ORDERING
 
 
 def cmd_replay(args) -> int:
@@ -231,17 +236,15 @@ def cmd_replay(args) -> int:
                               f"{rec.topic}: {rec.payload}"))
     except OSError as exc:
         if exc.filename == args.logfile:
-            print(f"cannot read log file {args.logfile}: {exc.strerror}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise UsageError(f"cannot read log file {args.logfile}: "
+                             f"{exc.strerror}") from exc
         # export_csv opens the CSV only once the log is read, so an
         # unknown topic or an unreadable log leaves no empty CSV behind
         if exc.filename == out:
             raise ConfigFileError(f"cannot write {out!r}: {exc}") from exc
         raise
-    except ValueError as exc:  # an unknown topic or a negative speed
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:  # an unknown topic or a bad speed
+        raise UsageError(str(exc)) from exc
     if summary.corrupt_count:
         print(f"warning: skipped {summary.corrupt_count} corrupt lines",
               file=sys.stderr)
@@ -252,11 +255,7 @@ def cmd_replay(args) -> int:
 
 def cmd_listen(args) -> int:
     cfg = _load(args)
-    try:
-        listener = transport.open_listener(cfg.transport.telemetry_endpoint)
-    except transport.TransportError as exc:
-        print(f"cannot bind: {exc}", file=sys.stderr)
-        return EXIT_CONNECT
+    listener = transport.open_listener(cfg.transport.telemetry_endpoint)
     t0 = time.monotonic()
     try:
         while args.duration is None or time.monotonic() - t0 < args.duration:
@@ -323,16 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigFileError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericFault as exc:
-        print(f"numeric fault: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except tuple(FAILURES) as exc:
+        # the nearest mapped base, e.g. TransportError for a closed socket
+        prefix, code = next(FAILURES[kind] for kind in type(exc).__mro__
+                            if kind in FAILURES)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

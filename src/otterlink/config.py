@@ -8,18 +8,21 @@ and a key a file omits keeps its field's default. The defaults live with
 the dataclasses: `TransportSection`, `VesselSection` and `BenchSection`
 below, `VesselParams` in vessel.py, `NmpcConfig` in nmpc.py and
 `LosConfig` in guidance.py. Unknown sections (including [DEFAULT]) or
-keys are rejected so a typo cannot silently fall back to a default.
+keys are rejected so a typo cannot silently fall back to a default, and
+each dataclass checks its own values, so a bad one (a port outside
+1..65535, a negative duration) is a `ConfigFileError` at load.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
 from .guidance import LosConfig
 from .nmpc import NmpcConfig
-from .transport import Endpoint
+from .transport import Endpoint, RateConfig
 from .vessel import EnvDisturbance, VesselParams
 
 
@@ -34,6 +37,12 @@ class TransportSection:
     cmd_host: str = "127.0.0.1"
     cmd_port: int = 10011
     rate_hz: float = 10.0
+
+    def __post_init__(self):
+        # each raises transport.ConfigError, a ValueError, on a bad value
+        Endpoint(self.telem_host, self.telem_port)
+        Endpoint(self.cmd_host, self.cmd_port)
+        RateConfig(self.rate_hz)
 
     @property
     def telemetry_endpoint(self) -> Endpoint:
@@ -64,6 +73,17 @@ class BenchSection:
     duration: float = 600.0
     dropout_start: float = -1.0  # <0 disables the injected dropout
     dropout_duration: float = 3.0
+
+    def __post_init__(self):
+        # comparisons that NaN fails, so NaN is rejected too
+        if not 0.0 < self.amplitude < math.inf:
+            raise ValueError("amplitude must be finite and > 0")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and > 0")
+        if not 0.0 <= self.target_laps < math.inf:
+            raise ValueError("target_laps must be finite and >= 0")
+        if not self.dropout_duration >= 0.0:
+            raise ValueError("dropout_duration must be >= 0")
 
 
 @dataclass(frozen=True)

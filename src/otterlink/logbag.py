@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -134,10 +136,20 @@ class ReplaySummary:
 def replay(path, speed_factor: float,
            consumer: Callable[[LogRecord], None]) -> ReplaySummary:
     """Deliver records with original inter-record delays scaled by
-    1/speed_factor; speed_factor 0 replays as fast as possible."""
-    if speed_factor < 0:
-        raise ValueError("speed_factor must be >= 0")
+    1/speed_factor; speed_factor 0 replays as fast as possible. A speed
+    that is not finite, or that stretches a gap past the longest sleep
+    (`threading.TIMEOUT_MAX`), raises ValueError before any delivery."""
+    if not 0.0 <= speed_factor < math.inf:
+        raise ValueError(
+            f"speed_factor must be finite and >= 0, not {speed_factor}")
     records, corrupt = read_records(path)
+    if speed_factor > 0:
+        gap = max((b.t_mono - a.t_mono for a, b in zip(records, records[1:])),
+                  default=0.0)
+        if gap / speed_factor > threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"speed_factor {speed_factor} stretches a {gap:g} s gap "
+                f"past the longest sleep, {threading.TIMEOUT_MAX:g} s")
     start = time.monotonic()
     prev_t: float | None = None
     for rec in records:

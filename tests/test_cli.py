@@ -1,4 +1,5 @@
 import socket
+import threading
 import types
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from otterlink import cli
 from otterlink.cli import (EXIT_CONFIG, EXIT_CONNECT, EXIT_NUMERIC, EXIT_OK,
                            main)
-from otterlink.logbag import read_records
+from otterlink.logbag import LogRecord, LogWriter, read_records
 from otterlink.vessel import NumericFault
 
 FAST_BENCH = """
@@ -120,6 +121,73 @@ class TestExitCodes:
         assert not out.exists()
 
 
+# (command line, config file, exit code, stderr prefix); {port} is a
+# port another socket holds and {log} a two-record .olog
+EXIT_CODE_MATRIX = [
+    pytest.param("listen --duration 0.5", "[transport]\ntelem_port = 0",
+                 EXIT_CONFIG, "config error: port 0", id="bad-port-listen"),
+    pytest.param("run", "[transport]\ntelem_port = 0",
+                 EXIT_CONFIG, "config error: port 0", id="bad-port-run"),
+    pytest.param("sim --duration 0.5", "[transport]\ncmd_port = 0",
+                 EXIT_CONFIG, "config error: port 0", id="bad-port-sim"),
+    pytest.param("listen --duration 0.5", "[transport]\ntelem_port = {port}",
+                 EXIT_CONNECT, "transport error: bind",
+                 id="occupied-port-listen"),
+    pytest.param("run", "[transport]\ntelem_port = {port}",
+                 EXIT_CONNECT, "transport error: bind",
+                 id="occupied-port-run"),
+    pytest.param("sim --duration 0.5", "[transport]\ncmd_port = {port}",
+                 EXIT_CONNECT, "transport error: bind",
+                 id="occupied-port-sim"),
+    pytest.param("bench-fig8", "[bench]\namplitude = -1",
+                 EXIT_CONFIG, "config error: amplitude",
+                 id="bench-amplitude"),
+    pytest.param("run --embedded", "[bench]\nduration = -5",
+                 EXIT_CONFIG, "config error: duration", id="bench-duration"),
+    pytest.param("run --embedded", "[bench]\nduration = inf",
+                 EXIT_CONFIG, "config error: duration",
+                 id="bench-infinite-duration"),
+    pytest.param("run --embedded", "[bench]\nduration = 1\ntarget_laps = nan",
+                 EXIT_CONFIG, "config error: target_laps",
+                 id="bench-target-laps"),
+    pytest.param("run --embedded", "[bench]\nduration = 1\n"
+                 "dropout_start = 0\ndropout_duration = -1",
+                 EXIT_CONFIG, "config error: dropout_duration",
+                 id="bench-dropout-duration"),
+    pytest.param("replay {log} --speed nan", "",
+                 EXIT_CONFIG, "usage error: speed_factor must be finite",
+                 id="replay-speed-nan"),
+    pytest.param("replay {log} --speed 1e-300", "",
+                 EXIT_CONFIG, "usage error: speed_factor 1e-300",
+                 id="replay-speed-tiny"),
+]
+
+
+@pytest.mark.parametrize("command, text, code, prefix", EXIT_CODE_MATRIX)
+def test_exit_code_matrix(tmp_path, capsys, command, text, code, prefix):
+    """Each failure ends in `main`'s one mapping: its exit code and
+    stderr prefix, no traceback, nothing on stdout (no record replayed)
+    and no thread left running."""
+    log = tmp_path / "short.olog"
+    with LogWriter(log) as writer:
+        for t in (0.0, 0.1):
+            writer.record(LogRecord(t, t, "rx", "event", {"name": "x"}))
+    blocker = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    blocker.bind(("127.0.0.1", 0))
+    port = blocker.getsockname()[1]
+    cfg = write_config(tmp_path, text.format(port=port))
+    threads = threading.enumerate()
+    try:
+        got = main(["--config", cfg, *command.format(log=log).split()])
+    finally:
+        blocker.close()
+    assert got == code
+    out, err = capsys.readouterr()
+    assert err.startswith(prefix)
+    assert out == ""
+    assert threading.enumerate() == threads
+
+
 class TestSocketRunPacing:
     @staticmethod
     def run_socket(tmp_path, monkeypatch, durations, lines_per_poll,
@@ -158,10 +226,9 @@ class TestSocketRunPacing:
             monotonic=lambda: clock.now))
         monkeypatch.setattr(cli, "BackseatClient", Client)
         monkeypatch.setattr(cli.runner, "LosBaselineController", Controller)
-        cfg = cli.load_config(write_config(
-            tmp_path, f"[bench]\nduration = {duration}\n"))
-        args = types.SimpleNamespace(controller="baseline")
-        return cli._cmd_run_socket(args, cfg, None), starts, deadlines
+        cfg = write_config(tmp_path, f"[bench]\nduration = {duration}\n")
+        code = main(["--config", cfg, "run", "--controller", "baseline"])
+        return code, starts, deadlines
 
     def test_steps_start_on_a_fixed_grid(self, tmp_path, monkeypatch):
         # 30 ms steps except one that overruns by 150 ms
