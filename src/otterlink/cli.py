@@ -29,7 +29,7 @@ from .client import BackseatClient
 from .config import ConfigFileError, RunConfig, load_config
 from .obc import OtterObc
 from .runner import DropoutWindow, run_embedded_mission, write_metrics_csv
-from .vessel import NumericFault
+from .vessel import NumericFault, VesselState
 
 EXIT_OK = 0
 EXIT_ORDERING = 1
@@ -83,22 +83,23 @@ def _check_outputs(*paths) -> None:
 
 def cmd_sim(args) -> int:
     cfg = _load(args)
-    rate_hz = args.rate if args.rate is not None else cfg.transport.rate_hz
-    rate = transport.RateConfig(rate_hz)
-    obc = OtterObc(params=cfg.vessel.params, telemetry_hz=rate_hz,
-                   env=cfg.vessel.env)
+    rate = transport.RateConfig(cfg.transport.rate_hz)
+    obc = OtterObc(params=cfg.vessel.params,
+                   telemetry_hz=cfg.transport.rate_hz, env=cfg.vessel.env,
+                   initial_state=VesselState(origin_lat=cfg.vessel.origin_lat,
+                                             origin_lon=cfg.vessel.origin_lon))
     # the listener binds first: a failed bind leaves no broadcaster thread
-    listener = transport.open_listener(cfg.transport.command_endpoint)
+    listener = transport.UdpListener(cfg.transport.command_endpoint)
     try:
         # each telemetry cycle is up to 4 sentences (pos, att, and the
         # 1 Hz status/time pair); burst keeps the paced stream current
-        broadcaster = transport.open_broadcaster(
+        broadcaster = transport.UdpBroadcaster(
             cfg.transport.telemetry_endpoint, rate, burst=4)
     except transport.TransportError:
         listener.close()
         raise
     print(f"telemetry -> {cfg.transport.telemetry_endpoint.addr} "
-          f"at {rate_hz:g} Hz, commands <- "
+          f"at {cfg.transport.rate_hz:g} Hz, commands <- "
           f"{cfg.transport.command_endpoint.addr}")
     t0 = time.monotonic()
     try:
@@ -118,15 +119,21 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
-def _run_embedded(cfg: RunConfig, controller: str, path, log_path,
-                  dropout=None) -> runner.MissionResult:
+def _run_embedded(cfg: RunConfig, controller: str, path,
+                  log_path) -> runner.MissionResult:
+    """The one mapping from a config to an embedded mission."""
+    dropout = None
+    if cfg.bench.dropout_start >= 0:
+        dropout = DropoutWindow(cfg.bench.dropout_start,
+                                cfg.bench.dropout_duration)
     writer = logbag.LogWriter(log_path) if log_path else None
     try:
         result = run_embedded_mission(
             controller, path, params=cfg.vessel.params,
             nmpc_config=cfg.nmpc, los_config=cfg.los, env=cfg.vessel.env,
-            duration=cfg.bench.duration, target_laps=cfg.bench.target_laps,
-            dropout=dropout, origin_lat=cfg.vessel.origin_lat,
+            telemetry_hz=cfg.transport.rate_hz, duration=cfg.bench.duration,
+            target_laps=cfg.bench.target_laps, dropout=dropout,
+            origin_lat=cfg.vessel.origin_lat,
             origin_lon=cfg.vessel.origin_lon, log_writer=writer)
     finally:
         if writer:
@@ -142,11 +149,7 @@ def cmd_run(args) -> int:
             raise UsageError("--log and --metrics-csv need --embedded")
         return _cmd_run_socket(args, cfg, path)
     _check_outputs(args.log, args.metrics_csv)
-    dropout = None
-    if cfg.bench.dropout_start >= 0:
-        dropout = DropoutWindow(cfg.bench.dropout_start,
-                                cfg.bench.dropout_duration)
-    result = _run_embedded(cfg, args.controller, path, args.log, dropout)
+    result = _run_embedded(cfg, args.controller, path, args.log)
     for key in sorted(result.metrics):
         print(f"{key}: {result.metrics[key]}")
     if not result.completed:
@@ -255,7 +258,7 @@ def cmd_replay(args) -> int:
 
 def cmd_listen(args) -> int:
     cfg = _load(args)
-    listener = transport.open_listener(cfg.transport.telemetry_endpoint)
+    listener = transport.UdpListener(cfg.transport.telemetry_endpoint)
     t0 = time.monotonic()
     try:
         while args.duration is None or time.monotonic() - t0 < args.duration:
@@ -283,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("sim", help="run the simulated OBC")
-    p_sim.add_argument("--rate", type=float, default=None,
-                       help="telemetry rate in Hz (1-20)")
     p_sim.add_argument("--duration", type=float, default=None)
     p_sim.set_defaults(func=cmd_sim)
 

@@ -159,13 +159,18 @@ class BackseatClient(TopicGateway):
                  command_endpoint: transport.Endpoint):
         super().__init__(command_sender=self._send_command)
         self._cmd_endpoint = command_endpoint
-        self._listener = transport.open_listener(telemetry_endpoint)
+        self._listener = transport.UdpListener(telemetry_endpoint)
         self._cmd_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
 
     def _send_command(self, line: str) -> None:
         if self._cmd_sock is None:
             raise transport.TransportClosedError("client closed")
-        self._cmd_sock.sendto(line.encode("ascii"), self._cmd_endpoint.addr)
+        try:
+            self._cmd_sock.sendto(line.encode("ascii"),
+                                  self._cmd_endpoint.addr)
+        except OSError as exc:
+            raise transport.TransportError(
+                f"send to {self._cmd_endpoint.addr} failed: {exc}") from exc
 
     def poll(self, timeout: float) -> int:
         """Feed every datagram that arrives within `timeout` seconds;

@@ -40,8 +40,8 @@ import numpy as np
 
 from . import geo
 from .guidance import PolylinePath
-from .vessel import (VesselParams, VesselState, allocate_thrust,
-                     dynamics_deriv, mix, rk4_step, wrap_2pi)
+from .vessel import (VesselParams, VesselState, dynamics_deriv, mix,
+                     rk4_step, wrap_2pi)
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,9 @@ def predict(y0: np.ndarray, inputs: np.ndarray, config: NmpcConfig,
     y = tuple(float(v) for v in y0)
     rows = [y]
     for x, z in np.asarray(inputs, dtype=float).tolist():
-        fp, fs = allocate_thrust(x, z, params)
-        y = rk4_step(y, fp, fs, 0.0, 0.0, params, dt)
+        port, stbd = mix(x, z)
+        y = rk4_step(y, params.F_max * port, params.F_max * stbd, 0.0, 0.0,
+                     params, dt)
         y = (y[0], y[1], wrap_2pi(y[2]), y[3], y[4], y[5])
         rows.append(y)
     states = np.array(rows)

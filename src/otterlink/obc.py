@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import codec, geo
-from .transport import RATE_MAX_HZ, RATE_MIN_HZ
+from .transport import RateConfig
 from .vessel import (EnvDisturbance, MotorState, STATIONARY_SPEED_EPS,
                      VesselParams, VesselState, apply_motor_lag, mix, saturate,
                      step_dynamics)
@@ -100,9 +100,7 @@ class OtterObc:
                  env: EnvDisturbance | None = None,
                  initial_state: VesselState | None = None,
                  utc0: float = DEFAULT_UTC0):
-        if not RATE_MIN_HZ <= telemetry_hz <= RATE_MAX_HZ:
-            raise ValueError(f"telemetry rate {telemetry_hz} Hz outside "
-                             f"[{RATE_MIN_HZ:g}, {RATE_MAX_HZ:g}]")
+        RateConfig(telemetry_hz)  # raises ConfigError, a ValueError
         self.params = params or VesselParams()
         self.env = env or EnvDisturbance()
         self.state = initial_state or VesselState()

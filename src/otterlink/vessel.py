@@ -1,5 +1,5 @@
 """3-DOF planar catamaran model: surge/sway/yaw dynamics, differential
-thrust allocation, and motor lag with a cold-start delay.
+thrust mix, and motor lag with a cold-start delay.
 
 State convention (NED-style, planar): heading psi is 0 at north,
 positive clockwise; u is body forward speed, v body starboard speed,
@@ -109,16 +109,6 @@ def mix(x_norm: float, z_norm: float) -> tuple[float, float]:
     motor's output follows its input exactly where |output| < 1.
     """
     return saturate(x_norm + z_norm), saturate(x_norm - z_norm)
-
-
-def allocate_thrust(x_norm: float, z_norm: float,
-                    params: VesselParams) -> tuple[float, float]:
-    """Map normalized surge/torque commands in [-1, 1] to per-motor
-    thrusts (N) through `mix`."""
-    if not (-1.0 <= x_norm <= 1.0 and -1.0 <= z_norm <= 1.0):
-        raise ValueError(f"command out of range: x={x_norm}, z={z_norm}")
-    port, stbd = mix(x_norm, z_norm)
-    return params.F_max * port, params.F_max * stbd
 
 
 def apply_motor_lag(motor: MotorState, target: float, dt: float,

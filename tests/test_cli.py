@@ -4,9 +4,9 @@ import types
 
 import pytest
 
-from otterlink import cli
+from otterlink import cli, codec
 from otterlink.cli import (EXIT_CONFIG, EXIT_CONNECT, EXIT_NUMERIC, EXIT_OK,
-                           main)
+                           EXIT_ORDERING, main)
 from otterlink.logbag import LogRecord, LogWriter, read_records
 from otterlink.vessel import NumericFault
 
@@ -21,6 +21,12 @@ def write_config(tmp_path, text=FAST_BENCH):
     path = tmp_path / "run.ini"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def free_port():
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 class TestExitCodes:
@@ -84,11 +90,6 @@ class TestExitCodes:
         assert main(["--config", cfg, "run", "--embedded"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_sim_rejects_out_of_band_rate(self, tmp_path, capsys):
-        assert main(["sim", "--rate", "50", "--duration", "0.1"]) \
-            == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
-
     def test_replay_missing_file(self, capsys):
         assert main(["replay", "/no/such/file.olog"]) == EXIT_CONFIG
 
@@ -139,6 +140,9 @@ EXIT_CODE_MATRIX = [
     pytest.param("sim --duration 0.5", "[transport]\ncmd_port = {port}",
                  EXIT_CONNECT, "transport error: bind",
                  id="occupied-port-sim"),
+    pytest.param("sim --duration 0.5", "[transport]\nrate_hz = 50",
+                 EXIT_CONFIG, "config error: telemetry rate",
+                 id="sim-rate-out-of-band"),
     pytest.param("bench-fig8", "[bench]\namplitude = -1",
                  EXIT_CONFIG, "config error: amplitude",
                  id="bench-amplitude"),
@@ -252,6 +256,91 @@ class TestSocketRunPacing:
         assert code == EXIT_CONNECT
         assert "no telemetry received" in capsys.readouterr().err
         assert starts[-1] == pytest.approx(5.0, abs=1e-9)
+
+
+class TestConfigReachesTheSimulator:
+    """Every command simulates the Otter its config describes."""
+
+    def test_rate_hz_sets_the_embedded_telemetry_rate(self, tmp_path,
+                                                      capsys):
+        def gps_samples(text):
+            cfg = write_config(tmp_path, text)
+            assert main(["--config", cfg, "run", "--embedded",
+                         "--controller", "baseline"]) == EXIT_OK
+            out = capsys.readouterr().out
+            return next(float(line.split(": ")[1])
+                        for line in out.splitlines()
+                        if line.startswith("gps_samples: "))
+
+        at_10_hz = gps_samples(FAST_BENCH)
+        at_20_hz = gps_samples("[transport]\nrate_hz = 20\n" + FAST_BENCH)
+        assert abs(at_20_hz - 2 * at_10_hz) <= 2
+
+    def test_sim_broadcasts_from_the_vessel_origin(self, tmp_path, capsys):
+        telemetry = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        telemetry.bind(("127.0.0.1", 0))
+        cfg = write_config(
+            tmp_path, f"[transport]\ntelem_port = "
+                      f"{telemetry.getsockname()[1]}\n"
+                      f"cmd_port = {free_port()}\n"
+                      "[vessel]\norigin_lat = 44.0\norigin_lon = -75.5\n")
+        try:
+            assert main(["--config", cfg, "sim", "--duration", "0.4"]) \
+                == EXIT_OK
+            telemetry.settimeout(1.0)
+            while not isinstance(
+                    fix := codec.decode_sentence(
+                        telemetry.recv(65536).decode("ascii")),
+                    codec.PosReport):
+                pass
+        finally:
+            telemetry.close()
+        # drifting with no current, the vessel stays at its origin
+        assert (fix.lat, fix.lon) == pytest.approx((44.0, -75.5), abs=1e-6)
+
+    def test_bench_rows_equal_embedded_runs_under_a_dropout(self, tmp_path,
+                                                            capsys):
+        cfg = write_config(tmp_path, FAST_BENCH + "dropout_start = 2\n")
+        bench_csv = tmp_path / "bench.csv"
+        assert main(["--config", cfg, "bench-fig8", "--csv",
+                     str(bench_csv)]) in (EXIT_OK, EXIT_ORDERING)
+        lines = bench_csv.read_text(encoding="utf-8").splitlines()
+        rows = {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
+        for kind in ("nmpc", "baseline"):
+            metrics_csv = tmp_path / f"{kind}.csv"
+            assert main(["--config", cfg, "run", "--embedded",
+                         "--controller", kind, "--metrics-csv",
+                         str(metrics_csv)]) == EXIT_OK
+            lines = metrics_csv.read_text(encoding="utf-8").splitlines()
+            metrics = dict(line.split(",") for line in lines[1:])
+            assert rows[kind] == [metrics[key] for key in (
+                "rms_cross_track_m", "max_cross_track_m", "laps",
+                "completion_time_s")]
+
+    def test_failed_command_send_exits_3(self, tmp_path, capsys):
+        # a fix every 20 ms until the run ends makes the controller send
+        port = free_port()
+        line = codec.encode_sentence(
+            codec.PosReport(43200.0, 45.0, -76.0, 0.0, 1.0, 0.0))
+        done = threading.Event()
+
+        def feed():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                while not done.wait(0.02):
+                    sock.sendto(line.encode("ascii"), ("127.0.0.1", port))
+
+        cfg = write_config(
+            tmp_path, f"[transport]\ntelem_port = {port}\n"
+                      "cmd_host = 255.255.255.255\n[bench]\nduration = 2\n")
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            code = main(["--config", cfg, "run", "--controller", "baseline"])
+        finally:
+            done.set()
+            feeder.join()
+        assert code == EXIT_CONNECT
+        assert "transport error: send to" in capsys.readouterr().err
 
 
 class TestEmbeddedRun:

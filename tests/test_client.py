@@ -266,3 +266,13 @@ class TestBackseatClient:
             client.poll(0.01)
         with pytest.raises(transport.TransportClosedError):
             client.publish_command("drift_cmds", codec.DriftCmd(True))
+
+    def test_failed_command_send_is_a_transport_error(self):
+        # a broadcast address without SO_BROADCAST: sendto is refused
+        client = BackseatClient(free_endpoint(),
+                                transport.Endpoint("255.255.255.255", 10011))
+        try:
+            with pytest.raises(transport.TransportError, match="send to"):
+                client.publish_command("drift_cmds", codec.DriftCmd(True))
+        finally:
+            client.close()

@@ -5,9 +5,9 @@ import pytest
 
 from otterlink.vessel import (EnvDisturbance, MotorState, NumericFault,
                               RPM_MAX, VesselParams, VesselState,
-                              allocate_thrust, apply_motor_lag,
-                              dynamics_deriv, kinetic_energy, rk4_step,
-                              saturate, step_dynamics, wrap_2pi)
+                              apply_motor_lag, dynamics_deriv,
+                              kinetic_energy, mix, rk4_step, saturate,
+                              step_dynamics, wrap_2pi)
 
 P = VesselParams()
 
@@ -29,21 +29,17 @@ class TestParams:
 
 class TestAllocation:
     def test_pure_surge_is_symmetric(self):
-        assert allocate_thrust(0.5, 0.0, P) == (0.5 * P.F_max, 0.5 * P.F_max)
+        assert mix(0.5, 0.0) == (0.5, 0.5)
 
     def test_positive_z_boosts_port(self):
-        f_port, f_stbd = allocate_thrust(0.0, 0.4, P)
-        assert f_port > 0 > f_stbd
-        assert f_port == pytest.approx(-f_stbd)
+        port, stbd = mix(0.0, 0.4)
+        assert port > 0 > stbd
+        assert port == pytest.approx(-stbd)
 
     def test_saturation_at_combined_limit(self):
-        f_port, f_stbd = allocate_thrust(0.8, 0.8, P)
-        assert f_port == P.F_max           # 1.6 clipped to 1.0
-        assert f_stbd == pytest.approx(0.0)
-
-    def test_out_of_range_command_rejected(self):
-        with pytest.raises(ValueError):
-            allocate_thrust(1.2, 0.0, P)
+        port, stbd = mix(0.8, 0.8)
+        assert port == 1.0           # 1.6 clipped to 1.0
+        assert stbd == pytest.approx(0.0)
 
 
 class TestMotorLag:
