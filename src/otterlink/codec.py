@@ -16,6 +16,8 @@ See docs/protocol.md for the full grammar in ABNF.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -209,18 +211,31 @@ class Field:
                            if self.kind == FLOAT else _FORMATS[self.kind])
 
     def out_of_range(self, value) -> bool:
-        """True when a parsed value may not appear on the wire."""
+        """True when a parsed value may not appear on the wire: outside
+        the range, or of the wrong type (a UINT or DATE takes only what
+        operator.index accepts, a FLOAT only a real number)."""
+        if self.kind == FLOAT:
+            # float first: the numbers.Real check alone takes ~0.5 us
+            real = isinstance(value, float) or isinstance(value, numbers.Real)
+            return not (real and math.isfinite(value)
+                        and self.lo <= value <= self.hi)
         if self.kind == MODE:
             return value not in MODE_TAGS
         if self.kind == FLAG:
             # rendered from truthiness; only a non-finite float is refused
             return isinstance(value, float) and not math.isfinite(value)
-        return not (math.isfinite(value) and self.lo <= value <= self.hi)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            return True
+        return not self.lo <= value <= self.hi
 
     def range_error(self, value) -> RangeError:
         close = ")" if self.periodic else "]"
         allowed = (MODE_TAGS if self.kind == MODE
                    else f"[{self.lo:.15g}, {self.hi:.15g}{close}")
+        if self.kind in (UINT, DATE):
+            allowed = f"the integers in {allowed}"
         return RangeError(f"field {self.name!r}: {value!r} not in {allowed}")
 
 
@@ -318,17 +333,18 @@ def _render(entry: Message, msg: OtterMessage) -> list[str]:
     for f in entry.fields:
         value = getattr(msg, f.name)
         if f.kind == FLOAT:
-            text = format(value, f.fmt)
+            try:
+                text = format(value, f.fmt)
+            except (TypeError, ValueError, OverflowError):
+                raise f.range_error(value) from None
             value = float(text)
-            if not (f.lo <= value <= f.hi and math.isfinite(value)):
-                raise f.range_error(value)
-            if value == f.hi and f.periodic:
-                text = format(0.0, f.fmt)
-        elif f.out_of_range(value):
+        if f.out_of_range(value):
             raise f.range_error(value)
-        elif f.kind == FLAG:
+        if f.kind == FLAG:
             text = "1" if value else "0"
-        else:
+        elif f.periodic and value == f.hi:
+            text = format(0.0, f.fmt)
+        elif f.kind != FLOAT:
             text = format(value, f.fmt)
         texts.append(text)
     return texts

@@ -57,6 +57,8 @@ class LogRecord:
     @classmethod
     def from_json(cls, line: str) -> "LogRecord":
         obj = json.loads(line)
+        if not isinstance(obj["payload"], dict):
+            raise ValueError("record payload is not a JSON object")
         return cls(t_mono=float(obj["t_mono"]), t_utc=float(obj["t_utc"]),
                    direction=obj["dir"], topic=obj["topic"],
                    payload=obj["payload"])

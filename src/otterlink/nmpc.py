@@ -13,21 +13,21 @@ plus input effort and input-rate terms
     w_u |w_k|^2 + w_du |w_k - w_{k-1}|^2     (w_{-1} = last applied input).
 
 Since 1 - cos d = 2 sin^2(d/2), the objective is a sum of squares
-r(U).r(U) over 7N residuals, and the solver is box-constrained
-Gauss-Newton over the inputs U in [-1, 1]^(2N). Each iteration
-linearizes r at the current plan, with the rollout's Jacobian built for
-all N RK4 steps at once from their stage points, minimizes
+r(U).r(U) over 7N residuals, and every cost, slope and curvature in the
+solver comes from that one residual vector. The solver is
+box-constrained Gauss-Newton over the inputs U in [-1, 1]^(2N). Each
+iteration linearizes r at the current plan, with the rollout's Jacobian
+built for all N RK4 steps at once from their stage points, minimizes
 |r + J d|^2 over the box by a small primal active-set method, and
 backtracks along d with an Armijo test against the model's predicted
-decrease. A trial's rollout and path projection are reused for the
-next linearization. The solve has converged when an accepted step
+decrease. A trial's rollout, projection and residuals are reused for
+the next linearization. The solve has converged when an accepted step
 improves the cost by at most 1e-3 (1 + cost), or when no entry of the
 projected gradient reaches grad_tol.
 
 `cost_of_inputs` and `cost_gradient`, which the solver does not call,
-evaluate the same rollout, objective, residuals and Jacobian: the
-gradient of r.r is 2 J^T r, exact wherever no motor sits on its
-saturation kink.
+wrap the solver's own evaluation: the cost r.r and its gradient
+2 J^T r, exact wherever no motor sits on its saturation kink.
 """
 
 from __future__ import annotations
@@ -103,22 +103,6 @@ def predict(y0: np.ndarray, inputs: np.ndarray, config: NmpcConfig,
     return states
 
 
-def _objective(states: np.ndarray, inputs: np.ndarray, e_ct, psi_path,
-               config: NmpcConfig, prev_input) -> float:
-    """The stated objective, given the path projection (e_ct, psi_path)
-    of predicted states 1..N."""
-    psi = states[1:, 2]
-    u = states[1:, 3]
-    state_cost = (config.w_ct * np.sum(e_ct ** 2)
-                  + config.w_head * np.sum(1.0 - np.cos(psi - psi_path))
-                  + config.w_speed * np.sum((u - config.ref_speed) ** 2))
-    prev = np.asarray(prev_input, dtype=float)
-    diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
-    input_cost = (config.w_u * np.sum(inputs ** 2)
-                  + config.w_du * np.sum(diffs ** 2))
-    return float(state_cost + input_cost)
-
-
 def _project(u: np.ndarray) -> np.ndarray:
     return np.clip(u, -1.0, 1.0)
 
@@ -135,11 +119,12 @@ def _heading_error(states: np.ndarray, psi_path) -> np.ndarray:
 
 def _residuals(states: np.ndarray, inputs: np.ndarray, e_ct, psi_path,
                config: NmpcConfig, prev_input) -> np.ndarray:
-    """The objective as a sum of squares r.r over 7N entries: per
-    predicted state sqrt(w_ct) e_ct, sqrt(2 w_head) sin(d/2) with
-    d = psi - psi_path wrapped to (-pi, pi] (1 - cos d = 2 sin^2(d/2))
-    and sqrt(w_speed) (u - ref_speed); then sqrt(w_u) w_k and
-    sqrt(w_du) (w_k - w_{k-1}), inputs flattened row by row."""
+    """The 7N residuals whose squares sum to the objective, given the
+    path projection (e_ct, psi_path) of predicted states 1..N: per
+    state sqrt(w_ct) e_ct, sqrt(2 w_head) sin(d/2) with d = psi -
+    psi_path wrapped to (-pi, pi], and sqrt(w_speed) (u - ref_speed);
+    then sqrt(w_u) w_k and sqrt(w_du) (w_k - w_{k-1}), inputs flattened
+    row by row."""
     d = _heading_error(states, psi_path)
     prev = np.asarray(prev_input, dtype=float)
     diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
@@ -286,26 +271,26 @@ def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
 
 def _evaluate(y0, inputs, path: PolylinePath, config: NmpcConfig,
               params: VesselParams, prev_input):
-    """Rollout, path projection and objective of one input sequence."""
+    """Rollout, path projection, residuals r and cost r.r of one input
+    sequence."""
     states = predict(y0, inputs, config, params)
     e_ct, psi_path, port = path.project_many(states[1:, :2])
-    c = _objective(states, inputs, e_ct, psi_path, config, prev_input)
-    return states, (e_ct, psi_path, port), c
+    r = _residuals(states, inputs, e_ct, psi_path, config, prev_input)
+    return states, (e_ct, psi_path, port), r, float(r @ r)
 
 
 def cost_of_inputs(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
                    config: NmpcConfig, params: VesselParams,
                    prev_input) -> float:
-    return _evaluate(y0, inputs, path, config, params, prev_input)[2]
+    return _evaluate(y0, inputs, path, config, params, prev_input)[3]
 
 
 def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
                   config: NmpcConfig, params: VesselParams,
                   prev_input) -> tuple[float, np.ndarray]:
     """Exact (cost, d cost / d inputs) as 2 J^T r at the rollout."""
-    states, (e_ct, psi_path, port), c = _evaluate(y0, inputs, path, config,
+    states, (_, psi_path, port), r, c = _evaluate(y0, inputs, path, config,
                                                   params, prev_input)
-    r = _residuals(states, inputs, e_ct, psi_path, config, prev_input)
     J = _jacobian(states, inputs, port, psi_path, config, params)
     return c, (2.0 * J.T @ r).reshape(inputs.shape)
 
@@ -326,14 +311,13 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
     else:
         u_seq = np.zeros((n, 2))
     try:
-        states, (e_ct, psi_path, port), c = _evaluate(
+        states, (_, psi_path, port), r, c = _evaluate(
             y0, u_seq, path, config, params, prev_input)
     except FloatingPointError:
         return None
     iters = 0
     converged = False
     while iters < config.max_iters:
-        r = _residuals(states, u_seq, e_ct, psi_path, config, prev_input)
         J = _jacobian(states, u_seq, port, psi_path, config, params)
         half_grad = J.T @ r
         flat = u_seq.ravel()
@@ -357,18 +341,18 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
             except FloatingPointError:
                 return None
             # Armijo against the model's decrease |r|^2 - |r + a J d|^2
-            if trial[2] <= c + 1e-4 * alpha * (slope + alpha * curve):
+            if trial[3] <= c + 1e-4 * alpha * (slope + alpha * curve):
                 break
             # minimizer of the quadratic through c, the slope at 0 and the
             # trial, kept within [0.1, 0.5] of the rejected step
-            excess = trial[2] - c - alpha * slope
+            excess = trial[3] - c - alpha * slope
             alpha = min(max(-0.5 * slope * alpha * alpha / excess,
                             0.1 * alpha), 0.5 * alpha)
         else:
             break  # no step along the Gauss-Newton direction lowers the cost
-        improvement = c - trial[2]
+        improvement = c - trial[3]
         u_seq = u_new
-        states, (e_ct, psi_path, port), c = trial
+        states, (_, psi_path, port), r, c = trial
         if improvement <= 1e-3 * (1.0 + abs(c)):
             converged = True
             break

@@ -88,11 +88,15 @@ class UdpBroadcaster:
         self.endpoint = endpoint
         self.rate = rate
         self.burst = burst  # datagrams allowed per rate interval
+        sock = None
         try:
-            self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
         except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise TransportError(f"socket setup failed: {exc}") from exc
+        self._sock = sock
         self._lock = threading.Condition()
         self._queue: list[bytes] = []
         self._fault = fault or FaultProfile()
@@ -164,14 +168,18 @@ class UdpListener:
 
     def __init__(self, endpoint: Endpoint):
         self.endpoint = endpoint
+        sock = None
         try:
-            self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 0)
-            self._sock.bind(endpoint.addr)
-            self._sock.setblocking(False)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 0)
+            sock.bind(endpoint.addr)
+            sock.setblocking(False)
         except OSError as exc:
+            if sock is not None:
+                sock.close()
             raise TransportError(
                 f"bind {endpoint.addr} failed: {exc}") from exc
+        self._sock = sock
         self._closed = False
 
     def poll(self, timeout: float) -> list[tuple[str, float]]:

@@ -6,6 +6,7 @@ import re
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,6 +154,34 @@ class TestEncodeErrors:
         with pytest.raises(codec.RangeError, match="battery"):
             codec.encode_sentence(
                 codec.StatusReport("MAN", 100, 100, 20.0, -1.0, 100.0))
+
+    @pytest.mark.parametrize("name, msg", [
+        ("rpm_port", codec.StatusReport("MAN", 1.5, 0, 22.5, 50.0, 100.0)),
+        ("rpm_stbd", codec.StatusReport("MAN", 0, "7", 22.5, 50.0, 100.0)),
+        ("utc_date", codec.TimeReport(20250101.0, 5.0)),
+        ("'x'", codec.ManualCmd("0.5", 0.0, 0.0)),
+        ("alt", codec.PosReport(43200.0, 45.0, -76.0, "0", 1.0, 90.0)),
+        ("sog", codec.PosReport(43200.0, 45.0, -76.0, 0.0, 10 ** 400, 90.0)),
+        ("speed", codec.CourseSpeedCmd(90.0, None)),
+    ])
+    def test_field_that_cannot_render_is_a_range_error(self, name, msg):
+        with pytest.raises(codec.RangeError, match=name):
+            codec.validate(msg)
+        with pytest.raises(codec.RangeError, match=name):
+            codec.encode_sentence(msg)
+
+    def test_integer_likes_render_as_integers(self):
+        plain = codec.StatusReport("MAN", 1200, 900, 22.5, 50.0, 100.0)
+        numpy_ints = codec.StatusReport("MAN", np.int64(1200),
+                                        np.uint16(900), 22.5, 50.0, 100.0)
+        assert (codec.encode_sentence(numpy_ints)
+                == codec.encode_sentence(plain))
+        assert codec.encode_sentence(codec.TimeReport(
+            np.int32(20250101), 5.0)).startswith("$POTTIM,20250101,")
+
+    def test_uint_past_the_float_range_roundtrips(self):
+        msg = codec.StatusReport("MAN", 10 ** 400, 0, 22.5, 50.0, 100.0)
+        assert codec.decode_sentence(codec.encode_sentence(msg)) == msg
 
 
 class TestDecodeErrors:

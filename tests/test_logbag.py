@@ -73,6 +73,24 @@ class TestWriterReader:
         assert seen == good
         assert export_csv(path, "otter_gps", tmp_path / "gps.csv") == 2
 
+    @pytest.mark.parametrize("payload", ["oops", [1, 2], 5, None],
+                             ids=["str", "list", "int", "null"])
+    def test_payload_that_is_not_an_object_is_corrupt(self, tmp_path,
+                                                      payload):
+        path = tmp_path / "run.olog"
+        good = [rec(0.0), rec(1.0)]
+        bad = json.dumps({"v": 1, "t_mono": 0.5, "t_utc": 43200.5,
+                          "dir": "rx", "topic": "otter_gps",
+                          "payload": payload})
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(good[0].to_json() + "\n" + bad + "\n")
+            fh.write(good[1].to_json() + "\n")
+        assert read_records(path) == (good, 1)
+        seen = []
+        assert replay(path, 0.0, seen.append).corrupt_count == 1
+        assert seen == good
+        assert export_csv(path, "otter_gps", tmp_path / "gps.csv") == 2
+
     def test_io_failure_disables_but_does_not_raise(self, tmp_path):
         path = tmp_path / "run.olog"
         writer = LogWriter(path)

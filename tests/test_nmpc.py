@@ -7,7 +7,7 @@ from otterlink import nmpc, runner
 from otterlink.client import SyncedSample
 from otterlink.guidance import PolylinePath, figure_eight
 from otterlink.nmpc import (ControlSolution, NmpcConfig, _evaluate,
-                            _jacobian, _objective, _residuals, cost_gradient,
+                            _jacobian, cost_gradient,
                             cost_of_inputs, predict, shift_warm_start,
                             solve_nmpc, state_from_synced, state_vector)
 from otterlink.vessel import (EnvDisturbance, VesselParams, VesselState,
@@ -45,10 +45,27 @@ def random_instance(rng, config):
     return state, np.hstack([x, z])
 
 
+def stated_objective(y0, inputs, path, config, prev_input):
+    """The objective in the 1 - cos form of the nmpc module docstring."""
+    states = predict(y0, inputs, config, P)
+    e_ct, psi_path, _ = path.project_many(states[1:, :2])
+    psi = states[1:, 2]
+    u = states[1:, 3]
+    prev = np.asarray(prev_input, dtype=float)
+    diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
+    return float(config.w_ct * np.sum(e_ct ** 2)
+                 + config.w_head * np.sum(1.0 - np.cos(psi - psi_path))
+                 + config.w_speed * np.sum((u - config.ref_speed) ** 2)
+                 + config.w_u * np.sum(inputs ** 2)
+                 + config.w_du * np.sum(diffs ** 2))
+
+
 def dense_cost_gradient(y0, inputs, path, config, p, prev_input):
     """Reference (cost, gradient) built from dense per-stage Jacobians:
     A = df/dy (6x6) and B = df/d(x, z) (6x2) at each RK4 stage point,
-    chained into the step map's Jacobians, then a matrix adjoint pass."""
+    chained into the step map's Jacobians, then a matrix adjoint pass.
+    The cost is the square of a 7N residual vector laid out as the
+    module docstring's sum of squares."""
     def stage_jacobians(y, x, z):
         _, _, psi, u, v, r = y
         s, c = math.sin(psi), math.cos(psi)
@@ -126,12 +143,15 @@ def dense_cost_gradient(y0, inputs, path, config, p, prev_input):
     u = states[1:, 3]
     prev = np.asarray(prev_input, dtype=float)
     diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
-    state_cost = (config.w_ct * np.sum(e_ct ** 2)
-                  + config.w_head * np.sum(1.0 - np.cos(psi - psi_path))
-                  + config.w_speed * np.sum((u - config.ref_speed) ** 2))
-    input_cost = (config.w_u * np.sum(inputs ** 2)
-                  + config.w_du * np.sum(diffs ** 2))
-    total = float(state_cost + input_cost)
+    # heading error wrapped to (-pi, pi]; 1 - cos d = 2 sin^2(d/2)
+    d = math.pi - (math.pi - (psi - psi_path)) % (2.0 * math.pi)
+    residuals = np.concatenate([
+        math.sqrt(config.w_ct) * e_ct,
+        math.sqrt(2.0 * config.w_head) * np.sin(0.5 * d),
+        math.sqrt(config.w_speed) * (u - config.ref_speed),
+        math.sqrt(config.w_u) * inputs.ravel(),
+        math.sqrt(config.w_du) * diffs.ravel()])
+    total = float(residuals @ residuals)
     lx = np.zeros((n, 6))
     lx[:, 0] = 2.0 * config.w_ct * e_ct * port[:, 0]
     lx[:, 1] = 2.0 * config.w_ct * e_ct * port[:, 1]
@@ -277,10 +297,9 @@ def saturating_instance(rng, config):
 
 def linearized(y0, inputs, path, config, prev):
     """(cost, residuals, Jacobian) at an input sequence."""
-    states, (e_ct, psi_path, port), c = _evaluate(y0, inputs, path, config,
+    states, (_, psi_path, port), r, c = _evaluate(y0, inputs, path, config,
                                                   P, prev)
-    return (c, _residuals(states, inputs, e_ct, psi_path, config, prev),
-            _jacobian(states, inputs, port, psi_path, config, P))
+    return c, r, _jacobian(states, inputs, port, psi_path, config, P)
 
 
 def least_squares_problems():
@@ -301,13 +320,13 @@ def least_squares_problems():
 class TestGaussNewton:
     def test_residuals_square_to_objective(self):
         for y0, inputs, path, config, prev in least_squares_problems():
-            states, (e_ct, psi_path, _), c = _evaluate(y0, inputs, path,
-                                                       config, P, prev)
-            r = _residuals(states, inputs, e_ct, psi_path, config, prev)
+            _, _, r, c = _evaluate(y0, inputs, path, config, P, prev)
             assert r.shape == (7 * config.steps_N,)
-            assert c == _objective(states, inputs, e_ct, psi_path, config,
-                                   prev)
-            assert abs(float(r @ r) - c) <= 1e-12 * c
+            assert c == float(r @ r)
+            # the residuals square to the docstring's 1 - cos form
+            stated = stated_objective(y0, inputs, path, config, prev)
+            assert abs(cost_of_inputs(y0, inputs, path, config, P, prev)
+                       - stated) <= 1e-12 * stated
 
     def test_half_gradient_is_jacobian_transpose_residuals(self):
         # the batched Jacobian and the dense per-stage reference share
@@ -420,7 +439,7 @@ class TestSolve:
                                           (0.0, 0.0))
 
     def test_solve_calls_neither_reference(self, monkeypatch):
-        # both wrap the solver's own rollout, objective and Jacobian for
+        # both wrap the solver's own rollout, residuals and Jacobian for
         # tests and the benchmark; the solver calls neither
         def refuse(*_args, **_kwargs):
             raise AssertionError("reference called by the solver")

@@ -228,3 +228,64 @@ class TestHelpers:
         state = VesselState(psi=math.radians(30.0), u=1.0)
         x, z, _ = builtin_course_speed(state, 0.0, 1.0, gains, 0.0, SIM_DT)
         assert z < 0.0
+
+
+# the exact wire lines of a scripted run: a manual command for 1 s, then
+# course and speed for 1 s, from a moving start off the origin
+PINNED_WIRE = (
+    '$POTPOS,43200.10,45.0000274,-76.0000246,0.00,0.78,57.30*11\r\n',
+    '$POTATT,43200.10,0.00,0.00,57.31,0.00,0.00,0.31*0E\r\n',
+    '$POTPOS,43200.20,45.0000277,-76.0000238,0.00,0.78,57.32*1A\r\n',
+    '$POTATT,43200.20,0.00,0.00,57.37,0.00,0.00,1.02*0A\r\n',
+    '$POTPOS,43200.30,45.0000281,-76.0000229,0.00,0.80,57.39*1E\r\n',
+    '$POTATT,43200.30,0.00,0.00,57.52,0.00,0.00,1.99*0A\r\n',
+    '$POTPOS,43200.40,45.0000285,-76.0000221,0.00,0.82,57.50*18\r\n',
+    '$POTATT,43200.40,0.00,0.00,57.78,0.00,0.00,3.12*04\r\n',
+    '$POTPOS,43200.50,45.0000289,-76.0000211,0.00,0.86,57.68*19\r\n',
+    '$POTATT,43200.50,0.00,0.00,58.15,0.00,0.00,4.34*02\r\n',
+    '$POTPOS,43200.60,45.0000293,-76.0000202,0.00,0.90,57.94*17\r\n',
+    '$POTATT,43200.60,0.00,0.00,58.65,0.00,0.00,5.60*06\r\n',
+    '$POTPOS,43200.70,45.0000298,-76.0000192,0.00,0.95,58.28*1A\r\n',
+    '$POTATT,43200.70,0.00,0.00,59.27,0.00,0.00,6.87*0A\r\n',
+    '$POTPOS,43200.80,45.0000302,-76.0000181,0.00,1.00,58.72*17\r\n',
+    '$POTATT,43200.80,0.00,0.00,60.02,0.00,0.00,8.12*0A\r\n',
+    '$POTPOS,43200.90,45.0000307,-76.0000170,0.00,1.05,59.25*1B\r\n',
+    '$POTATT,43200.90,0.00,0.00,60.89,0.00,0.00,9.34*0D\r\n',
+    '$POTPOS,43201.00,45.0000312,-76.0000158,0.00,1.10,59.87*11\r\n',
+    '$POTATT,43201.00,0.00,0.00,61.89,0.00,0.00,10.54*3A\r\n',
+    '$POTSTA,MAN,761,380,22.5,100.0,483.8*59\r\n',
+    '$POTTIM,20250101,43201.00*04\r\n',
+    '$POTPOS,43201.10,45.0000317,-76.0000146,0.00,1.15,60.57*18\r\n',
+    '$POTATT,43201.10,0.00,0.00,62.99,0.00,0.00,11.60*3F\r\n',
+    '$POTPOS,43201.20,45.0000322,-76.0000133,0.00,1.17,61.32*1F\r\n',
+    '$POTATT,43201.20,0.00,0.00,64.20,0.00,0.00,12.46*3F\r\n',
+    '$POTPOS,43201.30,45.0000327,-76.0000120,0.00,1.18,62.12*17\r\n',
+    '$POTATT,43201.30,0.00,0.00,65.48,0.00,0.00,13.13*30\r\n',
+    '$POTPOS,43201.40,45.0000332,-76.0000107,0.00,1.18,62.96*1D\r\n',
+    '$POTATT,43201.40,0.00,0.00,66.82,0.00,0.00,13.65*33\r\n',
+    '$POTPOS,43201.50,45.0000337,-76.0000093,0.00,1.17,63.84*18\r\n',
+    '$POTATT,43201.50,0.00,0.00,68.20,0.00,0.00,14.00*30\r\n',
+    '$POTPOS,43201.60,45.0000341,-76.0000080,0.00,1.15,64.76*10\r\n',
+    '$POTATT,43201.60,0.00,0.00,69.61,0.00,0.00,14.21*34\r\n',
+    '$POTPOS,43201.70,45.0000346,-76.0000067,0.00,1.13,65.71*1F\r\n',
+    '$POTATT,43201.70,0.00,0.00,71.04,0.00,0.00,14.29*37\r\n',
+    '$POTPOS,43201.80,45.0000350,-76.0000054,0.00,1.11,66.69*1F\r\n',
+    '$POTATT,43201.80,0.00,0.00,72.47,0.00,0.00,14.24*31\r\n',
+    '$POTPOS,43201.90,45.0000354,-76.0000041,0.00,1.08,67.70*1F\r\n',
+    '$POTATT,43201.90,0.00,0.00,73.88,0.00,0.00,14.07*33\r\n',
+    '$POTPOS,43202.00,45.0000357,-76.0000028,0.00,1.06,68.74*1C\r\n',
+    '$POTATT,43202.00,0.00,0.00,75.28,0.00,0.00,13.80*3D\r\n',
+    '$POTSTA,CRS,237,85,22.5,100.0,161.8*60\r\n',
+    '$POTTIM,20250101,43202.00*07\r\n',
+)
+
+
+class TestWire:
+    def test_scripted_run_emits_the_pinned_lines(self):
+        obc = OtterObc(initial_state=VesselState(north=3.0, east=-2.0,
+                                                 psi=1.0, u=0.8))
+        obc.handle_command(codec.ManualCmd(0.6, 0.0, 0.2))
+        lines = obc.tick(1.0)
+        obc.handle_command(codec.CourseSpeedCmd(90.0, 1.2))
+        lines += obc.tick(2.0)
+        assert tuple(lines) == PINNED_WIRE

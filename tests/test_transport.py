@@ -1,5 +1,8 @@
+import gc
+import socket
 import statistics
 import time
+import warnings
 
 import pytest
 
@@ -178,6 +181,35 @@ class TestLifecycle:
                 UdpListener(ep)
         finally:
             first.close()
+
+    @staticmethod
+    def resource_warnings(fail):
+        """ResourceWarnings raised while `fail` raises TransportError and
+        its half-built object is collected."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(transport.TransportError):
+                fail()
+            gc.collect()
+        return [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)]
+
+    def test_failed_bind_closes_its_socket(self):
+        ep = fresh_endpoint()
+        first = UdpListener(ep)
+        try:
+            assert self.resource_warnings(lambda: UdpListener(ep)) == []
+        finally:
+            first.close()
+
+    def test_failed_broadcaster_setup_closes_its_socket(self, monkeypatch):
+        class NoBroadcast(socket.socket):
+            def setsockopt(self, *args):
+                raise OSError("setsockopt refused")
+
+        monkeypatch.setattr(transport.socket, "socket", NoBroadcast)
+        assert self.resource_warnings(
+            lambda: UdpBroadcaster(fresh_endpoint(), RateConfig(10.0))) == []
 
 
 class TestPollTiming:
