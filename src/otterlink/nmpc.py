@@ -1,33 +1,43 @@
 """Receding-horizon path-following controller.
 
-Single-shooting formulation over the normalized motor inputs
-(x = surge, z = torque), N steps of dt = T/N, integrated with the same
-RK4 model the simulator uses (no disturbance). Stage cost per predicted
+Single-shooting formulation over the normalized motor commands
+m_k = (port, starboard) in [-1, 1]^2, N steps of dt = T/N, integrated
+with the same RK4 model the simulator uses (no disturbance). The plan
+is published as the surge and torque commands w_k = (x, z) = T m_k,
+T = 1/2 [[1, 1], [1, -1]], which `vessel.mix` maps back to m_k
+without saturating: the box [-1, 1]^2 is one-to-one with every motor
+output that (x, z) in [-1, 1]^2 can reach. Stage cost per predicted
 state k = 1..N:
 
     w_ct e_ct(k)^2 + w_head (1 - cos(psi_k - psi_path(k)))
         + w_speed (u_k - ref_speed)^2
 
-plus input effort and input-rate terms
+plus input effort and input-rate terms on the (x, z) commands
 
     w_u |w_k|^2 + w_du |w_k - w_{k-1}|^2     (w_{-1} = last applied input).
 
 Since 1 - cos d = 2 sin^2(d/2), the objective is a sum of squares
-r(U).r(U) over 7N residuals, and every cost, slope and curvature in the
+r.r over 7N residuals, and every cost, slope and curvature in the
 solver comes from that one residual vector. The solver is
-box-constrained Gauss-Newton over the inputs U in [-1, 1]^(2N). Each
-iteration linearizes r at the current plan, with the rollout's Jacobian
-built for all N RK4 steps at once from their stage points, minimizes
-|r + J d|^2 over the box by a small primal active-set method, and
+box-constrained Gauss-Newton over the motor commands M in
+[-1, 1]^(2N), so the thrust limits are the box: inside it no motor
+saturates, and the thrusts F_max m make the Jacobian exact everywhere
+in it, faces included. The Jacobian is built in (x, z), for all N RK4
+steps at once from their stage points, and reaches the motors through
+the fixed map, J_m = J_w (I_N kron T). Each iteration minimizes
+|r + J_m d|^2 over the box by a small primal active-set method and
 backtracks along d with an Armijo test against the model's predicted
 decrease. A trial's rollout, projection and residuals are reused for
-the next linearization. The solve has converged when an accepted step
-improves the cost by at most 1e-3 (1 + cost), or when no entry of the
-projected gradient reaches grad_tol.
+the next linearization. A solve ends `converged` when no entry of the
+projected gradient reaches grad_tol, `stalled` when an accepted step
+improves the cost by at most 1e-3 (1 + cost), `line_search` when no
+step along the direction lowers the cost, `budget` past its wall-clock
+budget and `max_iters` after max_iters iterations.
 
 `cost_of_inputs` and `cost_gradient`, which the solver does not call,
-wrap the solver's own evaluation: the cost r.r and its gradient
-2 J^T r, exact wherever no motor sits on its saturation kink.
+wrap the solver's own evaluation in (x, z): the cost r.r and its
+gradient 2 J_w^T r, exact on the box image |x +/- z| <= 1 and
+one-sided on its faces.
 """
 
 from __future__ import annotations
@@ -58,25 +68,40 @@ class NmpcConfig:
     grad_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.horizon_T <= 0 or self.steps_N < 2:
-            raise ValueError("need horizon_T > 0 and steps_N >= 2")
+        # comparisons that NaN fails, so NaN is rejected too
+        if not 0.0 < self.horizon_T < math.inf:
+            raise ValueError("horizon_T must be finite and > 0")
+        if not (isinstance(self.steps_N, int) and self.steps_N >= 2):
+            raise ValueError("need an integer steps_N >= 2")
         for name in ("w_ct", "w_head", "w_speed", "w_u", "w_du"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"weight {name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"weight {name} must be finite and >= 0")
+        if not -math.inf < self.ref_speed < math.inf:
+            raise ValueError("ref_speed must be finite")
+        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
+        if not 0.0 <= self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be finite and >= 0")
 
     @property
     def dt(self) -> float:
         return self.horizon_T / self.steps_N
 
 
+# why a solve ended; the first two count as converged
+STOPS = ("converged", "stalled", "max_iters", "budget", "line_search")
+
+
 @dataclass(frozen=True)
 class ControlSolution:
-    inputs: np.ndarray     # (N, 2) of (x, z), inside the box
+    inputs: np.ndarray     # (N, 2) of (x, z), with |x +/- z| <= 1
     predicted: np.ndarray  # (N+1, 6) states; predicted[0] = measured
     cost: float
     iters: int
     solve_time: float
-    converged: bool
+    converged: bool        # stop is "converged" or "stalled"
+    stop: str = "converged"  # one of STOPS
+    trials: int = 0        # trial rollouts of the line searches
 
 
 def state_vector(state: VesselState) -> np.ndarray:
@@ -105,6 +130,12 @@ def predict(y0: np.ndarray, inputs: np.ndarray, config: NmpcConfig,
 
 def _project(u: np.ndarray) -> np.ndarray:
     return np.clip(u, -1.0, 1.0)
+
+
+def _inputs(motors: np.ndarray) -> np.ndarray:
+    """(x, z) rows of (port, starboard) motor command rows: w = T m."""
+    port, stbd = motors[:, 0], motors[:, 1]
+    return np.column_stack([0.5 * (port + stbd), 0.5 * (port - stbd)])
 
 
 def shift_warm_start(previous: ControlSolution) -> np.ndarray:
@@ -163,7 +194,9 @@ def _stage_jacobians(psi, u, v, r, p: VesselParams) -> np.ndarray:
 
 def _rollout_jacobian(states: np.ndarray, inputs: np.ndarray,
                       config: NmpcConfig, p: VesselParams) -> np.ndarray:
-    """d(state k+1)/d(inputs flattened) for k = 0..N-1, as (N, 6, 2N).
+    """d(state k+1)/d(inputs flattened) for k = 0..N-1, as (N, 6, 2N),
+    for inputs in the box image |x +/- z| <= 1, where no motor
+    saturates.
 
     All N RK4 steps at once: their stage points are (N,) arrays, the
     stage Jacobians [df/dy | df/dw] (N, 6, 8) chain through batched
@@ -172,15 +205,13 @@ def _rollout_jacobian(states: np.ndarray, inputs: np.ndarray,
     """
     n, dt = len(inputs), config.dt
     h = 0.5 * dt
-    mixed = np.array([mix(x, z) for x, z in inputs.tolist()])  # (N, 2)
-    fp, fs = p.F_max * mixed.T
-    # the thrusts enter u' and r' only; a motor's saturation gate is
-    # open where its mixed command is strictly inside (-1, 1)
-    gate = np.where(np.abs(mixed) < 1.0, p.F_max, 0.0)
-    both, diff = gate[:, 0] + gate[:, 1], gate[:, 0] - gate[:, 1]
-    B = np.zeros((n, 6, 8))  # [0 | df/dw]
-    B[:, 3, 6], B[:, 3, 7] = both / p.m11, diff / p.m11
-    B[:, 5, 6], B[:, 5, 7] = p.lever * diff / p.m33, p.lever * both / p.m33
+    x, z = inputs.T
+    fp, fs = p.F_max * (x + z), p.F_max * (x - z)
+    # the thrusts enter u' and r' only: x through their sum, z through
+    # their difference
+    B = np.zeros((6, 8))  # [0 | df/dw]
+    B[3, 6] = 2.0 * p.F_max / p.m11
+    B[5, 7] = 2.0 * p.lever * p.F_max / p.m33
     E = np.eye(6, 8)  # [I | 0]
 
     # stage points y1 = y, y2 = y + h k1, y3 = y + h k2, y4 = y + dt k3,
@@ -211,8 +242,9 @@ def _rollout_jacobian(states: np.ndarray, inputs: np.ndarray,
 
 def _jacobian(states: np.ndarray, inputs: np.ndarray, port, psi_path,
               config: NmpcConfig, params: VesselParams) -> np.ndarray:
-    """d(_residuals)/d(inputs flattened), (7N, 2N); e_ct moves along the
-    port normal of its segment and psi_path is constant per segment."""
+    """d(_residuals)/d(inputs flattened), (7N, 2N), on the box image
+    |x +/- z| <= 1; e_ct moves along the port normal of its segment and
+    psi_path is constant per segment."""
     n = len(inputs)
     sens = _rollout_jacobian(states, inputs, config, params)
     half_cos = 0.5 * np.cos(0.5 * _heading_error(states, psi_path))
@@ -282,13 +314,20 @@ def _evaluate(y0, inputs, path: PolylinePath, config: NmpcConfig,
 def cost_of_inputs(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
                    config: NmpcConfig, params: VesselParams,
                    prev_input) -> float:
+    """The cost r.r of an (x, z) input sequence, mixed as the simulator
+    mixes it, so past the box image |x +/- z| <= 1 a motor saturates;
+    on the box image it is the solver's cost of the motor commands
+    (x + z, x - z)."""
     return _evaluate(y0, inputs, path, config, params, prev_input)[3]
 
 
 def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
                   config: NmpcConfig, params: VesselParams,
                   prev_input) -> tuple[float, np.ndarray]:
-    """Exact (cost, d cost / d inputs) as 2 J^T r at the rollout."""
+    """Exact (cost, d cost / d inputs) as 2 J^T r at the rollout, for
+    inputs in the box image |x +/- z| <= 1 (one-sided on its faces),
+    the solver's whole domain; past it a motor saturates and the
+    gradient is not that of the cost."""
     states, (_, psi_path, port), r, c = _evaluate(y0, inputs, path, config,
                                                   params, prev_input)
     J = _jacobian(states, inputs, port, psi_path, config, params)
@@ -300,44 +339,52 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
                warm_start: ControlSolution | None = None,
                prev_input=(0.0, 0.0),
                budget_s: float | None = None) -> ControlSolution | None:
-    """Box-constrained Gauss-Newton solve; returns None on numeric
-    failure. Past `budget_s` seconds of wall time no further iteration
-    starts (the first always runs); None sets no wall-clock limit."""
+    """Box-constrained Gauss-Newton solve over the motor commands;
+    returns None on numeric failure. Past `budget_s` seconds of wall
+    time no further iteration starts (the first always runs); None sets
+    no wall-clock limit."""
     t_start = time.perf_counter()
     y0 = state_vector(state)
     n = config.steps_N
     if warm_start is not None and len(warm_start.inputs) == n:
-        u_seq = _project(shift_warm_start(warm_start))
+        motors = np.array([mix(x, z) for x, z
+                           in shift_warm_start(warm_start).tolist()])
     else:
-        u_seq = np.zeros((n, 2))
+        motors = np.zeros((n, 2))
+    inputs = _inputs(motors)
     try:
         states, (_, psi_path, port), r, c = _evaluate(
-            y0, u_seq, path, config, params, prev_input)
+            y0, inputs, path, config, params, prev_input)
     except FloatingPointError:
         return None
-    iters = 0
-    converged = False
+    to_inputs = np.kron(np.eye(n), _inputs(np.eye(2)))  # I_N kron T
+    iters = trials = 0
+    stop = "max_iters"
     while iters < config.max_iters:
-        J = _jacobian(states, u_seq, port, psi_path, config, params)
+        J = _jacobian(states, inputs, port, psi_path, config,
+                      params) @ to_inputs
         half_grad = J.T @ r
-        flat = u_seq.ravel()
+        flat = motors.ravel()
         if (np.max(np.abs(flat - _project(flat - 2.0 * half_grad)))
                 < config.grad_tol):
-            converged = True  # the projected gradient vanishes
+            stop = "converged"  # the projected gradient vanishes
             break
         iters += 1
         H = J.T @ J
-        # an input with both motor gates closed and zero input weights
-        # moves no residual; a tiny ridge keeps H positive definite
+        # with zero input weights a motor that moves no weighted state
+        # leaves H singular; a tiny ridge keeps it positive definite
         H[np.diag_indices_from(H)] += 1e-12 * (1.0 + np.trace(H))
         step = _box_qp(H, half_grad, -1.0 - flat, 1.0 - flat).reshape(n, 2)
         Jd = J @ step.ravel()
         slope, curve = 2.0 * float(r @ Jd), float(Jd @ Jd)
         alpha = 1.0
         while alpha > 1e-3:
-            u_new = _project(u_seq + alpha * step)
+            trial_motors = _project(motors + alpha * step)
+            trial_inputs = _inputs(trial_motors)
+            trials += 1
             try:
-                trial = _evaluate(y0, u_new, path, config, params, prev_input)
+                trial = _evaluate(y0, trial_inputs, path, config, params,
+                                  prev_input)
             except FloatingPointError:
                 return None
             # Armijo against the model's decrease |r|^2 - |r + a J d|^2
@@ -349,19 +396,23 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
             alpha = min(max(-0.5 * slope * alpha * alpha / excess,
                             0.1 * alpha), 0.5 * alpha)
         else:
-            break  # no step along the Gauss-Newton direction lowers the cost
+            # no step along the Gauss-Newton direction lowers the cost
+            stop = "line_search"
+            break
         improvement = c - trial[3]
-        u_seq = u_new
+        motors, inputs = trial_motors, trial_inputs
         states, (_, psi_path, port), r, c = trial
         if improvement <= 1e-3 * (1.0 + abs(c)):
-            converged = True
+            stop = "stalled"
             break
         if budget_s is not None and time.perf_counter() - t_start > budget_s:
+            stop = "budget"
             break
-    return ControlSolution(inputs=u_seq, predicted=states, cost=c,
+    return ControlSolution(inputs=inputs, predicted=states, cost=c,
                            iters=iters,
                            solve_time=time.perf_counter() - t_start,
-                           converged=converged)
+                           converged=stop in STOPS[:2], stop=stop,
+                           trials=trials)
 
 
 def state_from_synced(sample, origin_lat: float, origin_lon: float

@@ -158,6 +158,9 @@ EXIT_CODE_MATRIX = [
                  "dropout_start = 0\ndropout_duration = -1",
                  EXIT_CONFIG, "config error: dropout_duration",
                  id="bench-dropout-duration"),
+    pytest.param("run --embedded", "[bench]\nduration = 1\n[nmpc]\nw_ct = nan",
+                 EXIT_CONFIG, "config error: weight w_ct",
+                 id="nmpc-nan-weight"),
     pytest.param("replay {log} --speed nan", "",
                  EXIT_CONFIG, "usage error: speed_factor must be finite",
                  id="replay-speed-nan"),

@@ -5,17 +5,36 @@ import pytest
 
 from otterlink import nmpc, runner
 from otterlink.client import SyncedSample
+from otterlink.config import ConfigFileError, load_config
 from otterlink.guidance import PolylinePath, figure_eight
-from otterlink.nmpc import (ControlSolution, NmpcConfig, _evaluate,
+from otterlink.nmpc import (STOPS, ControlSolution, NmpcConfig, _evaluate,
                             _jacobian, cost_gradient,
                             cost_of_inputs, predict, shift_warm_start,
                             solve_nmpc, state_from_synced, state_vector)
 from otterlink.vessel import (EnvDisturbance, VesselParams, VesselState,
-                              dynamics_deriv, saturate, step_dynamics,
+                              dynamics_deriv, mix, saturate, step_dynamics,
                               wrap_2pi)
 
 P = VesselParams()
 EAST_LINE = PolylinePath([(0.0, -500.0), (0.0, 500.0)])
+# (x, z) = T (port, starboard): the motor commands' surge and torque
+T = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def motor_inputs(motors):
+    """(x, z) = ((port + starboard)/2, (port - starboard)/2) per row."""
+    return np.column_stack([(motors[:, 0] + motors[:, 1]) / 2,
+                            (motors[:, 0] - motors[:, 1]) / 2])
+
+
+def box_motors(rng, n, faces):
+    """(n, 2) motor commands in the box [-1, 1]^2: uniform, or with
+    `faces` dyadic k/64 with about a third of them exactly at -1 or 1."""
+    if not faces:
+        return rng.uniform(-1, 1, size=(n, 2))
+    motors = rng.integers(-64, 65, size=(n, 2)) / 64
+    return np.where(rng.random((n, 2)) < 1 / 3,
+                    rng.choice([-1.0, 1.0], size=(n, 2)), motors)
 
 
 def fd_gradient(y0, inputs, path, config, eps=1e-6, prev=(0.0, 0.0)):
@@ -60,13 +79,17 @@ def stated_objective(y0, inputs, path, config, prev_input):
                  + config.w_du * np.sum(diffs ** 2))
 
 
-def dense_cost_gradient(y0, inputs, path, config, p, prev_input):
-    """Reference (cost, gradient) built from dense per-stage Jacobians:
-    A = df/dy (6x6) and B = df/d(x, z) (6x2) at each RK4 stage point,
-    chained into the step map's Jacobians, then a matrix adjoint pass.
-    The cost is the square of a 7N residual vector laid out as the
-    module docstring's sum of squares."""
-    def stage_jacobians(y, x, z):
+def dense_cost_gradient(y0, motors, path, config, p, prev_input):
+    """Reference (cost, gradient over the (N, 2) motor commands) built
+    from dense per-stage Jacobians: A = df/dy (6x6) and B =
+    df/d(port, starboard) (6x2) at each RK4 stage point, chained into
+    the step map's Jacobians, then a matrix adjoint pass. The rollout
+    mixes the motors' (x, z) commands as the simulator does, and the
+    cost is the square of a 7N residual vector laid out as the module
+    docstring's sum of squares; the gradient of its (x, z) input terms
+    reaches the motors through x = (port + starboard)/2 and
+    z = (port - starboard)/2."""
+    def stage_jacobians(y):
         _, _, psi, u, v, r = y
         s, c = math.sin(psi), math.cos(psi)
         A = np.zeros((6, 6))
@@ -86,13 +109,10 @@ def dense_cost_gradient(y0, inputs, path, config, p, prev_input):
         A[5, 3] = -(p.m22 - p.m11) * v / p.m33
         A[5, 4] = -(p.m22 - p.m11) * u / p.m33
         A[5, 5] = -p.d1r / p.m33
-        sp = 1.0 if abs(x + z) < 1.0 else 0.0
-        sm = 1.0 if abs(x - z) < 1.0 else 0.0
         B = np.zeros((6, 2))
-        B[3, 0] = p.F_max * (sp + sm) / p.m11
-        B[3, 1] = p.F_max * (sp - sm) / p.m11
-        B[5, 0] = p.lever * p.F_max * (sp - sm) / p.m33
-        B[5, 1] = p.lever * p.F_max * (sp + sm) / p.m33
+        B[3, 0] = B[3, 1] = p.F_max / p.m11
+        B[5, 0] = p.lever * p.F_max / p.m33
+        B[5, 1] = -p.lever * p.F_max / p.m33
         return A, B
 
     def step_with_jac(y, x, z, dt):
@@ -104,16 +124,16 @@ def dense_cost_gradient(y0, inputs, path, config, p, prev_input):
 
         eye = np.eye(6)
         k1 = f(y)
-        A1, B1 = stage_jacobians(y, x, z)
+        A1, B1 = stage_jacobians(y)
         y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(6))
         k2 = f(y2)
-        A2, B2 = stage_jacobians(y2, x, z)
+        A2, B2 = stage_jacobians(y2)
         y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(6))
         k3 = f(y3)
-        A3, B3 = stage_jacobians(y3, x, z)
+        A3, B3 = stage_jacobians(y3)
         y4 = tuple(y[i] + dt * k3[i] for i in range(6))
         k4 = f(y4)
-        A4, B4 = stage_jacobians(y4, x, z)
+        A4, B4 = stage_jacobians(y4)
         dk2y = A2 @ (eye + 0.5 * dt * A1)
         dk2w = A2 @ (0.5 * dt * B1) + B2
         dk3y = A3 @ (eye + 0.5 * dt * dk2y)
@@ -128,6 +148,7 @@ def dense_cost_gradient(y0, inputs, path, config, p, prev_input):
         B_step = dt / 6.0 * (B1 + 2.0 * dk2w + 2.0 * dk3w + dk4w)
         return y_next, A_step, B_step
 
+    inputs = motor_inputs(motors)
     n = len(inputs)
     y = tuple(float(v) for v in y0)
     states = np.empty((n + 1, 6))
@@ -157,8 +178,10 @@ def dense_cost_gradient(y0, inputs, path, config, p, prev_input):
     lx[:, 1] = 2.0 * config.w_ct * e_ct * port[:, 1]
     lx[:, 2] = config.w_head * np.sin(psi - psi_path)
     lx[:, 3] = 2.0 * config.w_speed * (u - config.ref_speed)
-    grad = 2.0 * config.w_u * inputs + 2.0 * config.w_du * diffs
-    grad[:-1] -= 2.0 * config.w_du * diffs[1:]
+    grad_w = 2.0 * config.w_u * inputs + 2.0 * config.w_du * diffs
+    grad_w[:-1] -= 2.0 * config.w_du * diffs[1:]
+    grad = np.column_stack([(grad_w[:, 0] + grad_w[:, 1]) / 2,
+                            (grad_w[:, 0] - grad_w[:, 1]) / 2])
     lam = lx[n - 1].copy()
     for k in range(n - 1, -1, -1):
         grad[k] += B_steps[k].T @ lam
@@ -255,8 +278,9 @@ class TestGradient:
         assert np.max(np.abs(grad - fd)) / scale < 1e-6
 
     def test_matches_dense_jacobian_reference(self):
-        # saturated and exactly-on-the-gate thrusts, negative surge and
-        # headings that cross the 0/2pi wrap inside the horizon
+        # motor commands across the whole box, half of them with entries
+        # exactly on its faces, negative surge and headings that cross
+        # the 0/2pi wrap inside the horizon; compared over the motors
         config = NmpcConfig()
         path = figure_eight(20.0)
         rng = np.random.default_rng(41)
@@ -266,19 +290,15 @@ class TestGradient:
             y0 = np.array([rng.uniform(-25, 25), rng.uniform(-12, 12), psi,
                            rng.uniform(-1.5, 2.5), rng.uniform(-0.4, 0.4),
                            rng.uniform(-0.6, 0.6)])
-            inputs = rng.uniform(-1, 1, size=(config.steps_N, 2))
-            if i % 2:
-                # dyadic x and z with |x + z| = 1 or |x - z| = 1 exactly
-                x = rng.integers(-64, 65, size=config.steps_N) / 64
-                inputs[:, 0] = x
-                inputs[:, 1] = np.where(rng.random(config.steps_N) < 0.5,
-                                        np.sign(x) - x, x - np.sign(x))
+            motors = box_motors(rng, config.steps_N, faces=i % 2)
             prev = tuple(rng.uniform(-1, 1, size=2))
-            c, grad = cost_gradient(y0, inputs, path, config, P, prev)
-            c_ref, grad_ref = dense_cost_gradient(y0, inputs, path, config,
+            c, grad = cost_gradient(y0, motor_inputs(motors), path, config,
+                                    P, prev)
+            c_ref, grad_ref = dense_cost_gradient(y0, motors, path, config,
                                                   P, prev)
             assert c == c_ref
-            assert (np.max(np.abs(grad - grad_ref))
+            # d cost / d motors = T^T d cost / d (x, z), row by row
+            assert (np.max(np.abs(grad @ T - grad_ref))
                     <= 1e-12 * np.max(np.abs(grad_ref)))
 
 
@@ -300,6 +320,28 @@ def linearized(y0, inputs, path, config, prev):
     states, (_, psi_path, port), r, c = _evaluate(y0, inputs, path, config,
                                                   P, prev)
     return c, r, _jacobian(states, inputs, port, psi_path, config, P)
+
+
+def motor_problems():
+    """Figure-eight and line problems over motor commands drawn in the
+    box, every other one with entries exactly on its faces."""
+    config = NmpcConfig()
+    rng = np.random.default_rng(61)
+    fig8 = figure_eight(20.0)
+    for i in range(24):
+        path = EAST_LINE if i % 3 == 0 else fig8
+        y0 = np.array([rng.uniform(-25, 25), rng.uniform(-12, 12),
+                       rng.uniform(0, 2 * math.pi), rng.uniform(-1.5, 2.5),
+                       rng.uniform(-0.4, 0.4), rng.uniform(-0.6, 0.6)])
+        motors = box_motors(rng, config.steps_N, faces=i % 2)
+        yield y0, motors, path, config, tuple(rng.uniform(-1, 1, size=2))
+
+
+def motor_jacobian(y0, motors, path, config, prev):
+    """(residuals, d residuals / d motors flattened) at motor commands:
+    the (x, z) Jacobian through the fixed map (x, z) = T m."""
+    _, r, J = linearized(y0, motor_inputs(motors), path, config, prev)
+    return r, J @ np.kron(np.eye(len(motors)), T)
 
 
 def least_squares_problems():
@@ -330,16 +372,51 @@ class TestGaussNewton:
 
     def test_half_gradient_is_jacobian_transpose_residuals(self):
         # the batched Jacobian and the dense per-stage reference share
-        # only the model: a wrong saturation gate, stage or sign in the
-        # Jacobian breaks this on the saturating instances
-        for y0, inputs, path, config, prev in least_squares_problems():
-            c, r, J = linearized(y0, inputs, path, config, prev)
-            c_ref, grad = dense_cost_gradient(y0, inputs, path, config, P,
+        # only the model: a saturation gate, a wrong stage or sign in the
+        # Jacobian breaks this, on the box faces too
+        for y0, motors, path, config, prev in motor_problems():
+            r, J = motor_jacobian(y0, motors, path, config, prev)
+            c_ref, grad = dense_cost_gradient(y0, motors, path, config, P,
                                               prev)
             assert J.shape == (7 * config.steps_N, 2 * config.steps_N)
-            assert c == c_ref
+            assert float(r @ r) == c_ref
             assert (np.max(np.abs(2.0 * J.T @ r - grad.ravel()))
                     <= 1e-9 * np.max(np.abs(grad)))
+
+    def test_motor_jacobian_matches_one_sided_differences_on_faces(self):
+        # every third motor command sits exactly on a face of the box;
+        # there the difference is the second-order one-sided one into
+        # the box, elsewhere the central one
+        config = NmpcConfig()
+        rng = np.random.default_rng(43)
+        for path in (EAST_LINE, figure_eight(20.0)):
+            state, inputs = random_instance(rng, config)
+            y0 = state_vector(state)
+            motors = np.column_stack([inputs[:, 0] + inputs[:, 1],
+                                      inputs[:, 0] - inputs[:, 1]])
+            motors.flat[::3] = rng.choice([-1.0, 1.0],
+                                          size=motors.flat[::3].shape)
+            prev = (float(inputs[0, 0]), float(inputs[0, 1]))
+            r, J = motor_jacobian(y0, motors, path, config, prev)
+
+            def residuals_at(j, step):
+                moved = motors.copy()
+                moved.flat[j] += step
+                return _evaluate(y0, motor_inputs(moved), path, config, P,
+                                 prev)[2]
+
+            eps = 1e-6
+            fd = np.empty_like(J)
+            for j in range(J.shape[1]):
+                if abs(motors.flat[j]) == 1.0:
+                    h = -eps * motors.flat[j]
+                    fd[:, j] = (-3.0 * r + 4.0 * residuals_at(j, h)
+                                - residuals_at(j, 2.0 * h)) / (2.0 * h)
+                else:
+                    fd[:, j] = (residuals_at(j, eps)
+                                - residuals_at(j, -eps)) / (2.0 * eps)
+            assert (np.max(np.abs(J - fd))
+                    <= 1e-6 * max(1.0, float(np.max(np.abs(fd)))))
 
     def test_jacobian_matches_central_differences(self):
         config = NmpcConfig()
@@ -453,17 +530,17 @@ class TestSolve:
                           warm_start=cold, prev_input=tuple(cold.inputs[0]))
         assert cold is not None and warm is not None
 
-    def test_mission_solves_end_below_max_iters(self, monkeypatch):
-        # a figure-eight start 0.491 m to port and 5.076 deg to starboard
-        # of the path at 20.584 m of arc: the first warm-started solve,
-        # while the motors still sit in their cold-start delay, used to
-        # run all max_iters iterations
+    @staticmethod
+    def mission_solutions(monkeypatch, arc, port_offset, heading_deg):
+        """Every solve of a 14 s figure-eight mission that starts
+        `port_offset` m to port of the path at `arc` m of arc, turned
+        `heading_deg` to starboard of it."""
         path = figure_eight(20.0)
-        north, east = (float(v) for v in path.point_at(20.584))
+        north, east = (float(v) for v in path.point_at(arc))
         heading = path.project(north, east).path_heading
-        start = VesselState(north=north + 0.491 * math.sin(heading),
-                            east=east - 0.491 * math.cos(heading),
-                            psi=(heading + math.radians(5.076))
+        start = VesselState(north=north + port_offset * math.sin(heading),
+                            east=east - port_offset * math.cos(heading),
+                            psi=(heading + math.radians(heading_deg))
                             % (2 * math.pi))
         solutions = []
 
@@ -474,16 +551,129 @@ class TestSolve:
         monkeypatch.setattr(runner, "solve_nmpc", recorded)
         runner.run_embedded_mission("nmpc", path, duration=14.0,
                                     initial_state=start)
+        return solutions
+
+    def test_mission_solves_end_below_max_iters(self, monkeypatch):
+        # a figure-eight start 0.491 m to port and 5.076 deg to starboard
+        # of the path at 20.584 m of arc: the first warm-started solve,
+        # while the motors still sit in their cold-start delay, used to
+        # run all max_iters iterations
+        solutions = self.mission_solutions(monkeypatch, 20.584, 0.491, 5.076)
         config = NmpcConfig()
         assert len(solutions) == 140
         assert max(sol.iters for sol in solutions) < config.max_iters
         assert sum(sol.converged for sol in solutions) > 100
+
+    def test_mission_takes_about_one_trial_per_iteration(self, monkeypatch):
+        # the start pose of the benchmark's fig8-nmpc seed 1: with the
+        # thrust limits as the box, the full Gauss-Newton step is almost
+        # always accepted, so a line search rarely tries a second step
+        solutions = self.mission_solutions(monkeypatch, 20.434, 0.503, 4.997)
+        iters = sum(sol.iters for sol in solutions)
+        trials = sum(sol.trials for sol in solutions)
+        assert len(solutions) == 140
+        assert iters <= trials <= 1.2 * iters
+        assert all(sol.stop in ("converged", "stalled") for sol in solutions)
+
+    def test_every_stop_reason_is_reached(self, monkeypatch):
+        # a 3 m offset from an east-going line, solved from rest
+        state = VesselState(north=3.0, psi=math.pi / 2, u=0.5)
+
+        def solve(budget_s=None, **config):
+            sol = solve_nmpc(state, EAST_LINE, NmpcConfig(**config), P,
+                             budget_s=budget_s)
+            assert sol.converged == (sol.stop in ("converged", "stalled"))
+            assert sol.iters <= sol.trials
+            return sol
+
+        stops = {}
+        stops["converged"] = solve(grad_tol=1e9)
+        assert stops["converged"].iters == stops["converged"].trials == 0
+        stops["stalled"] = solve(grad_tol=0.0)
+        stops["max_iters"] = solve(max_iters=1)
+        stops["budget"] = solve(budget_s=0.0)
+        assert stops["budget"].iters == 1
+
+        # a Jacobian of the wrong sign points every step uphill, so the
+        # line search backtracks until the step is too short to try
+        jacobian = nmpc._jacobian
+        monkeypatch.setattr(
+            nmpc, "_jacobian", lambda *args: -jacobian(*args))
+        stops["line_search"] = solve()
+        assert stops["line_search"].trials > stops["line_search"].iters
+        assert {name: sol.stop for name, sol in stops.items()} == {
+            name: name for name in STOPS}
+
+    def test_motor_commands_round_trip_through_mix(self):
+        # (x, z) = T m and vessel.mix map the box onto itself: exactly
+        # for dyadic commands, within an ulp otherwise
+        rng = np.random.default_rng(47)
+        for faces in (True, False):
+            motors = box_motors(rng, 400, faces)
+            mixed = np.array([mix(x, z) for x, z
+                              in nmpc._inputs(motors).tolist()])
+            assert np.max(np.abs(mixed - motors)) <= (0.0 if faces
+                                                      else 2.0 ** -52)
+        # every published plan stays in the box image, where mix does
+        # not saturate, and the plans from rest and far off reach its
+        # faces
+        path = figure_eight(20.0)
+        on_face = 0
+        for north, psi, u in ((2.0, 1.3, 0.8), (12.0, 4.0, 0.0),
+                              (-8.0, 0.5, 2.5), (0.0, 2.9, -1.0)):
+            state = VesselState(north=north, psi=psi, u=u)
+            cold = solve_nmpc(state, path, NmpcConfig(), P)
+            warm = solve_nmpc(state, path, NmpcConfig(), P, warm_start=cold,
+                              prev_input=tuple(cold.inputs[0]))
+            for sol in (cold, warm):
+                x, z = sol.inputs.T
+                assert np.all(np.abs(x + z) <= 1.0)
+                assert np.all(np.abs(x - z) <= 1.0)
+                on_face += int(np.sum(np.abs(x + z) == 1.0)
+                               + np.sum(np.abs(x - z) == 1.0))
+        assert on_face > 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NmpcConfig(steps_N=1)
         with pytest.raises(ValueError):
             NmpcConfig(w_ct=-1.0)
+
+
+# each value used to be accepted: a NaN made every solve_nmpc return
+# None (zero thrust), max_iters < 1 the unsolved plan, and a fractional
+# steps_N raised TypeError in every solve
+BAD_NMPC_VALUES = [
+    ("horizon_T", math.nan, "horizon_T"), ("horizon_T", math.inf, "horizon_T"),
+    ("w_ct", math.nan, "w_ct"), ("w_head", math.inf, "w_head"),
+    ("w_du", math.inf, "w_du"), ("ref_speed", math.nan, "ref_speed"),
+    ("ref_speed", math.inf, "ref_speed"), ("max_iters", -3, "max_iters"),
+    ("max_iters", 0, "max_iters"), ("max_iters", 2.5, "max_iters"),
+    ("grad_tol", math.nan, "grad_tol"), ("grad_tol", math.inf, "grad_tol"),
+    ("grad_tol", -1e-3, "grad_tol"), ("steps_N", 20.5, "steps_N")]
+
+
+class TestNmpcConfigValues:
+    @pytest.mark.parametrize("name, value, match", BAD_NMPC_VALUES)
+    def test_rejected(self, name, value, match):
+        with pytest.raises(ValueError, match=match):
+            NmpcConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value, match", BAD_NMPC_VALUES)
+    def test_rejected_at_load(self, tmp_path, name, value, match):
+        # a fractional count already fails its int cast, as `bad value
+        # for max_iters`, with the key lowercased
+        path = tmp_path / "run.ini"
+        path.write_text(f"[nmpc]\n{name.lower()} = {value}\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigFileError, match=f"(?i){match}"):
+            load_config(str(path))
+
+    def test_edge_values_accepted(self):
+        config = NmpcConfig(w_ct=0.0, w_head=0.0, w_speed=0.0, w_u=0.0,
+                            w_du=0.0, ref_speed=-1.0, max_iters=1,
+                            grad_tol=0.0)
+        assert config.max_iters == 1
 
 
 class TestStateFromSynced:
