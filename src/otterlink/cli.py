@@ -101,6 +101,7 @@ def cmd_sim(args) -> int:
     print(f"telemetry -> {cfg.transport.telemetry_endpoint.addr} "
           f"at {cfg.transport.rate_hz:g} Hz, commands <- "
           f"{cfg.transport.command_endpoint.addr}")
+    rejected = 0  # datagrams that do not decode or are not commands
     t0 = time.monotonic()
     try:
         while args.duration is None or time.monotonic() - t0 < args.duration:
@@ -108,7 +109,7 @@ def cmd_sim(args) -> int:
                 try:
                     obc.handle_command(codec.decode_sentence(line))
                 except (codec.CodecError, TypeError):
-                    pass
+                    rejected += 1
             for out in obc.tick(time.monotonic() - t0):
                 broadcaster.send(out)
     except KeyboardInterrupt:
@@ -116,6 +117,8 @@ def cmd_sim(args) -> int:
     finally:
         broadcaster.close()
         listener.close()
+    if rejected:
+        print(f"rejected {rejected} command datagrams", file=sys.stderr)
     return EXIT_OK
 
 

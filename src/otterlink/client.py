@@ -30,7 +30,7 @@ SYNC_TOPICS = ("otter_gps", "otter_imu", "otter_cogsog")
 DEFAULT_SLOP = 0.06  # s, at the 10 Hz telemetry operating point
 
 
-class UsageError(ValueError):
+class TopicError(ValueError):
     """Bad topic name or topic/payload mismatch."""
 
 
@@ -62,12 +62,12 @@ class ApproxTimeSync:
                  callback: Callable[[SyncedSample], None]):
         topics = tuple(topics)
         if not topics:
-            raise UsageError("empty synchronization topic set")
+            raise TopicError("empty synchronization topic set")
         bad = set(topics) - set(SYNC_TOPICS)
         if bad:
-            raise UsageError(f"cannot synchronize topics: {sorted(bad)}")
+            raise TopicError(f"cannot synchronize topics: {sorted(bad)}")
         if slop <= 0:
-            raise UsageError("slop must be positive")
+            raise TopicError("slop must be positive")
         self.topics = topics
         self.slop = slop
         self.callback = callback
@@ -107,9 +107,9 @@ class TopicGateway:
     def subscribe(self, topic: str,
                   consumer: Callable[[TopicSample], None]) -> None:
         if topic in _COMMAND_TYPE:
-            raise UsageError(f"cannot subscribe to command topic {topic!r}")
+            raise TopicError(f"cannot subscribe to command topic {topic!r}")
         if topic not in TELEMETRY_TOPICS:
-            raise UsageError(f"unknown topic {topic!r}")
+            raise TopicError(f"unknown topic {topic!r}")
         self._subs.setdefault(topic, []).append(consumer)
 
     def synchronize(self, topics: Iterable[str], slop: float,
@@ -135,14 +135,14 @@ class TopicGateway:
         """Encode and relay one command; returns the wire line sent."""
         expected = _COMMAND_TYPE.get(topic)
         if expected is None:
-            raise UsageError(f"not a command topic: {topic!r}")
+            raise TopicError(f"not a command topic: {topic!r}")
         if not isinstance(payload, expected):
-            raise UsageError(
+            raise TopicError(
                 f"topic {topic!r} expects {expected.__name__}, "
                 f"got {type(payload).__name__}")
         line = codec.encode_sentence(payload)  # raises before anything is sent
         if self._command_sender is None:
-            raise UsageError("gateway has no command sender attached")
+            raise TopicError("gateway has no command sender attached")
         self._command_sender(line)
         return line
 

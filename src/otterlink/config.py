@@ -61,6 +61,17 @@ class VesselSection:
     current_east: float = 0.0
     params: VesselParams = field(default_factory=VesselParams)
 
+    def __post_init__(self):
+        # comparisons that NaN fails, so NaN is rejected too; a mission
+        # that crosses the antimeridian is out of scope
+        if not -90.0 < self.origin_lat < 90.0:
+            raise ValueError("origin_lat must be in (-90, 90)")
+        if not -180.0 <= self.origin_lon <= 180.0:
+            raise ValueError("origin_lon must be in [-180, 180]")
+        for name in ("current_north", "current_east"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite")
+
     @property
     def env(self) -> EnvDisturbance:
         return EnvDisturbance(self.current_north, self.current_east)

@@ -23,15 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .vessel import DEFAULT_V_MAX
+
+
 @dataclass(frozen=True)
 class LosConfig:
     lookahead: float = 8.0      # m
     accept_radius: float = 2.0  # m
-    speed: float = 1.0          # m/s
+    speed: float = 1.0          # m/s, at most the wire's DEFAULT_V_MAX
 
     def __post_init__(self):
-        if self.lookahead <= 0 or self.accept_radius <= 0:
-            raise ValueError("lookahead and accept_radius must be positive")
+        # comparisons that NaN fails, so NaN is rejected too
+        for name in ("lookahead", "accept_radius"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.speed <= DEFAULT_V_MAX:
+            raise ValueError(f"speed must be in [0, {DEFAULT_V_MAX:g}] m/s")
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,8 @@ class PolylinePath:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError("path needs at least 2 (north, east) points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("path points must be finite")
         if closed and np.allclose(pts[0], pts[-1]):
             pts = pts[:-1]
         self.points = pts
@@ -101,10 +110,10 @@ class PolylinePath:
         c. Every segment with dist(c) <= min + D + slack is kept, the
         slack covering rounding in the computed distances. Returns None
         (full kernel only) when cells x segments exceeds its cap or the
-        path's coordinates are not finite and moderate.
+        path's coordinates are not moderate.
         """
         lo, hi = self.points.min(axis=0), self.points.max(axis=0)
-        if not np.abs([lo, hi]).max() < _MAX_COORD:  # NaN fails too
+        if not np.abs([lo, hi]).max() < _MAX_COORD:
             return None
         n_seg = len(self._lengths)
         # upper median by sort: np.median imports numpy.ma, ~10 ms cold

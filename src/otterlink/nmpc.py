@@ -1,43 +1,40 @@
 """Receding-horizon path-following controller.
 
 Single-shooting formulation over the normalized motor commands
-m_k = (port, starboard) in [-1, 1]^2, N steps of dt = T/N, integrated
-with the same RK4 model the simulator uses (no disturbance). The plan
-is published as the surge and torque commands w_k = (x, z) = T m_k,
-T = 1/2 [[1, 1], [1, -1]], which `vessel.mix` maps back to m_k
-without saturating: the box [-1, 1]^2 is one-to-one with every motor
-output that (x, z) in [-1, 1]^2 can reach. Stage cost per predicted
-state k = 1..N:
+m_k = (port, starboard) in [-1, 1]^2, the model's inputs: N steps of
+dt = T/N under thrusts F_max m_k, integrated with the same RK4 model
+the simulator uses (no disturbance). Stage cost per predicted state
+k = 1..N:
 
     w_ct e_ct(k)^2 + w_head (1 - cos(psi_k - psi_path(k)))
         + w_speed (u_k - ref_speed)^2
 
-plus input effort and input-rate terms on the (x, z) commands
+plus effort and rate terms on the surge and torque commands T m_k,
+T = 1/2 [[1, 1], [1, -1]]:
 
-    w_u |w_k|^2 + w_du |w_k - w_{k-1}|^2     (w_{-1} = last applied input).
+    w_u |T m_k|^2 + w_du |T (m_k - m_{k-1})|^2   (m_{-1} = last applied),
 
-Since 1 - cos d = 2 sin^2(d/2), the objective is a sum of squares
-r.r over 7N residuals, and every cost, slope and curvature in the
-solver comes from that one residual vector. The solver is
-box-constrained Gauss-Newton over the motor commands M in
-[-1, 1]^(2N), so the thrust limits are the box: inside it no motor
-saturates, and the thrusts F_max m make the Jacobian exact everywhere
-in it, faces included. The Jacobian is built in (x, z), for all N RK4
-steps at once from their stage points, and reaches the motors through
-the fixed map, J_m = J_w (I_N kron T). Each iteration minimizes
-|r + J_m d|^2 over the box by a small primal active-set method and
-backtracks along d with an Armijo test against the model's predicted
-decrease. A trial's rollout, projection and residuals are reused for
-the next linearization. A solve ends `converged` when no entry of the
-projected gradient reaches grad_tol, `stalled` when an accepted step
-improves the cost by at most 1e-3 (1 + cost), `line_search` when no
-step along the direction lowers the cost, `budget` past its wall-clock
-budget and `max_iters` after max_iters iterations.
+which are (w_u/2) |m_k|^2 + (w_du/2) |m_k - m_{k-1}|^2, as T^T T = I/2.
+Since 1 - cos d = 2 sin^2(d/2), the objective is a sum of squares r.r
+over 7N residuals, and every cost, slope and curvature in the solver
+comes from that one residual vector. The solver is box-constrained
+Gauss-Newton over the plan M in [-1, 1]^(2N), so the thrust limits are
+the box and the Jacobian, built for all N RK4 steps at once from their
+stage points, is exact everywhere in it, faces included. Each iteration
+minimizes |r + J d|^2 over the box by a small primal active-set method
+and backtracks along d with an Armijo test against the model's
+predicted decrease. A trial's rollout, projection and residuals are
+reused for the next linearization. A solve ends `converged` when no
+entry of the projected gradient reaches grad_tol, `stalled` when an
+accepted step improves the cost by at most 1e-3 (1 + cost),
+`line_search` when no step along the direction lowers the cost,
+`budget` past its wall-clock budget and `max_iters` after max_iters
+iterations. The plan is published as (x, z) = T m (`vessel.unmix`),
+which the OBC's `vessel.mix` maps back to m.
 
 `cost_of_inputs` and `cost_gradient`, which the solver does not call,
-wrap the solver's own evaluation in (x, z): the cost r.r and its
-gradient 2 J_w^T r, exact on the box image |x +/- z| <= 1 and
-one-sided on its faces.
+wrap the solver's own evaluation of a motor command sequence: the cost
+r.r and its gradient 2 J^T r.
 """
 
 from __future__ import annotations
@@ -50,8 +47,8 @@ import numpy as np
 
 from . import geo
 from .guidance import PolylinePath
-from .vessel import (VesselParams, VesselState, dynamics_deriv, mix,
-                     rk4_step, wrap_2pi)
+from .vessel import (VesselParams, VesselState, dynamics_deriv, rk4_step,
+                     wrap_2pi)
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ STOPS = ("converged", "stalled", "max_iters", "budget", "line_search")
 
 @dataclass(frozen=True)
 class ControlSolution:
-    inputs: np.ndarray     # (N, 2) of (x, z), with |x +/- z| <= 1
+    motors: np.ndarray     # (N, 2) of (port, starboard) in [-1, 1]
     predicted: np.ndarray  # (N+1, 6) states; predicted[0] = measured
     cost: float
     iters: int
@@ -109,15 +106,14 @@ def state_vector(state: VesselState) -> np.ndarray:
                      state.u, state.v, state.r])
 
 
-def predict(y0: np.ndarray, inputs: np.ndarray, config: NmpcConfig,
+def predict(y0: np.ndarray, motors: np.ndarray, config: NmpcConfig,
             params: VesselParams) -> np.ndarray:
-    """RK4 rollout of the nominal model; identical stepping to the
-    simulator's step_dynamics for matching dt."""
+    """RK4 rollout of the nominal model, thrusts F_max m; identical
+    stepping to the simulator's step_dynamics for matching dt."""
     dt = config.dt
     y = tuple(float(v) for v in y0)
     rows = [y]
-    for x, z in np.asarray(inputs, dtype=float).tolist():
-        port, stbd = mix(x, z)
+    for port, stbd in np.asarray(motors, dtype=float).tolist():
         y = rk4_step(y, params.F_max * port, params.F_max * stbd, 0.0, 0.0,
                      params, dt)
         y = (y[0], y[1], wrap_2pi(y[2]), y[3], y[4], y[5])
@@ -128,19 +124,9 @@ def predict(y0: np.ndarray, inputs: np.ndarray, config: NmpcConfig,
     return states
 
 
-def _project(u: np.ndarray) -> np.ndarray:
-    return np.clip(u, -1.0, 1.0)
-
-
-def _inputs(motors: np.ndarray) -> np.ndarray:
-    """(x, z) rows of (port, starboard) motor command rows: w = T m."""
-    port, stbd = motors[:, 0], motors[:, 1]
-    return np.column_stack([0.5 * (port + stbd), 0.5 * (port - stbd)])
-
-
 def shift_warm_start(previous: ControlSolution) -> np.ndarray:
-    """Previous plan shifted one step, last input repeated."""
-    return np.vstack([previous.inputs[1:], previous.inputs[-1:]])
+    """Previous plan shifted one step, last command repeated."""
+    return np.vstack([previous.motors[1:], previous.motors[-1:]])
 
 
 def _heading_error(states: np.ndarray, psi_path) -> np.ndarray:
@@ -148,23 +134,23 @@ def _heading_error(states: np.ndarray, psi_path) -> np.ndarray:
     return math.pi - (math.pi - (states[1:, 2] - psi_path)) % (2.0 * math.pi)
 
 
-def _residuals(states: np.ndarray, inputs: np.ndarray, e_ct, psi_path,
-               config: NmpcConfig, prev_input) -> np.ndarray:
+def _residuals(states: np.ndarray, motors: np.ndarray, e_ct, psi_path,
+               config: NmpcConfig, prev_motors) -> np.ndarray:
     """The 7N residuals whose squares sum to the objective, given the
     path projection (e_ct, psi_path) of predicted states 1..N: per
     state sqrt(w_ct) e_ct, sqrt(2 w_head) sin(d/2) with d = psi -
     psi_path wrapped to (-pi, pi], and sqrt(w_speed) (u - ref_speed);
-    then sqrt(w_u) w_k and sqrt(w_du) (w_k - w_{k-1}), inputs flattened
-    row by row."""
+    then sqrt(w_u/2) m_k and sqrt(w_du/2) (m_k - m_{k-1}), motors
+    flattened row by row."""
     d = _heading_error(states, psi_path)
-    prev = np.asarray(prev_input, dtype=float)
-    diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
+    prev = np.asarray(prev_motors, dtype=float)
+    diffs = np.diff(np.vstack([prev[None, :], motors]), axis=0)
     return np.concatenate([
         math.sqrt(config.w_ct) * e_ct,
         math.sqrt(2.0 * config.w_head) * np.sin(0.5 * d),
         math.sqrt(config.w_speed) * (states[1:, 3] - config.ref_speed),
-        math.sqrt(config.w_u) * inputs.ravel(),
-        math.sqrt(config.w_du) * diffs.ravel()])
+        math.sqrt(0.5 * config.w_u) * motors.ravel(),
+        math.sqrt(0.5 * config.w_du) * diffs.ravel()])
 
 
 def _stage_jacobians(psi, u, v, r, p: VesselParams) -> np.ndarray:
@@ -192,26 +178,24 @@ def _stage_jacobians(psi, u, v, r, p: VesselParams) -> np.ndarray:
     return A
 
 
-def _rollout_jacobian(states: np.ndarray, inputs: np.ndarray,
+def _rollout_jacobian(states: np.ndarray, motors: np.ndarray,
                       config: NmpcConfig, p: VesselParams) -> np.ndarray:
-    """d(state k+1)/d(inputs flattened) for k = 0..N-1, as (N, 6, 2N),
-    for inputs in the box image |x +/- z| <= 1, where no motor
-    saturates.
+    """d(state k+1)/d(motors flattened) for k = 0..N-1, as (N, 6, 2N).
 
     All N RK4 steps at once: their stage points are (N,) arrays, the
-    stage Jacobians [df/dy | df/dw] (N, 6, 8) chain through batched
-    matmuls into each step's A_k = dy'/dy and B_k = dy'/dw, and then
+    stage Jacobians [df/dy | df/dm] (N, 6, 8) chain through batched
+    matmuls into each step's A_k = dy'/dy and B_k = dy'/dm, and then
     S_{k+1} = A_k S_k with B_k in columns 2k, 2k+1.
     """
-    n, dt = len(inputs), config.dt
+    n, dt = len(motors), config.dt
     h = 0.5 * dt
-    x, z = inputs.T
-    fp, fs = p.F_max * (x + z), p.F_max * (x - z)
-    # the thrusts enter u' and r' only: x through their sum, z through
+    fp, fs = p.F_max * motors.T
+    # the thrusts enter u' and r' only: u' through their sum, r' through
     # their difference
-    B = np.zeros((6, 8))  # [0 | df/dw]
-    B[3, 6] = 2.0 * p.F_max / p.m11
-    B[5, 7] = 2.0 * p.lever * p.F_max / p.m33
+    B = np.zeros((6, 8))  # [0 | df/dm]
+    B[3, 6:] = p.F_max / p.m11
+    B[5, 6] = p.lever * p.F_max / p.m33
+    B[5, 7] = -B[5, 6]
     E = np.eye(6, 8)  # [I | 0]
 
     # stage points y1 = y, y2 = y + h k1, y3 = y + h k2, y4 = y + dt k3,
@@ -222,7 +206,7 @@ def _rollout_jacobian(states: np.ndarray, inputs: np.ndarray,
         points.append(points[0] + step * np.array(k))
     A = _stage_jacobians(*np.concatenate(points, axis=1)[2:], p)
     A = A.reshape(4, n, 6, 6)
-    # K_i = [dk_i/dy | dk_i/dw] = A_i (E + step K_{i-1}) + B
+    # K_i = [dk_i/dy | dk_i/dm] = A_i (E + step K_{i-1}) + B
     K = A[0] @ E + B
     total = K.copy()
     for i, (step, weight) in enumerate(((h, 2.0), (h, 2.0), (dt, 1.0)), 1):
@@ -240,13 +224,12 @@ def _rollout_jacobian(states: np.ndarray, inputs: np.ndarray,
     return sens
 
 
-def _jacobian(states: np.ndarray, inputs: np.ndarray, port, psi_path,
+def _jacobian(states: np.ndarray, motors: np.ndarray, port, psi_path,
               config: NmpcConfig, params: VesselParams) -> np.ndarray:
-    """d(_residuals)/d(inputs flattened), (7N, 2N), on the box image
-    |x +/- z| <= 1; e_ct moves along the port normal of its segment and
-    psi_path is constant per segment."""
-    n = len(inputs)
-    sens = _rollout_jacobian(states, inputs, config, params)
+    """d(_residuals)/d(motors flattened), (7N, 2N); e_ct moves along the
+    port normal of its segment and psi_path is constant per segment."""
+    n = len(motors)
+    sens = _rollout_jacobian(states, motors, config, params)
     half_cos = 0.5 * np.cos(0.5 * _heading_error(states, psi_path))
     eye = np.eye(2 * n)
     return np.concatenate([
@@ -254,8 +237,8 @@ def _jacobian(states: np.ndarray, inputs: np.ndarray, port, psi_path,
                                   + port[:, 1:2] * sens[:, 1]),
         math.sqrt(2.0 * config.w_head) * half_cos[:, None] * sens[:, 2],
         math.sqrt(config.w_speed) * sens[:, 3],
-        math.sqrt(config.w_u) * eye,
-        math.sqrt(config.w_du) * (eye - np.eye(2 * n, k=-2))])
+        math.sqrt(0.5 * config.w_u) * eye,
+        math.sqrt(0.5 * config.w_du) * (eye - np.eye(2 * n, k=-2))])
 
 
 def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
@@ -301,33 +284,28 @@ def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
     return d
 
 
-def _evaluate(y0, inputs, path: PolylinePath, config: NmpcConfig,
-              params: VesselParams, prev_input):
-    """Rollout, path projection, residuals r and cost r.r of one input
-    sequence."""
-    states = predict(y0, inputs, config, params)
+def _evaluate(y0, motors, path: PolylinePath, config: NmpcConfig,
+              params: VesselParams, prev_motors):
+    """Rollout, path projection, residuals r and cost r.r of one motor
+    command sequence."""
+    states = predict(y0, motors, config, params)
     e_ct, psi_path, port = path.project_many(states[1:, :2])
-    r = _residuals(states, inputs, e_ct, psi_path, config, prev_input)
+    r = _residuals(states, motors, e_ct, psi_path, config, prev_motors)
     return states, (e_ct, psi_path, port), r, float(r @ r)
 
 
 def cost_of_inputs(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
                    config: NmpcConfig, params: VesselParams,
                    prev_input) -> float:
-    """The cost r.r of an (x, z) input sequence, mixed as the simulator
-    mixes it, so past the box image |x +/- z| <= 1 a motor saturates;
-    on the box image it is the solver's cost of the motor commands
-    (x + z, x - z)."""
+    """The solver's cost r.r of an (N, 2) motor command sequence."""
     return _evaluate(y0, inputs, path, config, params, prev_input)[3]
 
 
 def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
                   config: NmpcConfig, params: VesselParams,
                   prev_input) -> tuple[float, np.ndarray]:
-    """Exact (cost, d cost / d inputs) as 2 J^T r at the rollout, for
-    inputs in the box image |x +/- z| <= 1 (one-sided on its faces),
-    the solver's whole domain; past it a motor saturates and the
-    gradient is not that of the cost."""
+    """Exact (cost, d cost / d inputs) of an (N, 2) motor command
+    sequence, as 2 J^T r at the rollout."""
     states, (_, psi_path, port), r, c = _evaluate(y0, inputs, path, config,
                                                   params, prev_input)
     J = _jacobian(states, inputs, port, psi_path, config, params)
@@ -337,7 +315,7 @@ def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
 def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
                params: VesselParams,
                warm_start: ControlSolution | None = None,
-               prev_input=(0.0, 0.0),
+               prev_motors=(0.0, 0.0),
                budget_s: float | None = None) -> ControlSolution | None:
     """Box-constrained Gauss-Newton solve over the motor commands;
     returns None on numeric failure. Past `budget_s` seconds of wall
@@ -346,26 +324,22 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
     t_start = time.perf_counter()
     y0 = state_vector(state)
     n = config.steps_N
-    if warm_start is not None and len(warm_start.inputs) == n:
-        motors = np.array([mix(x, z) for x, z
-                           in shift_warm_start(warm_start).tolist()])
+    if warm_start is not None and len(warm_start.motors) == n:
+        motors = shift_warm_start(warm_start)
     else:
         motors = np.zeros((n, 2))
-    inputs = _inputs(motors)
     try:
         states, (_, psi_path, port), r, c = _evaluate(
-            y0, inputs, path, config, params, prev_input)
+            y0, motors, path, config, params, prev_motors)
     except FloatingPointError:
         return None
-    to_inputs = np.kron(np.eye(n), _inputs(np.eye(2)))  # I_N kron T
     iters = trials = 0
     stop = "max_iters"
     while iters < config.max_iters:
-        J = _jacobian(states, inputs, port, psi_path, config,
-                      params) @ to_inputs
+        J = _jacobian(states, motors, port, psi_path, config, params)
         half_grad = J.T @ r
         flat = motors.ravel()
-        if (np.max(np.abs(flat - _project(flat - 2.0 * half_grad)))
+        if (np.max(np.abs(flat - np.clip(flat - 2.0 * half_grad, -1.0, 1.0)))
                 < config.grad_tol):
             stop = "converged"  # the projected gradient vanishes
             break
@@ -379,12 +353,11 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
         slope, curve = 2.0 * float(r @ Jd), float(Jd @ Jd)
         alpha = 1.0
         while alpha > 1e-3:
-            trial_motors = _project(motors + alpha * step)
-            trial_inputs = _inputs(trial_motors)
+            trial_motors = np.clip(motors + alpha * step, -1.0, 1.0)
             trials += 1
             try:
-                trial = _evaluate(y0, trial_inputs, path, config, params,
-                                  prev_input)
+                trial = _evaluate(y0, trial_motors, path, config, params,
+                                  prev_motors)
             except FloatingPointError:
                 return None
             # Armijo against the model's decrease |r|^2 - |r + a J d|^2
@@ -400,7 +373,7 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
             stop = "line_search"
             break
         improvement = c - trial[3]
-        motors, inputs = trial_motors, trial_inputs
+        motors = trial_motors
         states, (_, psi_path, port), r, c = trial
         if improvement <= 1e-3 * (1.0 + abs(c)):
             stop = "stalled"
@@ -408,7 +381,7 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
         if budget_s is not None and time.perf_counter() - t_start > budget_s:
             stop = "budget"
             break
-    return ControlSolution(inputs=inputs, predicted=states, cost=c,
+    return ControlSolution(motors=motors, predicted=states, cost=c,
                            iters=iters,
                            solve_time=time.perf_counter() - t_start,
                            converged=stop in STOPS[:2], stop=stop,

@@ -19,7 +19,7 @@ from .guidance import LapTracker, LosConfig, PolylinePath, los_guidance
 from .logbag import LogRecord, LogWriter
 from .nmpc import NmpcConfig, solve_nmpc, state_from_synced
 from .obc import SIM_DT, OtterObc
-from .vessel import EnvDisturbance, VesselParams, VesselState
+from .vessel import EnvDisturbance, VesselParams, VesselState, unmix
 
 CONTROL_HZ = 10.0
 STALE_AFTER = 1.0       # s without a synced sample -> controller pauses
@@ -41,7 +41,7 @@ class NmpcController:
         self.event_log = event_log  # callable(name, detail) or None
         self._latest = None
         self._prev_solution = None
-        self._applied = (0.0, 0.0)
+        self._applied = (0.0, 0.0)  # (port, starboard) motor commands
         self._fail_count = 0
         self._in_dropout = False
         self.dropout_events = 0
@@ -56,9 +56,11 @@ class NmpcController:
         if self.event_log is not None:
             self.event_log(name, detail)
 
-    def _publish(self, x: float, z: float) -> None:
-        self.gateway.publish_command(
-            "control_cmds", codec.ManualCmd(float(x), 0.0, float(z)))
+    def _publish(self) -> None:
+        """Publish the applied motor commands as surge and torque."""
+        x, z = unmix(*self._applied)
+        self.gateway.publish_command("control_cmds",
+                                     codec.ManualCmd(x, 0.0, z))
 
     def step(self, now: float, deadline: float | None = None) -> None:
         """One control step at `now`; the solve stops iterating
@@ -72,27 +74,26 @@ class NmpcController:
                 self.dropout_events += 1
                 self._log_event("dropout", f"no synced telemetry at t={now:.2f}")
             self._applied = (0.0, 0.0)
-            self._publish(0.0, 0.0)
+            self._publish()
             return
         self._in_dropout = False
         state = state_from_synced(sample, *self.origin)
         budget = None if deadline is None else deadline - now - SOLVE_RESERVE_S
         solution = solve_nmpc(state, self.path, self.config, self.params,
                               warm_start=self._prev_solution,
-                              prev_input=self._applied, budget_s=budget)
+                              prev_motors=self._applied, budget_s=budget)
         if solution is None:
             self._fail_count += 1
             if self._fail_count >= FAILSAFE_AFTER:
                 self._applied = (0.0, 0.0)
-            self._publish(*self._applied)
+            self._publish()
             return
         self._fail_count = 0
         self._prev_solution = solution
-        self._applied = (float(solution.inputs[0, 0]),
-                         float(solution.inputs[0, 1]))
+        self._applied = tuple(solution.motors[0].tolist())
         self.solve_times.append(solution.solve_time)
         self.solve_iters.append(solution.iters)
-        self._publish(*self._applied)
+        self._publish()
 
 
 class LosBaselineController:

@@ -53,8 +53,10 @@ class VesselParams:
     def __post_init__(self):
         for name in ("m11", "m22", "m33", "d1u", "d2u", "d1v", "d1r",
                      "F_max", "lever", "v_max", "startup_delay", "motor_tau"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"VesselParams.{name} must be positive")
+            # a comparison that NaN fails, so NaN is rejected too
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"VesselParams.{name} must be positive and finite")
         lhs = 2.0 * self.F_max
         rhs = self.d1u * self.v_max + self.d2u * self.v_max ** 2
         if abs(lhs - rhs) > 1e-6 * lhs:
@@ -109,6 +111,13 @@ def mix(x_norm: float, z_norm: float) -> tuple[float, float]:
     motor's output follows its input exactly where |output| < 1.
     """
     return saturate(x_norm + z_norm), saturate(x_norm - z_norm)
+
+
+def unmix(port: float, stbd: float) -> tuple[float, float]:
+    """Normalized (port, starboard) motor commands in [-1, 1] to the
+    surge/torque commands (x, z) = T (port, starboard), T = 1/2 [[1, 1],
+    [1, -1]], that `mix` maps back to them without saturating."""
+    return 0.5 * (port + stbd), 0.5 * (port - stbd)
 
 
 def apply_motor_lag(motor: MotorState, target: float, dt: float,

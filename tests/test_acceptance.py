@@ -250,19 +250,16 @@ def test_criterion_07_gradient_check():
                             u=rng.uniform(-0.5, 2.5),
                             v=rng.uniform(-0.4, 0.4),
                             r=rng.uniform(-0.5, 0.5))
-        # keep |x +/- z| off the saturation kink where the cost is only
-        # directionally differentiable
-        x = rng.uniform(-0.45, 0.45, size=(config.steps_N, 1))
-        z = rng.uniform(-0.45, 0.45, size=(config.steps_N, 1))
-        inputs = np.hstack([x, z])
-        prev = (float(rng.uniform(-0.4, 0.4)), float(rng.uniform(-0.4, 0.4)))
+        # motor commands over the whole box, where the cost is smooth
+        motors = rng.uniform(-1, 1, size=(config.steps_N, 2))
+        prev = (float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
         y0 = state_vector(state)
-        _, grad = cost_gradient(y0, inputs, path, config, PARAMS, prev)
-        fd = np.zeros_like(inputs)
+        _, grad = cost_gradient(y0, motors, path, config, PARAMS, prev)
+        fd = np.zeros_like(motors)
         eps = 1e-6
         for k in range(config.steps_N):
             for j in range(2):
-                up, dn = inputs.copy(), inputs.copy()
+                up, dn = motors.copy(), motors.copy()
                 up[k, j] += eps
                 dn[k, j] -= eps
                 fd[k, j] = (cost_of_inputs(y0, up, path, config, PARAMS, prev)
@@ -288,7 +285,7 @@ def test_criterion_08_solve_time_budget():
     rng = np.random.default_rng(4)
     times = []
     previous = None
-    prev_input = (0.0, 0.0)
+    prev_motors = (0.0, 0.0)
     for i in range(150):
         s = (i / 150.0) * path.length
         pt = path.point_at(s)
@@ -301,11 +298,11 @@ def test_criterion_08_solve_time_budget():
                             v=rng.uniform(-0.1, 0.1),
                             r=rng.uniform(-0.2, 0.2))
         sol = solve_nmpc(state, path, config, PARAMS, warm_start=previous,
-                         prev_input=prev_input, budget_s=0.09)
+                         prev_motors=prev_motors, budget_s=0.09)
         assert sol is not None
         times.append(sol.solve_time)
         previous = sol
-        prev_input = tuple(sol.inputs[0])
+        prev_motors = tuple(sol.motors[0])
     arr = np.sort(np.array(times))
     mean = float(np.mean(arr))
     p99 = float(arr[int(0.99 * len(arr))])

@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from otterlink import cli, codec
+from otterlink import cli, codec, transport
 from otterlink.cli import (EXIT_CONFIG, EXIT_CONNECT, EXIT_NUMERIC, EXIT_OK,
                            EXIT_ORDERING, main)
 from otterlink.logbag import LogRecord, LogWriter, read_records
@@ -161,6 +161,41 @@ EXIT_CODE_MATRIX = [
     pytest.param("run --embedded", "[bench]\nduration = 1\n[nmpc]\nw_ct = nan",
                  EXIT_CONFIG, "config error: weight w_ct",
                  id="nmpc-nan-weight"),
+    # each used to end in a codec.RangeError traceback (exit 1), a
+    # numeric fault (exit 4) or a mission that ran to its end (exit 0)
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[los]\nspeed = 5.0",
+                 EXIT_CONFIG, "config error: speed must be in", id="los-speed-past-wire"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[los]\nspeed = -1",
+                 EXIT_CONFIG, "config error: speed must be in", id="los-negative-speed"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[los]\nspeed = nan",
+                 EXIT_CONFIG, "config error: speed must be in", id="los-nan-speed"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[los]\nlookahead = nan",
+                 EXIT_CONFIG, "config error: lookahead", id="los-nan-lookahead"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[vessel]\norigin_lat = 95",
+                 EXIT_CONFIG, "config error: origin_lat", id="vessel-lat-past-pole"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[vessel]\norigin_lat = nan",
+                 EXIT_CONFIG, "config error: origin_lat", id="vessel-nan-lat"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[vessel]\norigin_lat = 90",
+                 EXIT_CONFIG, "config error: origin_lat", id="vessel-lat-at-pole"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[vessel]\norigin_lon = 200",
+                 EXIT_CONFIG, "config error: origin_lon", id="vessel-lon-past-180"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[vessel]\ncurrent_north = nan",
+                 EXIT_CONFIG, "config error: current_north", id="vessel-nan-current"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[vessel]\nm11 = nan",
+                 EXIT_CONFIG, "config error: VesselParams.m11", id="vessel-nan-m11"),
+    pytest.param("run --embedded --controller baseline",
+                 "[bench]\nduration = 1\n[vessel]\nmotor_tau = inf",
+                 EXIT_CONFIG, "config error: VesselParams.motor_tau", id="vessel-infinite-motor-tau"),
     pytest.param("replay {log} --speed nan", "",
                  EXIT_CONFIG, "usage error: speed_factor must be finite",
                  id="replay-speed-nan"),
@@ -301,6 +336,40 @@ class TestConfigReachesTheSimulator:
         # drifting with no current, the vessel stays at its origin
         assert (fix.lat, fix.lon) == pytest.approx((44.0, -75.5), abs=1e-6)
 
+    def test_sim_reports_rejected_commands(self, tmp_path, capsys,
+                                           monkeypatch):
+        # a corrupt line and a telemetry sentence reach the command port
+        port = free_port()
+        bound = threading.Event()
+        listener = transport.UdpListener
+
+        def signalling_listener(*args, **kwargs):
+            made = listener(*args, **kwargs)
+            bound.set()
+            return made
+
+        def send():
+            if not bound.wait(5.0):
+                return
+            pos = codec.encode_sentence(
+                codec.PosReport(43200.0, 45.0, -76.0, 0.0, 1.0, 0.0))
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                for line in ("$POTCMD,garbage*00\r\n", pos):
+                    sock.sendto(line.encode("ascii"), ("127.0.0.1", port))
+
+        monkeypatch.setattr(transport, "UdpListener", signalling_listener)
+        cfg = write_config(tmp_path, f"[transport]\ntelem_port = "
+                                     f"{free_port()}\ncmd_port = {port}\n")
+        sender = threading.Thread(target=send)
+        sender.start()
+        try:
+            code = main(["--config", cfg, "sim", "--duration", "1.0"])
+        finally:
+            bound.set()
+            sender.join()
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == "rejected 2 command datagrams\n"
+
     def test_bench_rows_equal_embedded_runs_under_a_dropout(self, tmp_path,
                                                             capsys):
         cfg = write_config(tmp_path, FAST_BENCH + "dropout_start = 2\n")
@@ -377,6 +446,19 @@ class TestEmbeddedRun:
         waypoints.write_text("0,0\nnot-a-number\n", encoding="utf-8")
         assert main(["run", "--embedded", "--path", str(waypoints)]) \
             == EXIT_CONFIG
+
+    @pytest.mark.parametrize("point", ["nan,5", "inf,5", "0,-inf"])
+    def test_non_finite_waypoint_is_a_config_error(self, tmp_path, capsys,
+                                                   point):
+        # nan,5 used to run a mission with rms 0.0, inf,5 one with nan
+        waypoints = tmp_path / "bad.txt"
+        waypoints.write_text(f"0,0\n{point}\n0,30\n", encoding="utf-8")
+        cfg = write_config(tmp_path, "[bench]\nduration = 1\n")
+        assert main(["--config", cfg, "run", "--embedded",
+                     "--path", str(waypoints)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert err.startswith("config error: bad waypoint file")
+        assert "must be finite" in err and out == ""
 
 
 class TestReplayCommand:

@@ -5,10 +5,10 @@ import time
 
 import pytest
 
-from otterlink import codec, transport
+from otterlink import cli, client, codec, transport
 from otterlink.client import (ApproxTimeSync, BackseatClient, DEFAULT_SLOP,
-                              SYNC_TOPICS, TopicGateway, TopicSample,
-                              UsageError)
+                              SYNC_TOPICS, TopicError, TopicGateway,
+                              TopicSample)
 from otterlink.obc import SIM_DT, OtterObc
 
 
@@ -45,13 +45,21 @@ class TestGatewayDispatch:
 
     def test_subscribe_command_topic_rejected(self):
         gw = TopicGateway()
-        with pytest.raises(UsageError):
+        with pytest.raises(TopicError):
             gw.subscribe("control_cmds", lambda s: None)
 
     def test_subscribe_unknown_topic_rejected(self):
         gw = TopicGateway()
-        with pytest.raises(UsageError):
+        with pytest.raises(TopicError):
             gw.subscribe("otter_sonar", lambda s: None)
+
+    def test_topic_error_is_not_the_command_line_usage_error(self):
+        # one name per kind: a caller catching cli.UsageError does not
+        # catch a bad topic by accident, nor the reverse
+        assert not issubclass(TopicError, cli.UsageError)
+        assert not issubclass(cli.UsageError, TopicError)
+        assert issubclass(TopicError, ValueError)
+        assert not hasattr(client, "UsageError")
 
     def test_corrupt_line_counts_but_does_not_raise(self):
         gw = TopicGateway()
@@ -72,7 +80,7 @@ class TestPublish:
     def test_wrong_payload_type_rejected_before_send(self):
         sent = []
         gw = TopicGateway(command_sender=sent.append)
-        with pytest.raises(UsageError):
+        with pytest.raises(TopicError):
             gw.publish_command("drift_cmds", codec.ManualCmd(0, 0, 0))
         assert sent == []
 
@@ -85,7 +93,7 @@ class TestPublish:
 
     def test_not_a_command_topic(self):
         gw = TopicGateway(command_sender=lambda line: None)
-        with pytest.raises(UsageError):
+        with pytest.raises(TopicError):
             gw.publish_command("otter_gps", codec.DriftCmd(True))
 
 
@@ -148,11 +156,11 @@ class TestApproxTimeSync:
         assert len(out) == 1
 
     def test_bad_construction_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(TopicError):
             ApproxTimeSync((), 0.06, lambda s: None)
-        with pytest.raises(UsageError):
+        with pytest.raises(TopicError):
             ApproxTimeSync(("otter_status",), 0.06, lambda s: None)
-        with pytest.raises(UsageError):
+        with pytest.raises(TopicError):
             ApproxTimeSync(SYNC_TOPICS, 0.0, lambda s: None)
 
     def test_matches_oracle_on_random_traces(self):

@@ -160,11 +160,30 @@ class TestRejection:
         ("nmpc", "steps_n", "1", "steps_N >= 2"),
         ("nmpc", "w_ct", "-1", "weight w_ct"),
         ("los", "lookahead", "0", "must be positive"),
-        ("vessel", "m33", "0", "m33 must be positive")])
+        ("vessel", "m33", "0", "m33 must be positive"),
+        # non-finite and out-of-range values that used to load
+        ("los", "lookahead", "inf", "lookahead"),
+        ("los", "accept_radius", "nan", "accept_radius"),
+        ("los", "speed", "3.001", "speed"),
+        ("vessel", "origin_lat", "-90", "origin_lat"),
+        ("vessel", "origin_lon", "-180.5", "origin_lon"),
+        ("vessel", "origin_lon", "nan", "origin_lon"),
+        ("vessel", "current_east", "-inf", "current_east"),
+        ("vessel", "lever", "inf", "VesselParams.lever")])
     def test_post_init_errors_surface_as_config_error(self, tmp_path, section,
                                                       key, raw, match):
         with pytest.raises(ConfigFileError, match=match):
             load_config(write(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+
+    def test_range_edges_load(self, tmp_path):
+        # the wire's speed ceiling and the antimeridian itself are valid
+        cfg = load_config(write(tmp_path, "[los]\nspeed = 3.0\n"
+                                          "[vessel]\norigin_lon = 180\n"
+                                          "origin_lat = -89.5\n"))
+        assert cfg.los.speed == 3.0 and cfg.vessel.origin_lon == 180.0
+        cfg = load_config(write(tmp_path, "[los]\nspeed = 0\n"
+                                          "[vessel]\norigin_lon = -180\n"))
+        assert cfg.los.speed == 0.0 and cfg.vessel.origin_lon == -180.0
 
     def test_invalid_vessel_params_surface_as_config_error(self, tmp_path):
         with pytest.raises(ConfigFileError, match="calibration"):

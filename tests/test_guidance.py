@@ -41,6 +41,13 @@ class TestPolyline:
         with pytest.raises(ValueError):
             PolylinePath([(0.0, 0.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_points_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PolylinePath([(0.0, 0.0), (bad, 5.0), (0.0, 30.0)])
+        with pytest.raises(ValueError, match="finite"):
+            PolylinePath([(0.0, 0.0), (5.0, bad)], closed=True)
+
     def test_closed_length_includes_return_leg(self):
         square = PolylinePath([(0, 0), (10, 0), (10, 10), (0, 10)],
                               closed=True)

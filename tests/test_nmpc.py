@@ -12,19 +12,11 @@ from otterlink.nmpc import (STOPS, ControlSolution, NmpcConfig, _evaluate,
                             cost_of_inputs, predict, shift_warm_start,
                             solve_nmpc, state_from_synced, state_vector)
 from otterlink.vessel import (EnvDisturbance, VesselParams, VesselState,
-                              dynamics_deriv, mix, saturate, step_dynamics,
+                              dynamics_deriv, mix, step_dynamics, unmix,
                               wrap_2pi)
 
 P = VesselParams()
 EAST_LINE = PolylinePath([(0.0, -500.0), (0.0, 500.0)])
-# (x, z) = T (port, starboard): the motor commands' surge and torque
-T = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def motor_inputs(motors):
-    """(x, z) = ((port + starboard)/2, (port - starboard)/2) per row."""
-    return np.column_stack([(motors[:, 0] + motors[:, 1]) / 2,
-                            (motors[:, 0] - motors[:, 1]) / 2])
 
 
 def box_motors(rng, n, faces):
@@ -37,13 +29,13 @@ def box_motors(rng, n, faces):
                     rng.choice([-1.0, 1.0], size=(n, 2)), motors)
 
 
-def fd_gradient(y0, inputs, path, config, eps=1e-6, prev=(0.0, 0.0)):
+def fd_gradient(y0, motors, path, config, eps=1e-6, prev=(0.0, 0.0)):
     """Central finite differences of the rollout cost."""
-    grad = np.zeros_like(inputs)
-    for k in range(inputs.shape[0]):
+    grad = np.zeros_like(motors)
+    for k in range(motors.shape[0]):
         for j in range(2):
-            up = inputs.copy()
-            dn = inputs.copy()
+            up = motors.copy()
+            dn = motors.copy()
             up[k, j] += eps
             dn[k, j] -= eps
             grad[k, j] = (cost_of_inputs(y0, up, path, config, P, prev)
@@ -57,38 +49,37 @@ def random_instance(rng, config):
                         psi=rng.uniform(0, 2 * math.pi),
                         u=rng.uniform(-0.5, 2.0), v=rng.uniform(-0.3, 0.3),
                         r=rng.uniform(-0.4, 0.4))
-    # keep |x +/- z| away from the thrust saturation kink, where the
-    # objective is not differentiable
-    x = rng.uniform(-0.45, 0.45, size=(config.steps_N, 1))
-    z = rng.uniform(-0.45, 0.45, size=(config.steps_N, 1))
-    return state, np.hstack([x, z])
+    # the model is smooth in the motor commands across the whole box
+    return state, rng.uniform(-1, 1, size=(config.steps_N, 2))
 
 
-def stated_objective(y0, inputs, path, config, prev_input):
-    """The objective in the 1 - cos form of the nmpc module docstring."""
-    states = predict(y0, inputs, config, P)
+def stated_objective(y0, motors, path, config, prev_motors):
+    """The objective in the 1 - cos form of the nmpc module docstring,
+    its effort and rate terms on the surge and torque commands T m."""
+    def surge_torque_sq(m):  # |T m|^2, row by row
+        return ((m[:, 0] + m[:, 1]) / 2) ** 2 + ((m[:, 0] - m[:, 1]) / 2) ** 2
+
+    states = predict(y0, motors, config, P)
     e_ct, psi_path, _ = path.project_many(states[1:, :2])
     psi = states[1:, 2]
     u = states[1:, 3]
-    prev = np.asarray(prev_input, dtype=float)
-    diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
+    prev = np.asarray(prev_motors, dtype=float)
+    diffs = np.diff(np.vstack([prev[None, :], motors]), axis=0)
     return float(config.w_ct * np.sum(e_ct ** 2)
                  + config.w_head * np.sum(1.0 - np.cos(psi - psi_path))
                  + config.w_speed * np.sum((u - config.ref_speed) ** 2)
-                 + config.w_u * np.sum(inputs ** 2)
-                 + config.w_du * np.sum(diffs ** 2))
+                 + config.w_u * np.sum(surge_torque_sq(motors))
+                 + config.w_du * np.sum(surge_torque_sq(diffs)))
 
 
-def dense_cost_gradient(y0, motors, path, config, p, prev_input):
+def dense_cost_gradient(y0, motors, path, config, p, prev_motors):
     """Reference (cost, gradient over the (N, 2) motor commands) built
     from dense per-stage Jacobians: A = df/dy (6x6) and B =
     df/d(port, starboard) (6x2) at each RK4 stage point, chained into
     the step map's Jacobians, then a matrix adjoint pass. The rollout
-    mixes the motors' (x, z) commands as the simulator does, and the
-    cost is the square of a 7N residual vector laid out as the module
-    docstring's sum of squares; the gradient of its (x, z) input terms
-    reaches the motors through x = (port + starboard)/2 and
-    z = (port - starboard)/2."""
+    applies thrusts F_max m, and the cost is the square of a 7N residual
+    vector laid out as the module docstring's sum of squares, with the
+    effort and rate terms' weights w_u/2 and w_du/2 on the motors."""
     def stage_jacobians(y):
         _, _, psi, u, v, r = y
         s, c = math.sin(psi), math.cos(psi)
@@ -115,9 +106,9 @@ def dense_cost_gradient(y0, motors, path, config, p, prev_input):
         B[5, 1] = -p.lever * p.F_max / p.m33
         return A, B
 
-    def step_with_jac(y, x, z, dt):
-        fp = p.F_max * saturate(x + z)
-        fs = p.F_max * saturate(x - z)
+    def step_with_jac(y, port, stbd, dt):
+        fp = p.F_max * port
+        fs = p.F_max * stbd
 
         def f(yy):
             return dynamics_deriv(yy, fp, fs, 0.0, 0.0, p)
@@ -148,8 +139,7 @@ def dense_cost_gradient(y0, motors, path, config, p, prev_input):
         B_step = dt / 6.0 * (B1 + 2.0 * dk2w + 2.0 * dk3w + dk4w)
         return y_next, A_step, B_step
 
-    inputs = motor_inputs(motors)
-    n = len(inputs)
+    n = len(motors)
     y = tuple(float(v) for v in y0)
     states = np.empty((n + 1, 6))
     states[0] = y
@@ -157,31 +147,29 @@ def dense_cost_gradient(y0, motors, path, config, p, prev_input):
     B_steps = np.empty((n, 6, 2))
     for k in range(n):
         y, A_steps[k], B_steps[k] = step_with_jac(
-            y, float(inputs[k, 0]), float(inputs[k, 1]), config.dt)
+            y, float(motors[k, 0]), float(motors[k, 1]), config.dt)
         states[k + 1] = y
     e_ct, psi_path, port = path.project_many(states[1:, :2])
     psi = states[1:, 2]
     u = states[1:, 3]
-    prev = np.asarray(prev_input, dtype=float)
-    diffs = np.diff(np.vstack([prev[None, :], inputs]), axis=0)
+    prev = np.asarray(prev_motors, dtype=float)
+    diffs = np.diff(np.vstack([prev[None, :], motors]), axis=0)
     # heading error wrapped to (-pi, pi]; 1 - cos d = 2 sin^2(d/2)
     d = math.pi - (math.pi - (psi - psi_path)) % (2.0 * math.pi)
     residuals = np.concatenate([
         math.sqrt(config.w_ct) * e_ct,
         math.sqrt(2.0 * config.w_head) * np.sin(0.5 * d),
         math.sqrt(config.w_speed) * (u - config.ref_speed),
-        math.sqrt(config.w_u) * inputs.ravel(),
-        math.sqrt(config.w_du) * diffs.ravel()])
+        math.sqrt(config.w_u / 2) * motors.ravel(),
+        math.sqrt(config.w_du / 2) * diffs.ravel()])
     total = float(residuals @ residuals)
     lx = np.zeros((n, 6))
     lx[:, 0] = 2.0 * config.w_ct * e_ct * port[:, 0]
     lx[:, 1] = 2.0 * config.w_ct * e_ct * port[:, 1]
     lx[:, 2] = config.w_head * np.sin(psi - psi_path)
     lx[:, 3] = 2.0 * config.w_speed * (u - config.ref_speed)
-    grad_w = 2.0 * config.w_u * inputs + 2.0 * config.w_du * diffs
-    grad_w[:-1] -= 2.0 * config.w_du * diffs[1:]
-    grad = np.column_stack([(grad_w[:, 0] + grad_w[:, 1]) / 2,
-                            (grad_w[:, 0] - grad_w[:, 1]) / 2])
+    grad = config.w_u * motors + config.w_du * diffs
+    grad[:-1] -= config.w_du * diffs[1:]
     lam = lx[n - 1].copy()
     for k in range(n - 1, -1, -1):
         grad[k] += B_steps[k].T @ lam
@@ -196,13 +184,12 @@ class TestPredict:
         config = NmpcConfig(horizon_T=1.0, steps_N=20)  # dt = 0.05
         rng = np.random.default_rng(5)
         state = VesselState(psi=1.0, u=1.2, v=0.05, r=0.1)
-        inputs = rng.uniform(-0.8, 0.8, size=(20, 2))
-        rolled = predict(state_vector(state), inputs, config, P)
+        motors = rng.uniform(-1, 1, size=(20, 2))
+        rolled = predict(state_vector(state), motors, config, P)
         sim = state
-        for k, (x, z) in enumerate(inputs):
-            fp = P.F_max * max(-1.0, min(1.0, x + z))
-            fs = P.F_max * max(-1.0, min(1.0, x - z))
-            sim = step_dynamics(sim, (fp, fs), EnvDisturbance(), P, config.dt)
+        for k, (port, stbd) in enumerate(motors):
+            sim = step_dynamics(sim, (P.F_max * port, P.F_max * stbd),
+                                EnvDisturbance(), P, config.dt)
             assert rolled[k + 1] == pytest.approx(
                 [sim.north, sim.east, sim.psi, sim.u, sim.v, sim.r],
                 abs=1e-9)
@@ -228,14 +215,17 @@ class TestCost:
     def test_input_terms_closed_form(self):
         config = NmpcConfig(steps_N=3, horizon_T=0.6, w_ct=0.0, w_head=0.0,
                             w_speed=0.0, w_u=0.1, w_du=0.5)
-        inputs = np.array([[0.2, 0.0], [0.2, 0.1], [0.4, 0.1]])
-        prev = (0.1, 0.0)
-        expected = (0.1 * np.sum(inputs ** 2)
+        # motor commands whose (x, z) = T m are (0.2, 0), (0.2, 0.1),
+        # (0.4, 0.1), after (0.1, 0)
+        motors = np.array([[0.2, 0.2], [0.3, 0.1], [0.5, 0.3]])
+        prev = (0.1, 0.1)
+        expected = (0.1 * (0.2 ** 2 + 0.2 ** 2 + 0.1 ** 2 + 0.4 ** 2
+                           + 0.1 ** 2)
                     + 0.5 * ((0.2 - 0.1) ** 2
                              + 0.1 ** 2
                              + 0.2 ** 2))
         state = VesselState(psi=math.pi / 2)
-        c = cost_of_inputs(state_vector(state), inputs, EAST_LINE, config,
+        c = cost_of_inputs(state_vector(state), motors, EAST_LINE, config,
                            P, prev)
         assert c == pytest.approx(expected, rel=1e-12)
 
@@ -256,24 +246,24 @@ class TestGradient:
         config = NmpcConfig()
         rng = np.random.default_rng(17)
         for _ in range(5):
-            state, inputs = random_instance(rng, config)
+            state, motors = random_instance(rng, config)
             y0 = state_vector(state)
-            prev = (float(inputs[0, 0]), float(inputs[0, 1]))
-            c, grad = cost_gradient(y0, inputs, EAST_LINE, config, P, prev)
-            fd = fd_gradient(y0, inputs, EAST_LINE, config, prev=prev)
+            prev = (float(motors[0, 0]), float(motors[0, 1]))
+            c, grad = cost_gradient(y0, motors, EAST_LINE, config, P, prev)
+            fd = fd_gradient(y0, motors, EAST_LINE, config, prev=prev)
             scale = max(1.0, float(np.max(np.abs(fd))))
             assert np.max(np.abs(grad - fd)) / scale < 1e-6
             assert c == pytest.approx(
-                cost_of_inputs(y0, inputs, EAST_LINE, config, P, prev))
+                cost_of_inputs(y0, motors, EAST_LINE, config, P, prev))
 
     def test_matches_fd_on_figure_eight(self):
         config = NmpcConfig()
         path = figure_eight(20.0)
         rng = np.random.default_rng(23)
-        state, inputs = random_instance(rng, config)
+        state, motors = random_instance(rng, config)
         y0 = state_vector(state)
-        _, grad = cost_gradient(y0, inputs, path, config, P, (0, 0))
-        fd = fd_gradient(y0, inputs, path, config)
+        _, grad = cost_gradient(y0, motors, path, config, P, (0, 0))
+        fd = fd_gradient(y0, motors, path, config)
         scale = max(1.0, float(np.max(np.abs(fd))))
         assert np.max(np.abs(grad - fd)) / scale < 1e-6
 
@@ -292,34 +282,19 @@ class TestGradient:
                            rng.uniform(-0.6, 0.6)])
             motors = box_motors(rng, config.steps_N, faces=i % 2)
             prev = tuple(rng.uniform(-1, 1, size=2))
-            c, grad = cost_gradient(y0, motor_inputs(motors), path, config,
-                                    P, prev)
+            c, grad = cost_gradient(y0, motors, path, config, P, prev)
             c_ref, grad_ref = dense_cost_gradient(y0, motors, path, config,
                                                   P, prev)
             assert c == c_ref
-            # d cost / d motors = T^T d cost / d (x, z), row by row
-            assert (np.max(np.abs(grad @ T - grad_ref))
+            assert (np.max(np.abs(grad - grad_ref))
                     <= 1e-12 * np.max(np.abs(grad_ref)))
 
 
-def saturating_instance(rng, config):
-    """A figure-eight problem whose inputs span the whole box, so many
-    |x +/- z| reach or pass the saturation gate at 1, some exactly."""
-    y0 = np.array([rng.uniform(-25, 25), rng.uniform(-12, 12),
-                   rng.uniform(0, 2 * math.pi), rng.uniform(-1.5, 2.5),
-                   rng.uniform(-0.4, 0.4), rng.uniform(-0.6, 0.6)])
-    inputs = rng.uniform(-1, 1, size=(config.steps_N, 2))
-    x = rng.integers(-64, 65, size=config.steps_N // 2) / 64
-    inputs[::2, 0] = x
-    inputs[::2, 1] = np.sign(x) - x
-    return y0, inputs, tuple(rng.uniform(-1, 1, size=2))
-
-
-def linearized(y0, inputs, path, config, prev):
-    """(cost, residuals, Jacobian) at an input sequence."""
-    states, (_, psi_path, port), r, c = _evaluate(y0, inputs, path, config,
+def linearized(y0, motors, path, config, prev):
+    """(cost, residuals, Jacobian) at a motor command sequence."""
+    states, (_, psi_path, port), r, c = _evaluate(y0, motors, path, config,
                                                   P, prev)
-    return c, r, _jacobian(states, inputs, port, psi_path, config, P)
+    return c, r, _jacobian(states, motors, port, psi_path, config, P)
 
 
 def motor_problems():
@@ -337,37 +312,15 @@ def motor_problems():
         yield y0, motors, path, config, tuple(rng.uniform(-1, 1, size=2))
 
 
-def motor_jacobian(y0, motors, path, config, prev):
-    """(residuals, d residuals / d motors flattened) at motor commands:
-    the (x, z) Jacobian through the fixed map (x, z) = T m."""
-    _, r, J = linearized(y0, motor_inputs(motors), path, config, prev)
-    return r, J @ np.kron(np.eye(len(motors)), T)
-
-
-def least_squares_problems():
-    config = NmpcConfig()
-    rng = np.random.default_rng(61)
-    fig8 = figure_eight(20.0)
-    for i in range(24):
-        path = EAST_LINE if i % 3 == 0 else fig8
-        if i % 2:
-            y0, inputs, prev = saturating_instance(rng, config)
-        else:
-            state, inputs = random_instance(rng, config)
-            y0 = state_vector(state)
-            prev = tuple(rng.uniform(-0.4, 0.4, size=2))
-        yield y0, inputs, path, config, prev
-
-
 class TestGaussNewton:
     def test_residuals_square_to_objective(self):
-        for y0, inputs, path, config, prev in least_squares_problems():
-            _, _, r, c = _evaluate(y0, inputs, path, config, P, prev)
+        for y0, motors, path, config, prev in motor_problems():
+            _, _, r, c = _evaluate(y0, motors, path, config, P, prev)
             assert r.shape == (7 * config.steps_N,)
             assert c == float(r @ r)
             # the residuals square to the docstring's 1 - cos form
-            stated = stated_objective(y0, inputs, path, config, prev)
-            assert abs(cost_of_inputs(y0, inputs, path, config, P, prev)
+            stated = stated_objective(y0, motors, path, config, prev)
+            assert abs(cost_of_inputs(y0, motors, path, config, P, prev)
                        - stated) <= 1e-12 * stated
 
     def test_half_gradient_is_jacobian_transpose_residuals(self):
@@ -375,7 +328,7 @@ class TestGaussNewton:
         # only the model: a saturation gate, a wrong stage or sign in the
         # Jacobian breaks this, on the box faces too
         for y0, motors, path, config, prev in motor_problems():
-            r, J = motor_jacobian(y0, motors, path, config, prev)
+            _, r, J = linearized(y0, motors, path, config, prev)
             c_ref, grad = dense_cost_gradient(y0, motors, path, config, P,
                                               prev)
             assert J.shape == (7 * config.steps_N, 2 * config.steps_N)
@@ -390,20 +343,17 @@ class TestGaussNewton:
         config = NmpcConfig()
         rng = np.random.default_rng(43)
         for path in (EAST_LINE, figure_eight(20.0)):
-            state, inputs = random_instance(rng, config)
+            state, motors = random_instance(rng, config)
             y0 = state_vector(state)
-            motors = np.column_stack([inputs[:, 0] + inputs[:, 1],
-                                      inputs[:, 0] - inputs[:, 1]])
             motors.flat[::3] = rng.choice([-1.0, 1.0],
                                           size=motors.flat[::3].shape)
-            prev = (float(inputs[0, 0]), float(inputs[0, 1]))
-            r, J = motor_jacobian(y0, motors, path, config, prev)
+            prev = (float(motors[0, 0]), float(motors[0, 1]))
+            _, r, J = linearized(y0, motors, path, config, prev)
 
             def residuals_at(j, step):
                 moved = motors.copy()
                 moved.flat[j] += step
-                return _evaluate(y0, motor_inputs(moved), path, config, P,
-                                 prev)[2]
+                return _evaluate(y0, moved, path, config, P, prev)[2]
 
             eps = 1e-6
             fd = np.empty_like(J)
@@ -422,14 +372,14 @@ class TestGaussNewton:
         config = NmpcConfig()
         rng = np.random.default_rng(29)
         for path in (EAST_LINE, figure_eight(20.0)):
-            state, inputs = random_instance(rng, config)
+            state, motors = random_instance(rng, config)
             y0 = state_vector(state)
-            prev = (float(inputs[0, 0]), float(inputs[0, 1]))
-            _, _, J = linearized(y0, inputs, path, config, prev)
+            prev = (float(motors[0, 0]), float(motors[0, 1]))
+            _, _, J = linearized(y0, motors, path, config, prev)
             eps = 1e-6
             fd = np.empty_like(J)
             for j in range(J.shape[1]):
-                up, dn = inputs.copy(), inputs.copy()
+                up, dn = motors.copy(), motors.copy()
                 up.flat[j] += eps
                 dn.flat[j] -= eps
                 fd[:, j] = (linearized(y0, up, path, config, prev)[1]
@@ -448,8 +398,8 @@ class TestSolve:
                                    EAST_LINE, config, P, (0, 0))
         sol = solve_nmpc(state, EAST_LINE, config, P)
         assert sol is not None
-        assert sol.inputs.shape == (config.steps_N, 2)
-        assert np.all(np.abs(sol.inputs) <= 1.0 + 1e-12)
+        assert sol.motors.shape == (config.steps_N, 2)
+        assert np.all(np.abs(sol.motors) <= 1.0)
         assert sol.cost < zero_cost
         assert sol.predicted.shape == (config.steps_N + 1, 6)
         assert sol.iters >= 1
@@ -468,20 +418,20 @@ class TestSolve:
         assert solve_nmpc(state, EAST_LINE, config, P) is None
 
     def test_warm_start_shift(self):
-        inputs = np.arange(8.0).reshape(4, 2)
-        sol = ControlSolution(inputs=inputs, predicted=np.zeros((5, 6)),
+        motors = np.arange(8.0).reshape(4, 2)
+        sol = ControlSolution(motors=motors, predicted=np.zeros((5, 6)),
                               cost=0.0, iters=1, solve_time=0.0,
                               converged=True)
         shifted = shift_warm_start(sol)
-        assert np.array_equal(shifted[:-1], inputs[1:])
-        assert np.array_equal(shifted[-1], inputs[-1])
+        assert np.array_equal(shifted[:-1], motors[1:])
+        assert np.array_equal(shifted[-1], motors[-1])
 
     def test_warm_started_resolve_is_cheap(self):
         config = NmpcConfig()
         state = VesselState(psi=math.pi / 2, u=1.0)
         cold = solve_nmpc(state, EAST_LINE, config, P)
         warm = solve_nmpc(state, EAST_LINE, config, P, warm_start=cold,
-                          prev_input=tuple(cold.inputs[0]))
+                          prev_motors=tuple(cold.motors[0]))
         assert warm.iters <= cold.iters
 
     def test_converges_on_a_line(self):
@@ -502,16 +452,16 @@ class TestSolve:
         one = solve_nmpc(state, EAST_LINE, NmpcConfig(max_iters=1), P)
         assert free.iters > 1
         assert spent.iters == 1 and not spent.converged
-        assert np.array_equal(spent.inputs, one.inputs)
+        assert np.array_equal(spent.motors, one.motors)
 
     def test_solution_reports_its_own_rollout(self):
         config = NmpcConfig()
         state = VesselState(north=2.0, psi=1.3, u=0.8)
         sol = solve_nmpc(state, figure_eight(20.0), config, P)
         assert np.array_equal(sol.predicted,
-                              predict(state_vector(state), sol.inputs,
+                              predict(state_vector(state), sol.motors,
                                       config, P))
-        assert sol.cost == cost_of_inputs(state_vector(state), sol.inputs,
+        assert sol.cost == cost_of_inputs(state_vector(state), sol.motors,
                                           figure_eight(20.0), config, P,
                                           (0.0, 0.0))
 
@@ -527,7 +477,7 @@ class TestSolve:
         state = VesselState(north=3.0, psi=math.pi / 2, u=0.5)
         cold = solve_nmpc(state, figure_eight(20.0), config, P)
         warm = solve_nmpc(state, figure_eight(20.0), config, P,
-                          warm_start=cold, prev_input=tuple(cold.inputs[0]))
+                          warm_start=cold, prev_motors=tuple(cold.motors[0]))
         assert cold is not None and warm is not None
 
     @staticmethod
@@ -605,13 +555,13 @@ class TestSolve:
             name: name for name in STOPS}
 
     def test_motor_commands_round_trip_through_mix(self):
-        # (x, z) = T m and vessel.mix map the box onto itself: exactly
-        # for dyadic commands, within an ulp otherwise
+        # vessel.unmix, (x, z) = T m, and vessel.mix map the box onto
+        # itself: exactly for dyadic commands, within an ulp otherwise
         rng = np.random.default_rng(47)
         for faces in (True, False):
             motors = box_motors(rng, 400, faces)
-            mixed = np.array([mix(x, z) for x, z
-                              in nmpc._inputs(motors).tolist()])
+            mixed = np.array([mix(*unmix(port, stbd))
+                              for port, stbd in motors.tolist()])
             assert np.max(np.abs(mixed - motors)) <= (0.0 if faces
                                                       else 2.0 ** -52)
         # every published plan stays in the box image, where mix does
@@ -624,9 +574,10 @@ class TestSolve:
             state = VesselState(north=north, psi=psi, u=u)
             cold = solve_nmpc(state, path, NmpcConfig(), P)
             warm = solve_nmpc(state, path, NmpcConfig(), P, warm_start=cold,
-                              prev_input=tuple(cold.inputs[0]))
+                              prev_motors=tuple(cold.motors[0]))
             for sol in (cold, warm):
-                x, z = sol.inputs.T
+                x, z = np.array([unmix(port, stbd) for port, stbd
+                                 in sol.motors.tolist()]).T
                 assert np.all(np.abs(x + z) <= 1.0)
                 assert np.all(np.abs(x - z) <= 1.0)
                 on_face += int(np.sum(np.abs(x + z) == 1.0)

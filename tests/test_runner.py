@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from otterlink import codec
 from otterlink.client import TopicGateway
 from otterlink.guidance import PolylinePath, figure_eight
 from otterlink.logbag import LogRecord, LogWriter, read_records
@@ -10,7 +11,7 @@ from otterlink.obc import OtterObc
 from otterlink.runner import (DropoutWindow, NmpcController, compute_metrics,
                               metrics_from_records, run_embedded_mission,
                               write_metrics_csv)
-from otterlink.vessel import VesselParams, VesselState
+from otterlink.vessel import VesselParams, VesselState, mix
 from otterlink import geo, runner
 
 ORIGIN = (45.0, -76.0)
@@ -167,3 +168,37 @@ class TestSolveBudget:
         budgets = record_budgets(monkeypatch)
         run_embedded_mission("nmpc", figure_eight(20.0), duration=2.0)
         assert len(budgets) == 20 and set(budgets) == {None}
+
+
+class TestPublish:
+    def test_publishes_the_plan_and_holds_it_after_a_failed_solve(
+            self, monkeypatch):
+        sent = []
+        gateway = TopicGateway(command_sender=sent.append)
+        ctl = NmpcController(gateway, figure_eight(20.0), NmpcConfig(),
+                             VesselParams(), *ORIGIN)
+        for line in OtterObc().tick(1.0):
+            gateway.feed_line(line, 1.0)
+        solutions = []
+
+        def recorded(*args, **kwargs):
+            solutions.append(solve_nmpc(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(runner, "solve_nmpc", recorded)
+        ctl.step(1.0)
+        [line] = sent
+        cmd = codec.decode_sentence(line)
+        assert isinstance(cmd, codec.ManualCmd) and cmd.y == 0.0
+        # x and z are each rounded to 3 decimals on the wire, so each
+        # motor, x +/- z, is within 1e-3 of the plan's first command
+        port, stbd = solutions[0].motors[0]
+        got_port, got_stbd = mix(cmd.x, cmd.z)
+        assert abs(got_port - port) <= 1e-3 + 1e-12
+        assert abs(got_stbd - stbd) <= 1e-3 + 1e-12
+        assert (port, stbd) != (0.0, 0.0)
+
+        # a failed solve republishes the held command
+        monkeypatch.setattr(runner, "solve_nmpc", lambda *a, **k: None)
+        ctl.step(1.1)
+        assert sent == [line, line]
