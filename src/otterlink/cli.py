@@ -14,7 +14,8 @@ exception propagates as a traceback, so a bug stays visible.
   2  config error: ConfigFileError, transport.ConfigError
   2  usage error: UsageError
   3  transport error: transport.TransportError
-  4  numeric fault: vessel.NumericFault
+  4  numeric fault: vessel.NumericFault (a non-finite state, or a
+     position fix the wire cannot carry)
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import codec, guidance, logbag, runner, transport
 from .client import BackseatClient
 from .config import ConfigFileError, RunConfig, load_config
 from .obc import OtterObc
-from .runner import DropoutWindow, run_embedded_mission, write_metrics_csv
+from .runner import run_embedded_mission, write_metrics_csv
 from .vessel import NumericFault, VesselState
 
 EXIT_OK = 0
@@ -125,17 +126,16 @@ def cmd_sim(args) -> int:
 def _run_embedded(cfg: RunConfig, controller: str, path,
                   log_path) -> runner.MissionResult:
     """The one mapping from a config to an embedded mission."""
-    dropout = None
-    if cfg.bench.dropout_start >= 0:
-        dropout = DropoutWindow(cfg.bench.dropout_start,
-                                cfg.bench.dropout_duration)
+    fault = transport.FaultProfile(
+        ((cfg.bench.dropout_start, cfg.bench.dropout_duration),)
+        if cfg.bench.dropout_start >= 0 else ())
     writer = logbag.LogWriter(log_path) if log_path else None
     try:
         result = run_embedded_mission(
             controller, path, params=cfg.vessel.params,
             nmpc_config=cfg.nmpc, los_config=cfg.los, env=cfg.vessel.env,
             telemetry_hz=cfg.transport.rate_hz, duration=cfg.bench.duration,
-            target_laps=cfg.bench.target_laps, dropout=dropout,
+            target_laps=cfg.bench.target_laps or None, fault=fault,
             origin_lat=cfg.vessel.origin_lat,
             origin_lon=cfg.vessel.origin_lon, log_writer=writer)
     finally:

@@ -1,7 +1,8 @@
 """NMEA-0183-style sentence codec for the Otter backseat link.
 
 Framing follows the usual NMEA convention: ``$`` + payload + ``*`` +
-two uppercase hex digits (XOR of the payload bytes) + CRLF.
+two uppercase hex digits (XOR of the payload bytes) + CRLF. ``unframe``,
+where text arrives from outside, holds the payload character rule.
 
 ``CATALOG`` is the single definition of the sentence set: each entry
 gives a message type's tag, its fields in wire order with kind,
@@ -137,19 +138,8 @@ OtterMessage = Union[
 ]
 
 
-def _check_payload_chars(payload: str) -> None:
-    try:
-        payload.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise FramingError(f"payload is not ASCII: {payload!r}") from exc
-    for bad in "$*\r\n":
-        if bad in payload:
-            raise FramingError(f"payload contains forbidden character {bad!r}")
-
-
 def compute_checksum(payload: str) -> str:
     """XOR of all payload bytes, as two uppercase hex digits."""
-    _check_payload_chars(payload)
     acc = 0
     for byte in payload.encode("ascii"):
         acc ^= byte
@@ -162,7 +152,9 @@ def frame(payload: str) -> str:
 
 
 def unframe(line: str) -> str:
-    """Validate framing and checksum, return the bare payload."""
+    """Validate framing and checksum, return the bare payload: printable
+    ASCII without ``$`` or ``*``. ``frame`` need not check, as the
+    encoder renders only catalog tags and formatted numbers."""
     body = line
     if body.endswith(CRLF):
         body = body[:-2]
@@ -174,6 +166,9 @@ def unframe(line: str) -> str:
     if body.count("*") != 1:
         raise FramingError("expected exactly one '*' delimiter")
     payload, checksum = body.split("*")
+    if not (payload.isascii() and payload.isprintable()) or "$" in payload:
+        raise FramingError(f"payload holds a forbidden character: "
+                           f"{payload!r}")
     if len(checksum) != 2 or any(c not in "0123456789ABCDEF" for c in checksum):
         raise FramingError(f"bad checksum field {checksum!r}")
     expect = compute_checksum(payload)

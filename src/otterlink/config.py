@@ -23,7 +23,7 @@ from typing import get_type_hints
 from .guidance import LosConfig
 from .nmpc import NmpcConfig
 from .transport import Endpoint, RateConfig
-from .vessel import EnvDisturbance, VesselParams
+from .vessel import EnvDisturbance, VesselParams, VesselState
 
 
 class ConfigFileError(ValueError):
@@ -36,7 +36,7 @@ class TransportSection:
     telem_port: int = 10010
     cmd_host: str = "127.0.0.1"
     cmd_port: int = 10011
-    rate_hz: float = 10.0
+    rate_hz: float = RateConfig.telemetry_hz
 
     def __post_init__(self):
         # each raises transport.ConfigError, a ValueError, on a bad value
@@ -55,8 +55,8 @@ class TransportSection:
 
 @dataclass(frozen=True)
 class VesselSection:
-    origin_lat: float = 45.0
-    origin_lon: float = -76.0
+    origin_lat: float = VesselState.origin_lat
+    origin_lon: float = VesselState.origin_lon
     current_north: float = 0.0
     current_east: float = 0.0
     params: VesselParams = field(default_factory=VesselParams)
@@ -80,7 +80,7 @@ class VesselSection:
 @dataclass(frozen=True)
 class BenchSection:
     amplitude: float = 20.0
-    target_laps: float = 1.0
+    target_laps: float = 1.0    # 0: no lap target, fly the whole duration
     duration: float = 600.0
     dropout_start: float = -1.0  # <0 disables the injected dropout
     dropout_duration: float = 3.0

@@ -223,17 +223,6 @@ class PolylinePath:
         return Projection(i, self._cum_f[i] + t * self._lengths_f[i], e_ct,
                           self._headings_f[i])
 
-    def project(self, north: float, east: float) -> Projection:
-        """Nearest-segment projection of a point onto the path.
-
-        Answered from the grid cell's candidate list, which holds every
-        segment that can be nearest there; the full kernel serves points
-        the grid does not cover. Both give the same Projection."""
-        hit = self._grid_nearest(north, east)
-        if hit is None:
-            hit = self._kernel_nearest(north, east)
-        return self._projection(north, east, *hit)
-
     def project_near(self, north: float, east: float,
                      s_hint: float | None = None,
                      window: float = 10.0) -> Projection:
@@ -259,6 +248,8 @@ class PolylinePath:
                 window)):
             hit = self._kernel_nearest(north, east, s_hint, window)
         return self._projection(north, east, *hit)
+
+    project = project_near  # project(n, e): the global projection
 
     def project_many(self, points: np.ndarray):
         """Vectorized nearest-segment projection of (K, 2) points.

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from . import codec, geo
 from .transport import RateConfig
-from .vessel import (EnvDisturbance, MotorState, STATIONARY_SPEED_EPS,
-                     VesselParams, VesselState, apply_motor_lag, mix, saturate,
+from .vessel import (EnvDisturbance, MotorState, NumericFault,
+                     STATIONARY_SPEED_EPS, VesselParams, VesselState,
+                     apply_motor_lag, dynamics_deriv, mix, saturate,
                      step_dynamics)
 
 SIM_DT = 0.02          # s, internal physics step
@@ -95,15 +96,15 @@ class OtterObc:
     """Single-owner simulated OBC: call handle_command and tick from
     one driving context."""
 
-    def __init__(self, params: VesselParams | None = None,
-                 telemetry_hz: float = 10.0,
-                 env: EnvDisturbance | None = None,
-                 initial_state: VesselState | None = None,
+    def __init__(self, params: VesselParams = VesselParams(),
+                 telemetry_hz: float = RateConfig.telemetry_hz,
+                 env: EnvDisturbance = EnvDisturbance(),
+                 initial_state: VesselState = VesselState(),
                  utc0: float = DEFAULT_UTC0):
         RateConfig(telemetry_hz)  # raises ConfigError, a ValueError
-        self.params = params or VesselParams()
-        self.env = env or EnvDisturbance()
-        self.state = initial_state or VesselState()
+        self.params = params
+        self.env = env
+        self.state = initial_state
         self.mode: codec.OtterMessage = codec.DriftCmd(True)
         self.motor_port = MotorState()
         self.motor_stbd = MotorState()
@@ -185,7 +186,12 @@ class OtterObc:
             self._step_once()
             if self.t + 1e-9 >= self._next_nav:
                 self._next_nav += 1.0 / self.telemetry_hz
-                lines.append(codec.encode_sentence(self._pos_report()))
+                try:
+                    lines.append(codec.encode_sentence(self._pos_report()))
+                except codec.RangeError as exc:
+                    # utc and cog wrap and sog is finite: it is lat/lon
+                    raise NumericFault(
+                        f"position fix off the wire's range: {exc}") from exc
                 lines.append(codec.encode_sentence(self._att_report()))
             if self.t + 1e-9 >= self._next_status:
                 self._next_status += 1.0 / STATUS_HZ
@@ -198,19 +204,14 @@ class OtterObc:
     def _utc(self) -> float:
         return (self.utc0 + self.t) % 86400.0
 
-    def _ground_velocity(self) -> tuple[float, float]:
-        s = self.state
-        ndot = (s.u * math.cos(s.psi) - s.v * math.sin(s.psi)
-                + self.env.current_north)
-        edot = (s.u * math.sin(s.psi) + s.v * math.cos(s.psi)
-                + self.env.current_east)
-        return ndot, edot
-
     def _pos_report(self) -> codec.PosReport:
         s = self.state
         lat, lon = geo.local_to_latlon(s.north, s.east,
                                        s.origin_lat, s.origin_lon)
-        ndot, edot = self._ground_velocity()
+        # the thrusts do not enter the two kinematic rows
+        ndot, edot = dynamics_deriv(
+            (s.north, s.east, s.psi, s.u, s.v, s.r), 0.0, 0.0,
+            self.env.current_north, self.env.current_east, self.params)[:2]
         sog = math.hypot(ndot, edot)
         if sog > 1e-3:
             cog = math.degrees(math.atan2(edot, ndot)) % 360.0

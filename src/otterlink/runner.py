@@ -3,12 +3,14 @@
 The embedded runner wires a simulated OBC and a topic gateway through
 the codec on a virtual 20 ms clock, so benchmark runs are deterministic
 and faster than real time while exercising the same sentence path the
-UDP transport carries.
+UDP transport carries. Its lines are shed by the transport's own rule,
+`FaultProfile.sheds`, so a dropout window means the same on both paths.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ from .guidance import LapTracker, LosConfig, PolylinePath, los_guidance
 from .logbag import LogRecord, LogWriter
 from .nmpc import NmpcConfig, solve_nmpc, state_from_synced
 from .obc import SIM_DT, OtterObc
+from .transport import FaultProfile, RateConfig
 from .vessel import EnvDisturbance, VesselParams, VesselState, unmix
 
 CONTROL_HZ = 10.0
@@ -135,38 +138,29 @@ class MissionResult:
     decode_errors: int = 0
 
 
-@dataclass(frozen=True)
-class DropoutWindow:
-    start: float
-    duration: float
-
-    def covers(self, t: float) -> bool:
-        return self.start <= t < self.start + self.duration
-
-
 def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
-                         params: VesselParams | None = None,
-                         nmpc_config: NmpcConfig | None = None,
-                         los_config: LosConfig | None = None,
-                         env: EnvDisturbance | None = None,
-                         telemetry_hz: float = 10.0,
-                         duration: float = 600.0,
+                         params: VesselParams = VesselParams(),
+                         nmpc_config: NmpcConfig = NmpcConfig(),
+                         los_config: LosConfig = LosConfig(),
+                         env: EnvDisturbance = EnvDisturbance(),
+                         telemetry_hz: float = RateConfig.telemetry_hz,
+                         duration: float,
                          target_laps: float | None = None,
-                         dropout: DropoutWindow | None = None,
-                         origin_lat: float = 45.0, origin_lon: float = -76.0,
+                         fault: FaultProfile = FaultProfile(),
+                         origin_lat: float = VesselState.origin_lat,
+                         origin_lon: float = VesselState.origin_lon,
                          initial_state: VesselState | None = None,
                          log_writer: LogWriter | None = None) -> MissionResult:
     """Run one mission on the virtual clock; returns records + metrics.
 
-    `controller_kind` is "nmpc" or "baseline". A telemetry dropout
-    window silently discards the OBC's lines (all telemetry) before they
-    reach the gateway, mimicking the field-observed network dropouts.
-    An `initial_state` must carry the mission origin. Control steps get
-    no deadline, so solves are unbudgeted and runs bit-reproducible.
+    `controller_kind` is "nmpc" or "baseline". The OBC's lines pass
+    `fault` before they reach the gateway, as a broadcaster's datagrams
+    do: a dropout window (mission seconds) silently discards all
+    telemetry, mimicking the field-observed network dropouts. With no
+    `target_laps` the mission flies the whole `duration`. An
+    `initial_state` must carry the mission origin. Control steps get no
+    deadline, so solves are unbudgeted and runs bit-reproducible.
     """
-    params = params or VesselParams()
-    nmpc_config = nmpc_config or NmpcConfig()
-    los_config = los_config or LosConfig()
     if initial_state is None:
         start = path.point_at(0.0)
         heading = path.project(start[0], start[1]).path_heading % (2 * math.pi)
@@ -219,6 +213,7 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     else:
         raise ValueError(f"unknown controller {controller_kind!r}")
 
+    rng = random.Random(fault.seed)
     laps = LapTracker(path)
     control_period = int(round(1.0 / (CONTROL_HZ * SIM_DT)))
     n_steps = int(round(duration / SIM_DT))
@@ -226,9 +221,8 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     completion_time = None
     for step in range(1, n_steps + 1):
         t_now = step * SIM_DT
-        lines = obc.tick(t_now)
-        if dropout is None or not dropout.covers(t_now):
-            for line in lines:
+        for line in obc.tick(t_now):
+            if not fault.sheds(t_now, rng):
                 gateway.feed_line(line, t_now)
         if step % control_period == 0:
             controller.step(t_now)

@@ -2,6 +2,9 @@
 listener, with a sender-side fault model (dropout windows and seeded
 random loss) fixed when the broadcaster is opened.
 
+`FaultProfile.sheds` is the one place a datagram is shed by the fault
+model; the embedded runner applies the same rule to its lines.
+
 One sentence per datagram. Receive timestamps are monotonic-clock
 seconds; UTC only ever appears inside message payloads.
 """
@@ -73,6 +76,13 @@ class FaultProfile:
         return any(start <= t_rel < start + duration
                    for start, duration in self.dropout_windows)
 
+    def sheds(self, t_rel: float, rng: random.Random) -> bool:
+        """Whether a datagram sent `t_rel` s into the run is shed: inside
+        a dropout window without a draw, else by one draw of `rng`
+        against `loss_prob` (no draw at all when it is 0)."""
+        return self.in_dropout(t_rel) or (
+            self.loss_prob > 0.0 and rng.random() < self.loss_prob)
+
 
 class UdpBroadcaster:
     """Rate-paced UDP sender with sender-side fault shaping.
@@ -130,7 +140,6 @@ class UdpBroadcaster:
 
     def _run(self) -> None:
         interval = 1.0 / self.rate.telemetry_hz
-        fault = self._fault
         while True:
             to_send: list[bytes] = []
             with self._lock:
@@ -149,13 +158,8 @@ class UdpBroadcaster:
                     chunk = self._queue[:self.burst]
                     del self._queue[:self.burst]
                     self._next_send = max(self._next_send + interval, now)
-                    for data in chunk:
-                        if fault.in_dropout(now - self.t0):
-                            continue
-                        if (fault.loss_prob > 0.0
-                                and self._rng.random() < fault.loss_prob):
-                            continue
-                        to_send.append(data)
+                    to_send = [data for data in chunk if not
+                               self._fault.sheds(now - self.t0, self._rng)]
             for data in to_send:
                 try:
                     self._sock.sendto(data, self.endpoint.addr)

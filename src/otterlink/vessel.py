@@ -25,7 +25,10 @@ from dataclasses import dataclass, replace
 
 
 class NumericFault(ArithmeticError):
-    """State or derivative became non-finite; the simulation must halt."""
+    """The simulation must halt: the state or its derivative became
+    non-finite, or the simulated OBC's position fix left the latitude
+    and longitude range the wire can carry (an origin at a pole or on
+    the antimeridian, which missions do not cross)."""
 
 
 DEFAULT_V_MAX = 3.0     # m/s, top speed (calibration target)

@@ -23,8 +23,8 @@ from otterlink.logbag import LogWriter, read_records
 from otterlink.nmpc import (NmpcConfig, cost_gradient, cost_of_inputs,
                             solve_nmpc, state_vector)
 from otterlink.obc import OtterObc, SIM_DT
-from otterlink.runner import (DropoutWindow, metrics_from_records,
-                              run_embedded_mission, write_metrics_csv)
+from otterlink.runner import (metrics_from_records, run_embedded_mission,
+                              write_metrics_csv)
 from otterlink import transport
 from otterlink.vessel import EnvDisturbance, VesselParams, VesselState
 
@@ -332,7 +332,7 @@ def bench(tmp_path_factory):
         "baseline", path, duration=300.0, target_laps=1.02)
     runs["dropout"] = run_embedded_mission(
         "nmpc", path, duration=300.0, target_laps=1.02,
-        dropout=DropoutWindow(40.0, 3.0))
+        fault=transport.FaultProfile(dropout_windows=((40.0, 3.0),)))
     runs["path"] = path
     runs["log_path"] = log_path
     runs["outdir"] = outdir

@@ -336,6 +336,21 @@ class TestConfigReachesTheSimulator:
         # drifting with no current, the vessel stays at its origin
         assert (fix.lat, fix.lon) == pytest.approx((44.0, -75.5), abs=1e-6)
 
+    @pytest.mark.parametrize("vessel, field", [
+        ("origin_lon = 180\ncurrent_east = 1", "lon"),
+        ("origin_lat = 89.99999\ncurrent_north = 3", "lat")])
+    def test_sim_fix_off_the_map_is_a_numeric_fault(self, tmp_path, capsys,
+                                                     vessel, field):
+        # the current carries the drifting vessel off the map
+        cfg = write_config(tmp_path, f"[transport]\ntelem_port = "
+                                     f"{free_port()}\ncmd_port = "
+                                     f"{free_port()}\n[vessel]\n{vessel}\n")
+        assert main(["--config", cfg, "sim", "--duration", "2"]) \
+            == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric fault: position fix off the wire")
+        assert f"field {field!r}" in err
+
     def test_sim_reports_rejected_commands(self, tmp_path, capsys,
                                            monkeypatch):
         # a corrupt line and a telemetry sentence reach the command port
@@ -431,6 +446,31 @@ class TestEmbeddedRun:
         text = csv_out.read_text(encoding="utf-8")
         assert text.startswith("metric,value\n")
         assert "solve_time" not in text
+
+    def test_zero_target_laps_flies_the_whole_duration(self, tmp_path,
+                                                       capsys):
+        cfg = write_config(tmp_path, "[bench]\nduration = 3\n"
+                                     "target_laps = 0\n")
+        assert main(["--config", cfg, "run", "--embedded",
+                     "--controller", "baseline"]) == EXIT_OK
+        out = capsys.readouterr().out
+        metrics = dict(line.split(": ") for line in out.splitlines())
+        assert float(metrics["completion_time_s"]) == 3.0
+        # 3 s of 10 Hz fixes
+        assert float(metrics["gps_samples"]) == 30.0
+        assert float(metrics["rms_cross_track_m"]) >= 0.0
+
+    @pytest.mark.parametrize("vessel, field", [
+        ("origin_lon = 180", "lon"), ("origin_lat = 89.99999", "lat")])
+    def test_fix_off_the_map_is_a_numeric_fault(self, tmp_path, capsys,
+                                                 vessel, field):
+        cfg = write_config(tmp_path, f"[vessel]\n{vessel}\n"
+                                     "[bench]\nduration = 5\n")
+        assert main(["--config", cfg, "run", "--embedded",
+                     "--controller", "baseline"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric fault: position fix off the wire")
+        assert f"field {field!r}" in err
 
     def test_waypoint_file_path(self, tmp_path, capsys):
         waypoints = tmp_path / "line.txt"

@@ -30,10 +30,12 @@ class TestChecksum:
         payload = "POTCMD,DRIFT,1"
         assert codec.compute_checksum(payload) == xor_oracle(payload)
 
-    @pytest.mark.parametrize("bad", ["a$b", "a*b", "a\rb", "a\nb", "caf\xe9"])
+    @pytest.mark.parametrize("bad", ["a$b", "a*b", "a\rb", "a\nb", "caf\xe9",
+                                     "a\tb", "a\x01b", "a\x7fb"])
     def test_forbidden_characters_rejected(self, bad):
+        # the decoder checks the characters before the checksum
         with pytest.raises(codec.FramingError):
-            codec.compute_checksum(bad)
+            codec.decode_sentence(f"${bad}*00\r\n")
 
     @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126,
                                           exclude_characters="$*"),

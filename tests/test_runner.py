@@ -8,9 +8,10 @@ from otterlink.guidance import PolylinePath, figure_eight
 from otterlink.logbag import LogRecord, LogWriter, read_records
 from otterlink.nmpc import NmpcConfig, solve_nmpc
 from otterlink.obc import OtterObc
-from otterlink.runner import (DropoutWindow, NmpcController, compute_metrics,
+from otterlink.runner import (NmpcController, compute_metrics,
                               metrics_from_records, run_embedded_mission,
                               write_metrics_csv)
+from otterlink.transport import FaultProfile
 from otterlink.vessel import VesselParams, VesselState, mix
 from otterlink import geo, runner
 
@@ -71,15 +72,6 @@ class TestMetricsCsv:
             (tmp_path / "two.csv").read_bytes()
 
 
-class TestDropoutWindow:
-    def test_half_open_interval(self):
-        window = DropoutWindow(40.0, 3.0)
-        assert not window.covers(39.99)
-        assert window.covers(40.0)
-        assert window.covers(42.99)
-        assert not window.covers(43.0)
-
-
 class TestEmbeddedMission:
     def test_unknown_controller_rejected(self):
         with pytest.raises(ValueError, match="unknown controller"):
@@ -122,6 +114,18 @@ class TestEmbeddedMission:
             run_embedded_mission("baseline", figure_eight(20.0),
                                  duration=1.0, initial_state=start,
                                  origin_lat=45.0, origin_lon=-76.0)
+
+    def test_fault_window_sheds_all_telemetry_inside_it(self):
+        start, length = 2.0, 2.0
+        result = run_embedded_mission(
+            "nmpc", figure_eight(20.0), duration=6.0,
+            fault=FaultProfile(dropout_windows=((start, length),)))
+        rx = [r.t_mono for r in result.records if r.direction == "rx"]
+        assert not [t for t in rx if start <= t < start + length]
+        assert min(rx) < start and max(rx) >= start + length
+        dropouts = [r for r in result.records if r.topic == "event"
+                    and r.payload["name"] == "dropout"]
+        assert len(dropouts) == 1 and result.dropout_events == 1
 
     def test_record_stream_is_time_ordered(self):
         result = run_embedded_mission("baseline", figure_eight(20.0),

@@ -1,4 +1,5 @@
 import gc
+import random
 import socket
 import statistics
 import time
@@ -56,6 +57,27 @@ class TestConfigValidation:
         assert fault.in_dropout(2.9)
         assert not fault.in_dropout(3.0)
         assert fault.in_dropout(10.2)
+
+    @pytest.mark.parametrize("loss_prob", [0.0, 0.3, 1.0])
+    def test_sheds_is_dropout_then_loss(self, loss_prob):
+        def reference(fault, t_rel, rng):
+            # a window sheds with no draw; else one draw, unless no loss
+            if fault.in_dropout(t_rel):
+                return True
+            return fault.loss_prob > 0.0 and rng.random() < fault.loss_prob
+
+        fault = FaultProfile(dropout_windows=((1.0, 2.0), (10.0, 0.5)),
+                             loss_prob=loss_prob, seed=11)
+        # each window edge and its neighbours, several datagrams apiece
+        times = [t for edge in (1.0, 3.0, 10.0, 10.5)
+                 for t in (edge - 1e-9, edge, edge + 1e-9)] * 8
+        got_rng, want_rng = random.Random(fault.seed), random.Random(fault.seed)
+        got = [fault.sheds(t, got_rng) for t in times]
+        assert got == [reference(fault, t, want_rng) for t in times]
+        # the same draws, and none at all without loss
+        assert got_rng.getstate() == want_rng.getstate()
+        if loss_prob == 0.0:
+            assert got_rng.getstate() == random.Random(fault.seed).getstate()
 
 
 class TestLoopback:
