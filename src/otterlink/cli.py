@@ -120,6 +120,9 @@ def cmd_sim(args) -> int:
         listener.close()
     if rejected:
         print(f"rejected {rejected} command datagrams", file=sys.stderr)
+    if broadcaster.send_errors:
+        print(f"failed to send {broadcaster.send_errors} telemetry "
+              f"datagrams", file=sys.stderr)
     return EXIT_OK
 
 

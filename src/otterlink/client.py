@@ -15,6 +15,7 @@ traffic must never take the client down.
 
 from __future__ import annotations
 
+import math
 import socket
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -66,8 +67,8 @@ class ApproxTimeSync:
         bad = set(topics) - set(SYNC_TOPICS)
         if bad:
             raise TopicError(f"cannot synchronize topics: {sorted(bad)}")
-        if slop <= 0:
-            raise TopicError("slop must be positive")
+        if not 0.0 < slop < math.inf:  # NaN fails the comparison too
+            raise TopicError(f"slop must be positive and finite, not {slop}")
         self.topics = topics
         self.slop = slop
         self.callback = callback

@@ -4,18 +4,20 @@ Framing follows the usual NMEA convention: ``$`` + payload + ``*`` +
 two uppercase hex digits (XOR of the payload bytes) + CRLF. ``unframe``,
 where text arrives from outside, holds the payload character rule.
 
-``CATALOG`` is the single definition of the sentence set: each entry
-gives a message type's tag, its fields in wire order with kind,
-rendered precision and range, and the topics it maps to. The encoder,
-decoder, client gateway, embedded runner and log columns all derive
-from it. Fields render at fixed precision, so an encode/decode
-roundtrip is exact at the rendered precision.
+Each message dataclass is the one declaration of its wire format: its
+fields, in order, are the wire fields, and each carries its `Field`
+spec (kind, rendered precision, range) as metadata. ``CATALOG`` adds
+each type's tag, topics and direction. The encoder, decoder, client
+gateway, embedded runner and log columns all derive from the two.
+Fields render at fixed precision, and the decoder accepts exactly the
+texts the encoder renders, so decode-then-encode reproduces a line.
 
 See docs/protocol.md for the full grammar in ABNF.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 import operator
@@ -44,63 +46,139 @@ class UnknownSentenceError(CodecError):
 
 
 class MalformedFieldError(CodecError):
-    """Wrong field count or a field failed to parse."""
+    """Wrong field count, or a field's text is not one the encoder
+    renders."""
 
 
 class RangeError(CodecError):
     """A field value violates its documented range."""
 
 
+# -- wire fields ----------------------------------------------------------
+
+FLOAT, UINT, DATE, MODE, FLAG = "float", "uint", "date", "mode", "flag"
+_FORMATS = {UINT: "d", DATE: "08d", MODE: "", FLAG: "d"}
+# wire text -> value, by kind; rendering the value gives the text back
+_PARSERS = {FLOAT: float, UINT: int, DATE: int, MODE: str,
+            FLAG: {"0": False, "1": True}.__getitem__}
+
+
+@dataclass(frozen=True)
+class Field:
+    """How one wire field renders, and the closed range [lo, hi] its
+    rendered value must lie in. `name` is the message attribute it
+    carries, filled in by `Message` from the dataclass field.
+
+    A periodic field's range is [0, hi): a value that renders as ``hi``
+    (``360.00`` for a heading) goes on the wire as zero, and a decoder
+    rejects ``hi`` itself.
+    """
+
+    kind: str = FLOAT  # FLOAT fixed-decimal, UINT, DATE (yyyymmdd), MODE, FLAG
+    decimals: int = 2  # FLOAT only
+    lo: float = -math.inf
+    hi: float = math.inf
+    periodic: bool = False
+    name: str = ""
+    fmt: str = field(init=False)  # format spec of the wire text
+
+    def __post_init__(self):
+        object.__setattr__(self, "fmt", f".{self.decimals}f"
+                           if self.kind == FLOAT else _FORMATS[self.kind])
+
+    def out_of_range(self, value) -> bool:
+        """True when a parsed value may not appear on the wire: outside
+        the range, or of the wrong type (a UINT or DATE takes only what
+        operator.index accepts, a FLOAT only a real number)."""
+        if self.kind == FLOAT:
+            # float first: the numbers.Real check alone takes ~0.5 us
+            real = isinstance(value, float) or isinstance(value, numbers.Real)
+            return not (real and math.isfinite(value)
+                        and self.lo <= value <= self.hi)
+        if self.kind == MODE:
+            return value not in MODE_TAGS
+        if self.kind == FLAG:
+            # rendered from truthiness; only a non-finite float is refused
+            return isinstance(value, float) and not math.isfinite(value)
+        try:
+            value = operator.index(value)
+        except TypeError:
+            return True
+        return not self.lo <= value <= self.hi
+
+    def range_error(self, value) -> RangeError:
+        close = ")" if self.periodic else "]"
+        allowed = (MODE_TAGS if self.kind == MODE
+                   else f"[{self.lo:.15g}, {self.hi:.15g}{close}")
+        if self.kind in (UINT, DATE):
+            allowed = f"the integers in {allowed}"
+        return RangeError(f"field {self.name!r}: {value!r} not in {allowed}")
+
+
+def _wire(spec: Field | None = None, **kwargs):
+    """A message dataclass field carried on the wire as `spec`, or as
+    ``Field(**kwargs)``."""
+    return field(metadata={"wire": spec or Field(**kwargs)})
+
+
+_UTC = Field(lo=0.0, hi=86400.0, periodic=True)  # seconds of day
+_LAT = Field(decimals=7, lo=-90.0, hi=90.0)  # deg
+_LON = Field(decimals=7, lo=-180.0, hi=180.0)  # deg
+_HEADING = Field(lo=0.0, hi=360.0, periodic=True)  # deg
+_SPEED = Field(lo=0.0, hi=V_MAX)  # m/s
+_FORCE = Field(decimals=3, lo=-1.0, hi=1.0)  # normalized
+
+
 @dataclass(frozen=True)
 class PosReport:
     """Position fix broadcast: $POTPOS."""
 
-    utc: float  # seconds of day
-    lat: float  # deg
-    lon: float  # deg
-    alt: float  # m
-    sog: float  # m/s
-    cog: float  # deg, [0, 360)
+    utc: float = _wire(_UTC)
+    lat: float = _wire(_LAT)
+    lon: float = _wire(_LON)
+    alt: float = _wire()  # m
+    sog: float = _wire(lo=0.0)  # m/s
+    cog: float = _wire(_HEADING)
 
 
 @dataclass(frozen=True)
 class AttReport:
     """Orientation and angular-rate broadcast: $POTATT."""
 
-    utc: float
-    roll: float   # deg
-    pitch: float  # deg
-    yaw: float    # deg, [0, 360)
-    p: float      # deg/s
-    q: float      # deg/s
-    r: float      # deg/s
+    utc: float = _wire(_UTC)
+    roll: float = _wire()  # deg
+    pitch: float = _wire()  # deg
+    yaw: float = _wire(_HEADING)
+    p: float = _wire()  # deg/s
+    q: float = _wire()  # deg/s
+    r: float = _wire()  # deg/s
 
 
 @dataclass(frozen=True)
 class StatusReport:
     """Mode / motor / battery / power broadcast: $POTSTA."""
 
-    mode: str       # one of MODE_TAGS
-    rpm_port: int   # unsigned rev/min
-    rpm_stbd: int   # unsigned rev/min
-    temp: float     # degC
-    battery: float  # percent
-    power: float    # W
+    mode: str = _wire(kind=MODE)  # one of MODE_TAGS
+    rpm_port: int = _wire(kind=UINT, lo=0)  # unsigned rev/min
+    rpm_stbd: int = _wire(kind=UINT, lo=0)  # unsigned rev/min
+    temp: float = _wire(decimals=1)  # degC
+    battery: float = _wire(decimals=1, lo=0.0, hi=100.0)  # percent
+    power: float = _wire(decimals=1)  # W
 
 
 @dataclass(frozen=True)
 class TimeReport:
     """UTC date/time broadcast: $POTTIM."""
 
-    utc_date: int   # yyyymmdd
-    utc_time: float  # seconds of day
+    utc_date: int = _wire(kind=DATE, lo=19000101, hi=99991231)  # yyyymmdd
+    utc_time: float = _wire(_UTC)
 
 
 @dataclass(frozen=True)
 class DriftCmd:
     """Motors-off command: $POTCMD,DRIFT."""
 
-    on: bool
+    on: bool = _wire(kind=FLAG)
 
 
 @dataclass(frozen=True)
@@ -110,26 +188,26 @@ class ManualCmd:
     ``y`` (sway) is carried on the wire but has no effect downstream.
     """
 
-    x: float  # surge force, [-1, 1]
-    y: float  # ignored
-    z: float  # torque, [-1, 1]
+    x: float = _wire(_FORCE)  # surge force
+    y: float = _wire(decimals=3)  # ignored
+    z: float = _wire(_FORCE)  # torque
 
 
 @dataclass(frozen=True)
 class StationKeepCmd:
     """GNSS station-keeping command: $POTCMD,SK."""
 
-    lat: float
-    lon: float
-    speed: float  # m/s cap, [0, V_MAX]
+    lat: float = _wire(_LAT)
+    lon: float = _wire(_LON)
+    speed: float = _wire(_SPEED)  # cap
 
 
 @dataclass(frozen=True)
 class CourseSpeedCmd:
     """Course-and-speed command: $POTCMD,CRS."""
 
-    course: float  # deg, [0, 360]
-    speed: float   # m/s, [0, V_MAX]
+    course: float = _wire(lo=0.0, hi=360.0)  # deg, closed: not periodic
+    speed: float = _wire(_SPEED)
 
 
 OtterMessage = Union[
@@ -179,117 +257,39 @@ def unframe(line: str) -> str:
 
 # -- the message catalog --------------------------------------------------
 
-FLOAT, UINT, DATE, MODE, FLAG = "float", "uint", "date", "mode", "flag"
-_FORMATS = {UINT: "d", DATE: "08d", MODE: "", FLAG: ""}
-
-
-@dataclass(frozen=True)
-class Field:
-    """One wire field: the message attribute it carries, how it renders,
-    and the closed range [lo, hi] its rendered value must lie in.
-
-    A periodic field's range is [0, hi): a value that renders as ``hi``
-    (``360.00`` for a heading) goes on the wire as zero, and a decoder
-    rejects ``hi`` itself.
-    """
-
-    name: str
-    kind: str = FLOAT  # FLOAT fixed-decimal, UINT, DATE (yyyymmdd), MODE, FLAG
-    decimals: int = 2  # FLOAT only
-    lo: float = -math.inf
-    hi: float = math.inf
-    periodic: bool = False
-    fmt: str = field(init=False)  # format spec of the wire text
-
-    def __post_init__(self):
-        object.__setattr__(self, "fmt", f".{self.decimals}f"
-                           if self.kind == FLOAT else _FORMATS[self.kind])
-
-    def out_of_range(self, value) -> bool:
-        """True when a parsed value may not appear on the wire: outside
-        the range, or of the wrong type (a UINT or DATE takes only what
-        operator.index accepts, a FLOAT only a real number)."""
-        if self.kind == FLOAT:
-            # float first: the numbers.Real check alone takes ~0.5 us
-            real = isinstance(value, float) or isinstance(value, numbers.Real)
-            return not (real and math.isfinite(value)
-                        and self.lo <= value <= self.hi)
-        if self.kind == MODE:
-            return value not in MODE_TAGS
-        if self.kind == FLAG:
-            # rendered from truthiness; only a non-finite float is refused
-            return isinstance(value, float) and not math.isfinite(value)
-        try:
-            value = operator.index(value)
-        except TypeError:
-            return True
-        return not self.lo <= value <= self.hi
-
-    def range_error(self, value) -> RangeError:
-        close = ")" if self.periodic else "]"
-        allowed = (MODE_TAGS if self.kind == MODE
-                   else f"[{self.lo:.15g}, {self.hi:.15g}{close}")
-        if self.kind in (UINT, DATE):
-            allowed = f"the integers in {allowed}"
-        return RangeError(f"field {self.name!r}: {value!r} not in {allowed}")
-
-
 class Message:
-    """Catalog entry for one sentence type: its wire tag, its fields in
-    wire order (named as the dataclass fields) and the topics it maps to.
+    """Catalog entry for one sentence type: its class, whose dataclass
+    fields are its wire fields in order, its wire tag and the topics it
+    maps to.
 
     A topic given by name alone carries every field, in wire order.
     """
 
-    def __init__(self, cls, tag: str, fields: tuple[Field, ...], topics,
-                 command: bool = False):
+    def __init__(self, cls, tag: str, topics, command: bool = False):
         self.cls = cls
         self.tag = tag  # a command's tag is "POTCMD,<subcommand>"
-        self.fields = fields
-        names = tuple(f.name for f in fields)
+        self.fields = tuple(dataclasses.replace(f.metadata["wire"],
+                                                name=f.name)
+                            for f in dataclasses.fields(cls))
+        names = tuple(f.name for f in self.fields)
         self.topics = tuple((t, names) if isinstance(t, str) else t
                             for t in topics)
         self.command = command  # sent to the vehicle rather than by it
 
 
-_DAY_S = 86400.0
-_UTC = Field("utc", lo=0.0, hi=_DAY_S, periodic=True)
-_LAT = Field("lat", decimals=7, lo=-90.0, hi=90.0)
-_LON = Field("lon", decimals=7, lo=-180.0, hi=180.0)
-_SPEED = Field("speed", lo=0.0, hi=V_MAX)
-
 CATALOG = (
     Message(PosReport, "POTPOS",
-            (_UTC, _LAT, _LON, Field("alt"), Field("sog", lo=0.0),
-             Field("cog", lo=0.0, hi=360.0, periodic=True)),
             [("otter_gps", ("utc", "lat", "lon", "alt")),
              ("otter_cogsog", ("utc", "cog", "sog"))]),
-    Message(AttReport, "POTATT",
-            (_UTC, Field("roll"), Field("pitch"),
-             Field("yaw", lo=0.0, hi=360.0, periodic=True),
-             Field("p"), Field("q"), Field("r")),
-            ["otter_imu"]),
-    Message(StatusReport, "POTSTA",
-            (Field("mode", MODE), Field("rpm_port", UINT, lo=0),
-             Field("rpm_stbd", UINT, lo=0), Field("temp", decimals=1),
-             Field("battery", decimals=1, lo=0.0, hi=100.0),
-             Field("power", decimals=1)),
-            ["otter_status"]),
-    Message(TimeReport, "POTTIM",
-            (Field("utc_date", DATE, lo=19000101, hi=99991231),
-             Field("utc_time", lo=0.0, hi=_DAY_S, periodic=True)),
-            ["otter_gps_time"]),
-    Message(DriftCmd, "POTCMD,DRIFT", (Field("on", FLAG),),
-            ["drift_cmds"], command=True),
-    Message(ManualCmd, "POTCMD,MAN",
-            (Field("x", decimals=3, lo=-1.0, hi=1.0), Field("y", decimals=3),
-             Field("z", decimals=3, lo=-1.0, hi=1.0)),
-            ["control_cmds"], command=True),
-    Message(StationKeepCmd, "POTCMD,SK", (_LAT, _LON, _SPEED),
-            ["station_keeping_cmds"], command=True),
-    Message(CourseSpeedCmd, "POTCMD,CRS",
-            (Field("course", lo=0.0, hi=360.0), _SPEED),
-            ["course_speed_cmds"], command=True),
+    Message(AttReport, "POTATT", ["otter_imu"]),
+    Message(StatusReport, "POTSTA", ["otter_status"]),
+    Message(TimeReport, "POTTIM", ["otter_gps_time"]),
+    Message(DriftCmd, "POTCMD,DRIFT", ["drift_cmds"], command=True),
+    Message(ManualCmd, "POTCMD,MAN", ["control_cmds"], command=True),
+    Message(StationKeepCmd, "POTCMD,SK", ["station_keeping_cmds"],
+            command=True),
+    Message(CourseSpeedCmd, "POTCMD,CRS", ["course_speed_cmds"],
+            command=True),
 )
 
 _BY_CLASS = {m.cls: m for m in CATALOG}
@@ -358,24 +358,25 @@ def encode_sentence(msg: OtterMessage) -> str:
 
 
 def _parse(entry: Message, parts: list[str]) -> list:
+    """The field values of a sentence. Each text must be exactly the
+    rendering of the value it parses to, and that value must lie in its
+    range, a periodic field's period excluded."""
     if len(parts) != len(entry.fields):
         raise MalformedFieldError(f"{entry.tag}: expected {len(entry.fields)} "
                                   f"fields, got {len(parts)}")
     values = []
     for f, part in zip(entry.fields, parts):
-        if f.kind == FLAG:
-            if part not in ("0", "1"):
-                raise MalformedFieldError(
-                    f"{entry.tag}: expected a 0/1 flag, got {part!r}")
-            values.append(part == "1")
-        elif f.kind == MODE:
-            values.append(part)
-        else:
-            try:
-                values.append(float(part) if f.kind == FLOAT else int(part))
-            except ValueError as exc:
-                raise MalformedFieldError(
-                    f"{entry.tag}: bad field {f.name!r}: {part!r}") from exc
+        try:
+            value = _PARSERS[f.kind](part)
+            rendered = format(value, f.fmt) == part
+        except (KeyError, ValueError):
+            rendered = False
+        if not rendered:
+            raise MalformedFieldError(
+                f"{entry.tag}: bad field {f.name!r}: {part!r}")
+        if f.out_of_range(value) or (f.periodic and value == f.hi):
+            raise f.range_error(value)
+        values.append(value)
     return values
 
 
@@ -395,8 +396,4 @@ def decode_sentence(line: str) -> OtterMessage:
     entry = _BY_TAG.get(tag)
     if entry is None:
         raise UnknownSentenceError(f"unknown sentence {tag!r}")
-    values = _parse(entry, parts[tag.count(",") + 1:])
-    for f, value in zip(entry.fields, values):
-        if f.out_of_range(value) or (f.periodic and value == f.hi):
-            raise f.range_error(value)
-    return entry.cls(*values)
+    return entry.cls(*_parse(entry, parts[tag.count(",") + 1:]))

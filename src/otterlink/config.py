@@ -93,6 +93,8 @@ class BenchSection:
             raise ValueError("duration must be finite and > 0")
         if not 0.0 <= self.target_laps < math.inf:
             raise ValueError("target_laps must be finite and >= 0")
+        if not self.dropout_start < math.inf:
+            raise ValueError("dropout_start must not be NaN or inf")
         if not self.dropout_duration >= 0.0:
             raise ValueError("dropout_duration must be >= 0")
 

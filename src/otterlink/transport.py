@@ -11,6 +11,7 @@ seconds; UTC only ever appears inside message payloads.
 
 from __future__ import annotations
 
+import math
 import random
 import select
 import socket
@@ -68,9 +69,12 @@ class FaultProfile:
     def __post_init__(self):
         if not 0.0 <= self.loss_prob <= 1.0:
             raise ConfigError(f"loss_prob {self.loss_prob} outside [0, 1]")
+        # comparisons that NaN fails, so NaN is rejected too
         for start, duration in self.dropout_windows:
-            if duration < 0.0:
-                raise ConfigError("dropout duration must be >= 0")
+            if not -math.inf < start < math.inf:
+                raise ConfigError(f"dropout start {start} is not finite")
+            if not duration >= 0.0:
+                raise ConfigError(f"dropout duration {duration} is not >= 0")
 
     def in_dropout(self, t_rel: float) -> bool:
         return any(start <= t_rel < start + duration
@@ -88,7 +92,8 @@ class UdpBroadcaster:
     """Rate-paced UDP sender with sender-side fault shaping.
 
     One producing context may call send(); a worker thread paces the
-    queued lines onto the socket.
+    queued lines onto the socket. A datagram whose send fails is shed
+    and counted in `send_errors`.
     """
 
     def __init__(self, endpoint: Endpoint, rate: RateConfig,
@@ -112,6 +117,7 @@ class UdpBroadcaster:
         self._fault = fault or FaultProfile()
         self._rng = random.Random(self._fault.seed)
         self._closed = False
+        self.send_errors = 0  # written by the worker thread only
         self.t0 = time.monotonic()
         self._next_send = self.t0
         self._worker = threading.Thread(target=self._run, daemon=True)
@@ -163,8 +169,8 @@ class UdpBroadcaster:
             for data in to_send:
                 try:
                     self._sock.sendto(data, self.endpoint.addr)
-                except OSError:
-                    pass  # transient send errors shed the datagram
+                except OSError:  # e.g. EMSGSIZE: shed, and counted
+                    self.send_errors += 1
 
 
 class UdpListener:

@@ -1,3 +1,5 @@
+import errno
+import re
 import socket
 import threading
 import types
@@ -158,6 +160,17 @@ EXIT_CODE_MATRIX = [
                  "dropout_start = 0\ndropout_duration = -1",
                  EXIT_CONFIG, "config error: dropout_duration",
                  id="bench-dropout-duration"),
+    # a NaN start used to run with no dropout and exit 0
+    pytest.param("run --embedded", "[bench]\nduration = 1\n"
+                 "dropout_start = nan", EXIT_CONFIG,
+                 "config error: dropout_start", id="bench-nan-dropout-start"),
+    pytest.param("run --embedded", "[bench]\nduration = 1\n"
+                 "dropout_start = inf", EXIT_CONFIG,
+                 "config error: dropout_start", id="bench-inf-dropout-start"),
+    pytest.param("run --embedded", "[bench]\nduration = 1\n"
+                 "dropout_start = 0\ndropout_duration = nan", EXIT_CONFIG,
+                 "config error: dropout_duration",
+                 id="bench-nan-dropout-duration"),
     pytest.param("run --embedded", "[bench]\nduration = 1\n[nmpc]\nw_ct = nan",
                  EXIT_CONFIG, "config error: weight w_ct",
                  id="nmpc-nan-weight"),
@@ -384,6 +397,21 @@ class TestConfigReachesTheSimulator:
             sender.join()
         assert code == EXIT_OK
         assert capsys.readouterr().err == "rejected 2 command datagrams\n"
+
+    def test_sim_reports_failed_telemetry_sends(self, tmp_path, capsys,
+                                                monkeypatch):
+        class FailingSend(socket.socket):
+            def sendto(self, *args):
+                raise OSError(errno.EMSGSIZE, "Message too long")
+
+        monkeypatch.setattr(socket, "socket", FailingSend)
+        cfg = write_config(tmp_path, f"[transport]\ntelem_port = "
+                                     f"{free_port()}\ncmd_port = "
+                                     f"{free_port()}\n")
+        assert main(["--config", cfg, "sim", "--duration", "0.5"]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"failed to send [1-9]\d* telemetry datagrams\n",
+                            err), err
 
     def test_bench_rows_equal_embedded_runs_under_a_dropout(self, tmp_path,
                                                             capsys):

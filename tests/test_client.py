@@ -1,3 +1,4 @@
+import math
 import random
 import socket
 import threading
@@ -162,6 +163,12 @@ class TestApproxTimeSync:
             ApproxTimeSync(("otter_status",), 0.06, lambda s: None)
         with pytest.raises(TopicError):
             ApproxTimeSync(SYNC_TOPICS, 0.0, lambda s: None)
+
+    @pytest.mark.parametrize("slop", [math.nan, math.inf])
+    def test_non_finite_slop_rejected(self, slop):
+        # a NaN slop used to be accepted and never emit
+        with pytest.raises(TopicError):
+            ApproxTimeSync(SYNC_TOPICS, slop, lambda s: None)
 
     def test_matches_oracle_on_random_traces(self):
         rng = random.Random(2024)

@@ -243,6 +243,84 @@ class TestDecodeErrors:
         codec.validate(decoded)  # whatever survives must be fully valid
 
 
+def framed(payload: str) -> str:
+    return f"${payload}*{xor_oracle(payload)}\r\n"
+
+
+# one change to a field's wire text, each a form the encoder never renders
+# (unless it turns one rendering into another, as a sign flip can)
+MUTATIONS = {
+    "sign": lambda t, k: t[1:] if t.startswith("-") else "-" + t,
+    "plus": lambda t, k: "+" + t,
+    "exponent": lambda t, k: t + "e0",
+    "underscore": lambda t, k: t[:1 + k % len(t)] + "_" + t[1 + k % len(t):],
+    "space": lambda t, k: " " + t if k % 2 else t + " ",
+    "decimal added": lambda t, k: t + "0",
+    "decimal dropped": lambda t, k: t[:-1],
+    "leading zero": lambda t, k: ("-0" + t[1:] if t.startswith("-")
+                                  else "0" + t),
+}
+
+
+class TestDecoderGrammar:
+    """The decoder accepts exactly the texts the encoder renders."""
+
+    @pytest.mark.parametrize("payload, name", [
+        ("POTCMD,CRS,1e0,1.00", "course"),
+        ("POTCMD,CRS,+1.00,1.00", "course"),
+        ("POTCMD,CRS,1_0.00,1.00", "course"),
+        ("POTCMD,CRS, 10.00,1.00", "course"),
+        ("POTCMD,CRS,10.00 ,1.00", "course"),
+        ("POTCMD,CRS,10.0,1.00", "course"),
+        ("POTCMD,CRS,10.000,1.00", "course"),
+        ("POTCMD,CRS,01.00,1.00", "course"),
+        ("POTCMD,CRS,10.00,-01.00", "speed"),
+        ("POTCMD,DRIFT,01", "on"),
+        ("POTCMD,DRIFT, 1", "on"),
+        ("POTSTA,MAN,+1_0,0,22.5,50.0,100.0", "rpm_port"),
+        ("POTSTA,MAN,10,010,22.5,50.0,100.0", "rpm_stbd"),
+        ("POTTIM,2025_0101,0.00", "utc_date"),
+    ])
+    def test_forms_the_encoder_never_renders_are_malformed(self, payload,
+                                                           name):
+        with pytest.raises(codec.MalformedFieldError, match=f"'{name}'"):
+            codec.decode_sentence(framed(payload))
+
+    def test_negative_zero_decodes(self):
+        msg = codec.decode_sentence(framed("POTCMD,MAN,-0.000,0.000,0.000"))
+        assert msg == codec.ManualCmd(0.0, 0.0, 0.0)
+        assert math.copysign(1.0, msg.x) == -1.0
+        pos = framed("POTPOS,-0.00,45.0000000,-76.0000000,0.00,0.00,-0.00")
+        assert codec.encode_sentence(codec.decode_sentence(pos)) == pos
+
+    @pytest.mark.parametrize("payload, name", [
+        ("POTPOS,43200.00,45.0000000,-76.0000000,0.00,1.00,360.00", "cog"),
+        ("POTATT,86400.00,0.00,0.00,90.00,0.00,0.00,0.00", "utc"),
+        ("POTTIM,20250101,86400.00", "utc_time"),
+        ("POTCMD,CRS,360.01,1.00", "course"),
+    ])
+    def test_well_formed_values_out_of_range_are_range_errors(self, payload,
+                                                              name):
+        with pytest.raises(codec.RangeError, match=f"'{name}'"):
+            codec.decode_sentence(framed(payload))
+
+    @given(messages, st.integers(0, 40), st.sampled_from(sorted(MUTATIONS)),
+           st.integers(0, 40))
+    @settings(max_examples=500)
+    def test_one_mutated_field_is_refused_or_reencodes_alike(
+            self, msg, index, mutation, k):
+        parts = codec.encode_sentence(msg)[1:-5].split(",")
+        first = 2 if parts[0] == "POTCMD" else 1
+        index = first + index % (len(parts) - first)
+        parts[index] = MUTATIONS[mutation](parts[index], k)
+        line = framed(",".join(parts))
+        try:
+            decoded = codec.decode_sentence(line)
+        except codec.CodecError:
+            return
+        assert codec.encode_sentence(decoded) == line
+
+
 def _abnf_productions() -> list[list[str]]:
     """Right-hand sides of docs/protocol.md's ABNF rules, as tokens, with
     continuation lines joined and comments dropped."""

@@ -50,6 +50,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             FaultProfile(dropout_windows=((0.0, -1.0),))
 
+    @pytest.mark.parametrize("window", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0),
+        (0.0, float("nan"))])
+    def test_non_finite_dropout_window_rejected(self, window):
+        # a NaN start or duration used to be accepted and never shed
+        with pytest.raises(ConfigError):
+            FaultProfile(dropout_windows=(window,))
+
+    def test_unbounded_dropout_duration_accepted(self):
+        fault = FaultProfile(dropout_windows=((1.0, float("inf")),))
+        assert fault.in_dropout(1e9) and not fault.in_dropout(0.5)
+
     def test_dropout_membership(self):
         fault = FaultProfile(dropout_windows=((1.0, 2.0), (10.0, 0.5)))
         assert not fault.in_dropout(0.9)
@@ -128,6 +140,22 @@ class TestLoopback:
         finally:
             broadcaster.close()
             listener.close()
+
+    def test_failed_send_is_counted_and_the_next_line_arrives(self):
+        broadcaster, listener = make_pair()
+        try:
+            # longer than one UDP datagram: sendto raises EMSGSIZE
+            broadcaster.send("$" + "A" * 70000 + "*00\r\n")
+            broadcaster.send("$POTCMD,DRIFT,1*00\r\n")
+            got = []
+            deadline = time.monotonic() + 2.0
+            while not got and time.monotonic() < deadline:
+                got.extend(listener.poll(0.1))
+        finally:
+            broadcaster.close()
+            listener.close()
+        assert [line for line, _ in got] == ["$POTCMD,DRIFT,1*00\r\n"]
+        assert broadcaster.send_errors == 1
 
     def test_bad_burst_rejected(self):
         with pytest.raises(ConfigError):
