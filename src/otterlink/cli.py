@@ -247,12 +247,13 @@ def cmd_replay(args) -> int:
         if exc.filename == args.logfile:
             raise UsageError(f"cannot read log file {args.logfile}: "
                              f"{exc.strerror}") from exc
-        # export_csv opens the CSV only once the log is read, so an
-        # unknown topic or an unreadable log leaves no empty CSV behind
+        # export_csv opens the log before the CSV, so an unknown topic
+        # or an unreadable log leaves no empty CSV behind
         if exc.filename == out:
             raise ConfigFileError(f"cannot write {out!r}: {exc}") from exc
         raise
-    except ValueError as exc:  # an unknown topic or a bad speed
+    except ValueError as exc:  # an unknown topic, a bad speed or a CSV
+        # output that is the log itself
         raise UsageError(str(exc)) from exc
     if summary.corrupt_count:
         print(f"warning: skipped {summary.corrupt_count} corrupt lines",

@@ -112,7 +112,11 @@ class Field:
                    else f"[{self.lo:.15g}, {self.hi:.15g}{close}")
         if self.kind in (UINT, DATE):
             allowed = f"the integers in {allowed}"
-        return RangeError(f"field {self.name!r}: {value!r} not in {allowed}")
+        try:
+            shown = repr(value)
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            shown = f"an integer of {value.bit_length()} bits"
+        return RangeError(f"field {self.name!r}: {shown} not in {allowed}")
 
 
 def _wire(spec: Field | None = None, **kwargs):
@@ -340,7 +344,10 @@ def _render(entry: Message, msg: OtterMessage) -> list[str]:
         elif f.periodic and value == f.hi:
             text = format(0.0, f.fmt)
         elif f.kind != FLOAT:
-            text = format(value, f.fmt)
+            try:
+                text = format(value, f.fmt)
+            except ValueError:  # an int past sys.get_int_max_str_digits()
+                raise f.range_error(value) from None
         texts.append(text)
     return texts
 

@@ -5,8 +5,17 @@ Each line is one self-describing record:
     {"v": 1, "t_mono": ..., "t_utc": ..., "dir": "rx"|"tx",
      "topic": "...", "payload": {...}}
 
-t_mono must be nondecreasing within a file. Corrupt lines are skipped
-and counted on replay/export rather than aborting.
+t_mono must be nondecreasing within a file. A line is corrupt when it
+is not UTF-8, is not exactly one JSON object (trailing data, a BOM,
+nesting deeper than the interpreter's recursion limit), lacks one of
+the keys above, has a payload that is not an object, or has a stamp
+that does not convert to a float. Blank lines are ignored; corrupt
+lines are skipped and counted rather than aborting the read.
+
+Every reader shares one line parser (`_records`), which keeps a single
+copy of each payload key and of each `dir`/`topic` string per read.
+`replay` reads the whole file first, to check the largest gap against
+its speed; `export_csv` streams, writing each row as its line is parsed.
 """
 
 from __future__ import annotations
@@ -14,12 +23,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import threading
 import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from . import codec
 
@@ -40,7 +50,19 @@ class UnknownTopicError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+# json.dumps builds a new encoder per call when given any non-default
+# argument
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+# the C scanner json.loads runs, without its per-call Python wrapper
+_scan = json.JSONDecoder().scan_once
+# what a corrupt line raises while parsed: StopIteration where no JSON
+# value starts the line (a BOM too), RecursionError for nesting past the
+# recursion limit, OverflowError for an integer stamp past float range
+_CORRUPT = (ValueError, KeyError, TypeError, OverflowError, RecursionError,
+            StopIteration)
+
+
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     t_mono: float
     t_utc: float
@@ -49,19 +71,47 @@ class LogRecord:
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps({"v": SCHEMA_VERSION, "t_mono": self.t_mono,
-                           "t_utc": self.t_utc, "dir": self.direction,
-                           "topic": self.topic, "payload": self.payload},
-                          separators=(",", ":"), sort_keys=True)
+        return _ENCODER.encode({"v": SCHEMA_VERSION, "t_mono": self.t_mono,
+                                "t_utc": self.t_utc, "dir": self.direction,
+                                "topic": self.topic, "payload": self.payload})
 
     @classmethod
     def from_json(cls, line: str) -> "LogRecord":
-        obj = json.loads(line)
-        if not isinstance(obj["payload"], dict):
-            raise ValueError("record payload is not a JSON object")
-        return cls(t_mono=float(obj["t_mono"]), t_utc=float(obj["t_utc"]),
-                   direction=obj["dir"], topic=obj["topic"],
-                   payload=obj["payload"])
+        """The record of one line, parsed as the readers parse each line
+        of a file; ValueError when the line holds none."""
+        for rec in _records([line.encode("utf-8")]):
+            if rec is not None:
+                return rec
+        raise ValueError(f"not a log record: {line[:80]!r}")
+
+
+def _records(lines: Iterable[bytes]) -> Iterator[LogRecord | None]:
+    """Parse each non-blank line: yield its LogRecord, or None when it is
+    corrupt. Lines are bytes, so one that is not UTF-8 counts as corrupt
+    (UnicodeDecodeError is a ValueError) instead of ending the read."""
+    strings: dict[str, str] = {}
+    share = strings.setdefault  # the first copy of an equal string
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            text = line.decode("utf-8")
+            obj, end = _scan(text, 0)
+            payload = obj["payload"]
+            if end != len(text) or not isinstance(payload, dict):
+                raise ValueError("not one record object")
+            direction, topic = obj["dir"], obj["topic"]
+            if isinstance(direction, str):
+                direction = share(direction, direction)
+            if isinstance(topic, str):
+                topic = share(topic, topic)
+            rec = LogRecord(
+                float(obj["t_mono"]), float(obj["t_utc"]), direction, topic,
+                dict(zip(map(share, payload, payload), payload.values())))
+        except _CORRUPT:
+            rec = None
+        yield rec
 
 
 class LogWriter:
@@ -114,17 +164,12 @@ def read_records(path) -> tuple[list[LogRecord], int]:
     """All parseable records plus the corrupt-line count."""
     records: list[LogRecord] = []
     corrupt = 0
-    # bytes, so a line that is not UTF-8 counts as corrupt
-    # (UnicodeDecodeError is a ValueError) instead of ending the read
     with open(path, "rb") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(LogRecord.from_json(line.decode("utf-8")))
-            except (ValueError, KeyError, TypeError):
+        for rec in _records(fh):
+            if rec is None:
                 corrupt += 1
+            else:
+                records.append(rec)
     return records, corrupt
 
 
@@ -166,19 +211,26 @@ def replay(path, speed_factor: float,
 
 
 def export_csv(source_path, topic: str, out_path) -> int:
-    """Write one CSV row per record of `topic`; returns the row count."""
+    """Write one CSV row per record of `topic` as its line is parsed,
+    skipping corrupt lines; returns the row count. The log is opened
+    before the CSV, so an unknown topic or a log that cannot be opened
+    leaves no CSV behind, and an `out_path` naming the log itself is
+    refused (ValueError) before the log is truncated."""
     columns = TOPIC_COLUMNS.get(topic)
     if columns is None:
         raise UnknownTopicError(f"unknown topic {topic!r}")
-    records, _ = read_records(source_path)
     count = 0
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *columns])
-        for rec in records:
-            if rec.topic != topic:
-                continue
-            writer.writerow([repr(rec.t_mono)]
-                            + [rec.payload.get(col, "") for col in columns])
-            count += 1
+    with open(source_path, "rb") as src:
+        if (os.path.exists(out_path)
+                and os.path.samefile(source_path, out_path)):
+            raise ValueError(f"CSV output {str(out_path)!r} is the log")
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", *columns])
+            for rec in _records(src):
+                if rec is None or rec.topic != topic:
+                    continue
+                writer.writerow([repr(rec.t_mono)] + [
+                    rec.payload.get(col, "") for col in columns])
+                count += 1
     return count

@@ -95,6 +95,20 @@ class TestExitCodes:
     def test_replay_missing_file(self, capsys):
         assert main(["replay", "/no/such/file.olog"]) == EXIT_CONFIG
 
+    def test_replay_skips_a_deeply_nested_line(self, tmp_path, capsys):
+        log = tmp_path / "run.olog"
+        with LogWriter(log) as writer:
+            writer.record(LogRecord(0.0, 0.0, "rx", "otter_gps",
+                                    {"lat": 45.0}))
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("[" * 100000 + "\n")
+        assert main(["replay", str(log)]) == EXIT_OK
+        assert "skipped 1 corrupt lines" in capsys.readouterr().err
+        out = tmp_path / "gps.csv"
+        assert main(["replay", str(log), "--csv-topic", "otter_gps",
+                     "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
     def test_run_socket_mode_unreachable_bind(self, tmp_path, capsys):
         # occupy the telemetry port so the client cannot bind
         blocker = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -215,6 +229,9 @@ EXIT_CODE_MATRIX = [
     pytest.param("replay {log} --speed 1e-300", "",
                  EXIT_CONFIG, "usage error: speed_factor 1e-300",
                  id="replay-speed-tiny"),
+    pytest.param("replay {log} --csv-topic otter_gps --out {log}", "",
+                 EXIT_CONFIG, "usage error: CSV output",
+                 id="replay-csv-over-its-log"),
 ]
 
 

@@ -165,6 +165,11 @@ class TestEncodeErrors:
         ("alt", codec.PosReport(43200.0, 45.0, -76.0, "0", 1.0, 90.0)),
         ("sog", codec.PosReport(43200.0, 45.0, -76.0, 0.0, 10 ** 400, 90.0)),
         ("speed", codec.CourseSpeedCmd(90.0, None)),
+        # past the interpreter's int-to-str digit limit
+        ("rpm_port", codec.StatusReport("MAN", 10 ** 5000, 0, 22.5, 50.0,
+                                        100.0)),
+        ("utc_date", codec.TimeReport(10 ** 5000, 1.0)),
+        ("temp", codec.StatusReport("MAN", 0, 0, 10 ** 5000, 50.0, 100.0)),
     ])
     def test_field_that_cannot_render_is_a_range_error(self, name, msg):
         with pytest.raises(codec.RangeError, match=name):

@@ -3,6 +3,8 @@ import json
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from otterlink.logbag import (LogRecord, LogWriter, OrderingError,
                               SCHEMA_VERSION, UnknownTopicError, export_csv,
@@ -12,6 +14,89 @@ from otterlink.logbag import (LogRecord, LogWriter, OrderingError,
 def rec(t, topic="otter_gps", payload=None, direction="rx"):
     return LogRecord(t, 43200.0 + t, direction, topic,
                      payload if payload is not None else {"lat": 45.0})
+
+
+def reference_read_records(path):
+    """The reader as it was before the shared line parser: json.loads
+    per line. The parser must agree with it on every line it can read."""
+    records = []
+    corrupt = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                if not isinstance(obj["payload"], dict):
+                    raise ValueError("record payload is not a JSON object")
+                records.append(LogRecord(
+                    float(obj["t_mono"]), float(obj["t_utc"]), obj["dir"],
+                    obj["topic"], obj["payload"]))
+            except (ValueError, KeyError, TypeError):
+                corrupt += 1
+    return records, corrupt
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6),
+                    st.floats(), st.text(max_size=4))
+JSON = st.one_of(SCALARS, st.lists(SCALARS, max_size=2),
+                 st.dictionaries(st.text(max_size=2), SCALARS, max_size=2))
+STAMPS = st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                   st.floats().map(repr))  # numeric strings, "nan" too
+NAMES = st.sampled_from(["rx", "tx", "otter_gps", "event"]) | JSON
+PAYLOADS = st.dictionaries(
+    st.sampled_from(["lat", "lon", "utc", "name", "\u00e9"])
+    | st.text(max_size=3), JSON, max_size=4)
+KEYS = ("v", "t_mono", "t_utc", "dir", "topic", "payload")
+DAMAGE = ["none"] * 4 + [
+    "bad-stamp", "bad-payload", "missing-key", "not-object", "blank", "bom",
+    "trailing", "cr", "bad-utf8", "truncated", "padded"]
+
+
+@st.composite
+def log_lines(draw):
+    """One line of a log, as bytes without its newline: a record, maybe
+    damaged in one way."""
+    obj = {"v": 1, "t_mono": draw(STAMPS), "t_utc": draw(STAMPS),
+           "dir": draw(NAMES), "topic": draw(NAMES),
+           "payload": draw(PAYLOADS)}
+    damage = draw(st.sampled_from(DAMAGE))
+    if damage == "bad-stamp":
+        obj[draw(st.sampled_from(["t_mono", "t_utc"]))] = draw(
+            st.text(max_size=3) | st.none() | st.lists(SCALARS, max_size=2))
+    elif damage == "bad-payload":
+        obj["payload"] = draw(SCALARS | st.lists(SCALARS, max_size=2))
+    elif damage == "missing-key":
+        del obj[draw(st.sampled_from(KEYS))]
+    elif damage == "not-object":
+        obj = draw(st.sampled_from([[obj], "text", 7, None]))
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans())).encode()
+    at = draw(st.integers(0, len(line)))
+    if damage == "blank":
+        return draw(st.sampled_from([b"", b" ", b"\r", b"\t \x0c"]))
+    if damage == "bom":
+        return b"\xef\xbb\xbf" + line
+    if damage == "trailing":
+        return line + draw(st.sampled_from([b"x", b" {}", b"\r{}", b",",
+                                            b"]", b" 1"]))
+    if damage == "cr":  # a bare carriage return inside the line
+        return line[:at] + b"\r" + line[at:]
+    if damage == "bad-utf8":
+        bad = draw(st.sampled_from([b"\xff", b"\xc3"]))
+        return line[:at] + bad + line[at:]
+    if damage == "truncated":
+        return line[:at]
+    if damage == "padded":
+        return b" \t" + line + b"\r \x0b"
+    return line
+
+
+def same_read(got, want):
+    """Equal record lists and counts; repr, so NaN stamps compare and
+    -0.0 differs from 0.0."""
+    return ([repr(r) for r in got[0]], got[1]) == (
+        [repr(r) for r in want[0]], want[1])
 
 
 class TestRecordFormat:
@@ -27,6 +112,18 @@ class TestRecordFormat:
 
     def test_one_line_per_record(self):
         assert "\n" not in rec(0.0).to_json()
+
+    def test_line_bytes_pinned(self, tmp_path):
+        path = tmp_path / "run.olog"
+        with LogWriter(path) as writer:
+            writer.record(LogRecord(1.5, 43201.5, "tx", "event",
+                                    {"name": "caf\u00e9",
+                                     "value": float("nan"),
+                                     "detail": [1, None, True]}))
+        assert path.read_bytes() == (
+            b'{"dir":"tx","payload":{"detail":[1,null,true],'
+            b'"name":"caf\\u00e9","value":NaN},"t_mono":1.5,'
+            b'"t_utc":43201.5,"topic":"event","v":1}\n')
 
 
 class TestWriterReader:
@@ -90,6 +187,52 @@ class TestWriterReader:
         assert replay(path, 0.0, seen.append).corrupt_count == 1
         assert seen == good
         assert export_csv(path, "otter_gps", tmp_path / "gps.csv") == 2
+
+    @pytest.mark.parametrize("bad", [
+        b"[" * 100000,
+        b'{"payload":' * 100000,
+        b"\xef\xbb\xbf" + rec(0.5).to_json().encode(),
+        rec(0.5).to_json().encode() + b" {}",
+        rec(0.5).to_json().replace("0.5", "1" + "0" * 400, 1).encode(),
+    ], ids=["nested-list", "nested-object", "bom", "trailing-data",
+            "stamp-past-float-range"])
+    def test_line_that_is_not_one_record_is_corrupt(self, tmp_path, bad):
+        path = tmp_path / "run.olog"
+        good = [rec(0.0), rec(1.0)]
+        with open(path, "wb") as fh:
+            fh.write(good[0].to_json().encode() + b"\n" + bad + b"\n")
+            fh.write(good[1].to_json().encode() + b"\n")
+        assert read_records(path) == (good, 1)
+        seen = []
+        assert replay(path, 0.0, seen.append).corrupt_count == 1
+        assert seen == good
+        assert export_csv(path, "otter_gps", tmp_path / "gps.csv") == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(log_lines(), max_size=6))
+    def test_parser_matches_per_line_json_loads(self, tmp_path_factory,
+                                                lines):
+        path = tmp_path_factory.mktemp("olog") / "run.olog"
+        path.write_bytes(b"\n".join(lines))
+        try:
+            want = reference_read_records(path)
+        except OverflowError:  # a stamp the old reader could not read
+            assume(False)
+        got = read_records(path)
+        assert same_read(got, want)
+        assert got[1] + len(got[0]) == sum(1 for line in lines
+                                           if line.strip())
+
+    def test_records_share_keys_and_strings(self, tmp_path):
+        path = tmp_path / "run.olog"
+        with LogWriter(path) as writer:
+            writer.record(rec(0.0, payload={"lat": 45.0, "lon": -76.0}))
+            writer.record(rec(0.1, payload={"lat": 45.1, "lon": -76.1}))
+        (a, b), _ = read_records(path)
+        assert a.topic is b.topic
+        assert a.direction is b.direction
+        assert all(x is y for x, y in zip(a.payload, b.payload))
+        assert list(a.payload) == ["lat", "lon"]
 
     def test_io_failure_disables_but_does_not_raise(self, tmp_path):
         path = tmp_path / "run.olog"
@@ -161,3 +304,20 @@ class TestExportCsv:
             writer.record(rec(0.0))
         with pytest.raises(UnknownTopicError):
             export_csv(log, "otter_sonar", tmp_path / "out.csv")
+
+    def test_csv_over_its_own_log_is_refused(self, tmp_path):
+        log = tmp_path / "run.olog"
+        with LogWriter(log) as writer:
+            writer.record(rec(0.0))
+        before = log.read_bytes()
+        with pytest.raises(ValueError, match="is the log"):
+            export_csv(log, "otter_gps", f"{tmp_path}/./run.olog")
+        assert log.read_bytes() == before
+
+    @pytest.mark.parametrize("log", ["missing.olog", "."],
+                             ids=["missing", "directory"])
+    def test_unreadable_log_leaves_no_csv(self, tmp_path, log):
+        out = tmp_path / "gps.csv"
+        with pytest.raises(OSError):
+            export_csv(tmp_path / log, "otter_gps", out)
+        assert not out.exists()
