@@ -47,8 +47,7 @@ import numpy as np
 
 from . import geo
 from .guidance import PolylinePath
-from .vessel import (VesselParams, VesselState, dynamics_deriv, rk4_step,
-                     wrap_2pi)
+from .vessel import VesselParams, VesselState, rk4_step, wrap_2pi
 
 
 @dataclass(frozen=True)
@@ -107,15 +106,16 @@ def state_vector(state: VesselState) -> np.ndarray:
 
 
 def predict(y0: np.ndarray, motors: np.ndarray, config: NmpcConfig,
-            params: VesselParams) -> np.ndarray:
+            params: VesselParams, stages: list | None = None) -> np.ndarray:
     """RK4 rollout of the nominal model, thrusts F_max m; identical
-    stepping to the simulator's step_dynamics for matching dt."""
+    stepping to the simulator's step_dynamics for matching dt. A
+    `stages` list gets each step's stage points y2, y3, y4 appended."""
     dt = config.dt
     y = tuple(float(v) for v in y0)
     rows = [y]
     for port, stbd in np.asarray(motors, dtype=float).tolist():
         y = rk4_step(y, params.F_max * port, params.F_max * stbd, 0.0, 0.0,
-                     params, dt)
+                     params, dt, stages)
         y = (y[0], y[1], wrap_2pi(y[2]), y[3], y[4], y[5])
         rows.append(y)
     states = np.array(rows)
@@ -178,18 +178,19 @@ def _stage_jacobians(psi, u, v, r, p: VesselParams) -> np.ndarray:
     return A
 
 
-def _rollout_jacobian(states: np.ndarray, motors: np.ndarray,
+def _rollout_jacobian(states: np.ndarray, stages: list,
                       config: NmpcConfig, p: VesselParams) -> np.ndarray:
-    """d(state k+1)/d(motors flattened) for k = 0..N-1, as (N, 6, 2N).
+    """d(state k+1)/d(motors flattened) for k = 0..N-1, as (N, 6, 2N),
+    from the rollout's states and the stage points y2, y3, y4 its RK4
+    steps appended to `stages`.
 
-    All N RK4 steps at once: their stage points are (N,) arrays, the
-    stage Jacobians [df/dy | df/dm] (N, 6, 8) chain through batched
-    matmuls into each step's A_k = dy'/dy and B_k = dy'/dm, and then
-    S_{k+1} = A_k S_k with B_k in columns 2k, 2k+1.
+    All N RK4 steps at once: the stage Jacobians [df/dy | df/dm]
+    (N, 6, 8) chain through batched matmuls into each step's A_k =
+    dy'/dy and B_k = dy'/dm, and then S_{k+1} = A_k S_k with B_k in
+    columns 2k, 2k+1.
     """
-    n, dt = len(motors), config.dt
+    n, dt = len(states) - 1, config.dt
     h = 0.5 * dt
-    fp, fs = p.F_max * motors.T
     # the thrusts enter u' and r' only: u' through their sum, r' through
     # their difference
     B = np.zeros((6, 8))  # [0 | df/dm]
@@ -198,14 +199,12 @@ def _rollout_jacobian(states: np.ndarray, motors: np.ndarray,
     B[5, 7] = -B[5, 6]
     E = np.eye(6, 8)  # [I | 0]
 
-    # stage points y1 = y, y2 = y + h k1, y3 = y + h k2, y4 = y + dt k3,
-    # then all 4N stage Jacobians at once
-    points = [states[:-1].T]
-    for step in (h, h, dt):
-        k = dynamics_deriv(points[-1], fp, fs, 0.0, 0.0, p, trig=np)
-        points.append(points[0] + step * np.array(k))
-    A = _stage_jacobians(*np.concatenate(points, axis=1)[2:], p)
-    A = A.reshape(4, n, 6, 6)
+    # stage points y1 = y, then y2, y3, y4 of each step: all 4N stage
+    # Jacobians at once, stage by stage
+    points = np.concatenate([states[:-1],
+                             np.reshape(stages, (n, 3, 6)).transpose(1, 0, 2)
+                             .reshape(3 * n, 6)])
+    A = _stage_jacobians(*points.T[2:], p).reshape(4, n, 6, 6)
     # K_i = [dk_i/dy | dk_i/dm] = A_i (E + step K_{i-1}) + B
     K = A[0] @ E + B
     total = K.copy()
@@ -224,12 +223,13 @@ def _rollout_jacobian(states: np.ndarray, motors: np.ndarray,
     return sens
 
 
-def _jacobian(states: np.ndarray, motors: np.ndarray, port, psi_path,
+def _jacobian(states: np.ndarray, stages: list, port, psi_path,
               config: NmpcConfig, params: VesselParams) -> np.ndarray:
-    """d(_residuals)/d(motors flattened), (7N, 2N); e_ct moves along the
-    port normal of its segment and psi_path is constant per segment."""
-    n = len(motors)
-    sens = _rollout_jacobian(states, motors, config, params)
+    """d(_residuals)/d(motors flattened), (7N, 2N), at the rollout
+    `states` and its RK4 `stages`; e_ct moves along the port normal of
+    its segment and psi_path is constant per segment."""
+    n = len(states) - 1
+    sens = _rollout_jacobian(states, stages, config, params)
     half_cos = 0.5 * np.cos(0.5 * _heading_error(states, psi_path))
     eye = np.eye(2 * n)
     return np.concatenate([
@@ -286,19 +286,20 @@ def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
 
 def _evaluate(y0, motors, path: PolylinePath, config: NmpcConfig,
               params: VesselParams, prev_motors):
-    """Rollout, path projection, residuals r and cost r.r of one motor
-    command sequence."""
-    states = predict(y0, motors, config, params)
+    """Rollout with its RK4 stage points, path projection, residuals r
+    and cost r.r of one motor command sequence."""
+    stages = []
+    states = predict(y0, motors, config, params, stages)
     e_ct, psi_path, port = path.project_many(states[1:, :2])
     r = _residuals(states, motors, e_ct, psi_path, config, prev_motors)
-    return states, (e_ct, psi_path, port), r, float(r @ r)
+    return states, stages, (e_ct, psi_path, port), r, float(r @ r)
 
 
 def cost_of_inputs(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
                    config: NmpcConfig, params: VesselParams,
                    prev_input) -> float:
     """The solver's cost r.r of an (N, 2) motor command sequence."""
-    return _evaluate(y0, inputs, path, config, params, prev_input)[3]
+    return _evaluate(y0, inputs, path, config, params, prev_input)[4]
 
 
 def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
@@ -306,9 +307,9 @@ def cost_gradient(y0: np.ndarray, inputs: np.ndarray, path: PolylinePath,
                   prev_input) -> tuple[float, np.ndarray]:
     """Exact (cost, d cost / d inputs) of an (N, 2) motor command
     sequence, as 2 J^T r at the rollout."""
-    states, (_, psi_path, port), r, c = _evaluate(y0, inputs, path, config,
-                                                  params, prev_input)
-    J = _jacobian(states, inputs, port, psi_path, config, params)
+    states, stages, (_, psi_path, port), r, c = _evaluate(
+        y0, inputs, path, config, params, prev_input)
+    J = _jacobian(states, stages, port, psi_path, config, params)
     return c, (2.0 * J.T @ r).reshape(inputs.shape)
 
 
@@ -329,14 +330,14 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
     else:
         motors = np.zeros((n, 2))
     try:
-        states, (_, psi_path, port), r, c = _evaluate(
+        states, stages, (_, psi_path, port), r, c = _evaluate(
             y0, motors, path, config, params, prev_motors)
     except FloatingPointError:
         return None
     iters = trials = 0
     stop = "max_iters"
     while iters < config.max_iters:
-        J = _jacobian(states, motors, port, psi_path, config, params)
+        J = _jacobian(states, stages, port, psi_path, config, params)
         half_grad = J.T @ r
         flat = motors.ravel()
         if (np.max(np.abs(flat - np.clip(flat - 2.0 * half_grad, -1.0, 1.0)))
@@ -361,20 +362,20 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
             except FloatingPointError:
                 return None
             # Armijo against the model's decrease |r|^2 - |r + a J d|^2
-            if trial[3] <= c + 1e-4 * alpha * (slope + alpha * curve):
+            if trial[4] <= c + 1e-4 * alpha * (slope + alpha * curve):
                 break
             # minimizer of the quadratic through c, the slope at 0 and the
             # trial, kept within [0.1, 0.5] of the rejected step
-            excess = trial[3] - c - alpha * slope
+            excess = trial[4] - c - alpha * slope
             alpha = min(max(-0.5 * slope * alpha * alpha / excess,
                             0.1 * alpha), 0.5 * alpha)
         else:
             # no step along the Gauss-Newton direction lowers the cost
             stop = "line_search"
             break
-        improvement = c - trial[3]
+        improvement = c - trial[4]
         motors = trial_motors
-        states, (_, psi_path, port), r, c = trial
+        states, stages, (_, psi_path, port), r, c = trial
         if improvement <= 1e-3 * (1.0 + abs(c)):
             stop = "stalled"
             break

@@ -151,14 +151,10 @@ def apply_motor_lag(motor: MotorState, target: float, dt: float,
 
 def dynamics_deriv(y, f_port: float, f_stbd: float,
                    current_north: float, current_east: float,
-                   p: VesselParams, trig=math):
-    """Continuous-time derivative of [north, east, psi, u, v, r].
-
-    Scalar by default; with trig=numpy the state entries and thrusts may
-    be arrays of equal shape, evaluating many states at once.
-    """
+                   p: VesselParams):
+    """Continuous-time derivative of [north, east, psi, u, v, r]."""
     _, _, psi, u, v, r = y
-    spsi, cpsi = trig.sin(psi), trig.cos(psi)
+    spsi, cpsi = math.sin(psi), math.cos(psi)
     return (
         u * cpsi - v * spsi + current_north,
         u * spsi + v * cpsi + current_east,
@@ -170,8 +166,9 @@ def dynamics_deriv(y, f_port: float, f_stbd: float,
 
 
 def rk4_step(y, f_port, f_stbd, current_north, current_east,
-             p: VesselParams, dt: float):
+             p: VesselParams, dt: float, stages: list | None = None):
     """One classical RK4 step of the 6-state model; psi left unwrapped.
+    A `stages` list gets the step's stage points y2, y3 and y4 appended.
 
     Written out per component (this runs ~10^5 times per NMPC mission):
     the same float operations in the same order as an index loop, so
@@ -183,12 +180,17 @@ def rk4_step(y, f_port, f_stbd, current_north, current_east,
     n, e, psi, u, v, r = y
     h = 0.5 * dt
     n1, e1, psi1, u1, v1, r1 = f(y)
-    n2, e2, psi2, u2, v2, r2 = f((n + h * n1, e + h * e1, psi + h * psi1,
-                                  u + h * u1, v + h * v1, r + h * r1))
-    n3, e3, psi3, u3, v3, r3 = f((n + h * n2, e + h * e2, psi + h * psi2,
-                                  u + h * u2, v + h * v2, r + h * r2))
-    n4, e4, psi4, u4, v4, r4 = f((n + dt * n3, e + dt * e3, psi + dt * psi3,
-                                  u + dt * u3, v + dt * v3, r + dt * r3))
+    y2 = (n + h * n1, e + h * e1, psi + h * psi1,
+          u + h * u1, v + h * v1, r + h * r1)
+    n2, e2, psi2, u2, v2, r2 = f(y2)
+    y3 = (n + h * n2, e + h * e2, psi + h * psi2,
+          u + h * u2, v + h * v2, r + h * r2)
+    n3, e3, psi3, u3, v3, r3 = f(y3)
+    y4 = (n + dt * n3, e + dt * e3, psi + dt * psi3,
+          u + dt * u3, v + dt * v3, r + dt * r3)
+    n4, e4, psi4, u4, v4, r4 = f(y4)
+    if stages is not None:
+        stages += (y2, y3, y4)
     w = dt / 6.0
     return (n + w * (n1 + 2.0 * n2 + 2.0 * n3 + n4),
             e + w * (e1 + 2.0 * e2 + 2.0 * e3 + e4),

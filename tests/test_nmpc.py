@@ -292,9 +292,9 @@ class TestGradient:
 
 def linearized(y0, motors, path, config, prev):
     """(cost, residuals, Jacobian) at a motor command sequence."""
-    states, (_, psi_path, port), r, c = _evaluate(y0, motors, path, config,
-                                                  P, prev)
-    return c, r, _jacobian(states, motors, port, psi_path, config, P)
+    states, stages, (_, psi_path, port), r, c = _evaluate(
+        y0, motors, path, config, P, prev)
+    return c, r, _jacobian(states, stages, port, psi_path, config, P)
 
 
 def motor_problems():
@@ -312,10 +312,72 @@ def motor_problems():
         yield y0, motors, path, config, tuple(rng.uniform(-1, 1, size=2))
 
 
+def recomputed_rollout_jacobian(states, motors, config, p):
+    """The rollout Jacobian with each RK4 step's stage points recomputed
+    from its state and motors by array evaluations of the model's
+    derivative, as the solver built it before the rollout kept them."""
+    def deriv(y, fp, fs):  # vessel.dynamics_deriv over (N,) arrays
+        _, _, psi, u, v, r = y
+        spsi, cpsi = np.sin(psi), np.cos(psi)
+        return (u * cpsi - v * spsi + 0.0, u * spsi + v * cpsi + 0.0, r,
+                (fp + fs - p.d1u * u - p.d2u * u * abs(u) + p.m22 * v * r)
+                / p.m11,
+                (-p.d1v * v - p.m11 * u * r) / p.m22,
+                (p.lever * (fp - fs) - p.d1r * r - (p.m22 - p.m11) * u * v)
+                / p.m33)
+
+    n, dt = len(motors), config.dt
+    h = 0.5 * dt
+    fp, fs = p.F_max * motors.T
+    B = np.zeros((6, 8))
+    B[3, 6:] = p.F_max / p.m11
+    B[5, 6] = p.lever * p.F_max / p.m33
+    B[5, 7] = -B[5, 6]
+    E = np.eye(6, 8)
+    points = [states[:-1].T]
+    for step in (h, h, dt):
+        k = deriv(points[-1], fp, fs)
+        points.append(points[0] + step * np.array(k))
+    A = nmpc._stage_jacobians(*np.concatenate(points, axis=1)[2:], p)
+    A = A.reshape(4, n, 6, 6)
+    K = A[0] @ E + B
+    total = K.copy()
+    for i, (step, weight) in enumerate(((h, 2.0), (h, 2.0), (dt, 1.0)), 1):
+        K = A[i] @ (E + step * K) + B
+        total += weight * K
+    A_steps = np.eye(6) + (dt / 6.0) * total[:, :, :6]
+    B_steps = (dt / 6.0) * total[:, :, 6:]
+    sens = np.zeros((n, 6, 2 * n))
+    for i in range(n):
+        if i:
+            np.matmul(A_steps[i], sens[i - 1, :, :2 * i],
+                      out=sens[i, :, :2 * i])
+        sens[i, :, 2 * i:2 * i + 2] = B_steps[i]
+    return sens
+
+
 class TestGaussNewton:
+    def test_stage_point_jacobian_equals_the_recomputed_one(self):
+        # the stage points the rollout keeps are the ones recomputing
+        # them gives, to the bit: for plans across the box, on its faces,
+        # and at its corners
+        rng = np.random.default_rng(67)
+        problems = list(motor_problems())
+        for y0, _, _, config, _ in problems[:6]:
+            problems.append((y0, rng.choice([-1.0, 1.0],
+                                            size=(config.steps_N, 2)),
+                             None, config, None))
+        for y0, motors, _, config, _ in problems:
+            stages = []
+            states = predict(y0, motors, config, P, stages)
+            assert len(stages) == 3 * config.steps_N
+            assert np.array_equal(
+                nmpc._rollout_jacobian(states, stages, config, P),
+                recomputed_rollout_jacobian(states, motors, config, P))
+
     def test_residuals_square_to_objective(self):
         for y0, motors, path, config, prev in motor_problems():
-            _, _, r, c = _evaluate(y0, motors, path, config, P, prev)
+            _, _, _, r, c = _evaluate(y0, motors, path, config, P, prev)
             assert r.shape == (7 * config.steps_N,)
             assert c == float(r @ r)
             # the residuals square to the docstring's 1 - cos form
@@ -353,7 +415,7 @@ class TestGaussNewton:
             def residuals_at(j, step):
                 moved = motors.copy()
                 moved.flat[j] += step
-                return _evaluate(y0, moved, path, config, P, prev)[2]
+                return _evaluate(y0, moved, path, config, P, prev)[3]
 
             eps = 1e-6
             fd = np.empty_like(J)
