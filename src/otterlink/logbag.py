@@ -15,7 +15,8 @@ lines are skipped and counted rather than aborting the read.
 Every reader shares one line parser (`_records`), which keeps a single
 copy of each payload key and of each `dir`/`topic` string per read.
 `replay` reads the whole file first, to check the largest gap against
-its speed; `export_csv` streams, writing each row as its line is parsed.
+its speed; `export_csv` streams, writing each row as its line is parsed,
+and parses only the lines that can hold its topic.
 """
 
 from __future__ import annotations
@@ -219,6 +220,10 @@ def export_csv(source_path, topic: str, out_path) -> int:
     columns = TOPIC_COLUMNS.get(topic)
     if columns is None:
         raise UnknownTopicError(f"unknown topic {topic!r}")
+    # a JSON string equal to the topic is its unescaped form or holds a
+    # backslash: a line with neither cannot be one of its records, and
+    # is skipped unparsed
+    quoted = json.dumps(topic, ensure_ascii=False).encode("utf-8")
     count = 0
     with open(source_path, "rb") as src:
         if (os.path.exists(out_path)
@@ -227,7 +232,9 @@ def export_csv(source_path, topic: str, out_path) -> int:
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", *columns])
-            for rec in _records(src):
+            lines = (line for line in src
+                     if quoted in line or b"\\" in line)
+            for rec in _records(lines):
                 if rec is None or rec.topic != topic:
                     continue
                 writer.writerow([repr(rec.t_mono)] + [

@@ -23,14 +23,21 @@ the box and the Jacobian, built for all N RK4 steps at once from their
 stage points, is exact everywhere in it, faces included. Each iteration
 minimizes |r + J d|^2 over the box by a small primal active-set method
 and backtracks along d with an Armijo test against the model's
-predicted decrease. A trial's rollout, projection and residuals are
-reused for the next linearization. A solve ends `converged` when no
-entry of the projected gradient reaches grad_tol, `stalled` when an
-accepted step improves the cost by at most 1e-3 (1 + cost),
-`line_search` when no step along the direction lowers the cost,
-`budget` past its wall-clock budget and `max_iters` after max_iters
-iterations. The plan is published as (x, z) = T m (`vessel.unmix`),
-which the OBC's `vessel.mix` maps back to m.
+predicted decrease. A trial's rollout, its RK4 stage points,
+projection and residuals are reused for the next linearization. A
+solve ends `converged` when no entry of the projected gradient reaches
+grad_tol, `stalled` when an accepted step improves the cost by at most
+1e-2 (1 + cost), 1 %, `line_search` when no step along the direction
+lowers the cost, `budget` past its wall-clock budget and `max_iters`
+after max_iters iterations. The plan is published as (x, z) = T m
+(`vessel.unmix`), which the OBC's `vessel.mix` maps back to m.
+
+A solve starts from the previous plan shifted by the time that passed
+since it was solved (`shift_warm_start`): row k is that plan linearly
+interpolated at k dt + elapsed, its last row held past the horizon. At
+10 Hz that is half a plan step, so the start is close to the plan the
+sample before would have applied, and most solves stall after two
+iterations.
 
 `cost_of_inputs` and `cost_gradient`, which the solver does not call,
 wrap the solver's own evaluation of a motor command sequence: the cost
@@ -124,9 +131,20 @@ def predict(y0: np.ndarray, motors: np.ndarray, config: NmpcConfig,
     return states
 
 
-def shift_warm_start(previous: ControlSolution) -> np.ndarray:
-    """Previous plan shifted one step, last command repeated."""
-    return np.vstack([previous.motors[1:], previous.motors[-1:]])
+def shift_warm_start(motors: np.ndarray, elapsed: float,
+                     dt: float) -> np.ndarray:
+    """The plan `motors`, on a grid of step dt, shifted by the `elapsed`
+    seconds since it was solved: row k is the plan linearly interpolated
+    at k dt + elapsed, and the last row is held past the horizon. An
+    elapsed of dt drops the first row and repeats the last; 0 keeps the
+    plan."""
+    n = len(motors)
+    whole, frac = divmod(min(max(0.0, elapsed / dt), float(n)), 1.0)
+    rows = np.minimum(np.arange(n) + int(whole), n - 1)
+    shifted = motors[rows]
+    if frac:
+        shifted += frac * (motors[np.minimum(rows + 1, n - 1)] - shifted)
+    return shifted
 
 
 def _heading_error(states: np.ndarray, psi_path) -> np.ndarray:
@@ -317,16 +335,20 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
                params: VesselParams,
                warm_start: ControlSolution | None = None,
                prev_motors=(0.0, 0.0),
-               budget_s: float | None = None) -> ControlSolution | None:
+               budget_s: float | None = None,
+               elapsed: float | None = None) -> ControlSolution | None:
     """Box-constrained Gauss-Newton solve over the motor commands;
-    returns None on numeric failure. Past `budget_s` seconds of wall
-    time no further iteration starts (the first always runs); None sets
-    no wall-clock limit."""
+    returns None on numeric failure. It starts from `warm_start`, solved
+    `elapsed` seconds earlier (None: one plan step), shifted by that
+    time. Past `budget_s` seconds of wall time no further iteration
+    starts (the first always runs); None sets no wall-clock limit."""
     t_start = time.perf_counter()
     y0 = state_vector(state)
     n = config.steps_N
     if warm_start is not None and len(warm_start.motors) == n:
-        motors = shift_warm_start(warm_start)
+        motors = shift_warm_start(
+            warm_start.motors, config.dt if elapsed is None else elapsed,
+            config.dt)
     else:
         motors = np.zeros((n, 2))
     try:
@@ -376,7 +398,7 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
         improvement = c - trial[4]
         motors = trial_motors
         states, stages, (_, psi_path, port), r, c = trial
-        if improvement <= 1e-3 * (1.0 + abs(c)):
+        if improvement <= 1e-2 * (1.0 + abs(c)):
             stop = "stalled"
             break
         if budget_s is not None and time.perf_counter() - t_start > budget_s:

@@ -44,6 +44,7 @@ class NmpcController:
         self.event_log = event_log  # callable(name, detail) or None
         self._latest = None
         self._prev_solution = None
+        self._solved_at = 0.0  # `now` of the step that solved it
         self._applied = (0.0, 0.0)  # (port, starboard) motor commands
         self._fail_count = 0
         self._in_dropout = False
@@ -82,9 +83,12 @@ class NmpcController:
         self._in_dropout = False
         state = state_from_synced(sample, *self.origin)
         budget = None if deadline is None else deadline - now - SOLVE_RESERVE_S
+        # the previous plan is shifted by the time since it was solved:
+        # 0.1 s at 10 Hz, more after a skipped slot or a dropout
         solution = solve_nmpc(state, self.path, self.config, self.params,
                               warm_start=self._prev_solution,
-                              prev_motors=self._applied, budget_s=budget)
+                              prev_motors=self._applied, budget_s=budget,
+                              elapsed=now - self._solved_at)
         if solution is None:
             self._fail_count += 1
             if self._fail_count >= FAILSAFE_AFTER:
@@ -93,6 +97,7 @@ class NmpcController:
             return
         self._fail_count = 0
         self._prev_solution = solution
+        self._solved_at = now
         self._applied = tuple(solution.motors[0].tolist())
         self.solve_times.append(solution.solve_time)
         self.solve_iters.append(solution.iters)

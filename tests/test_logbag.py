@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from otterlink.logbag import (LogRecord, LogWriter, OrderingError,
-                              SCHEMA_VERSION, UnknownTopicError, export_csv,
-                              read_records, replay)
+from otterlink.logbag import (TOPIC_COLUMNS, LogRecord, LogWriter,
+                              OrderingError, SCHEMA_VERSION,
+                              UnknownTopicError, export_csv, read_records,
+                              replay)
 
 
 def rec(t, topic="otter_gps", payload=None, direction="rx"):
@@ -275,7 +276,62 @@ class TestReplay:
             replay(path, -1.0, lambda r: None)
 
 
+def reference_export_csv(source_path, topic, out_path):
+    """export_csv that parses every line of the log."""
+    columns = TOPIC_COLUMNS[topic]
+    records, _ = read_records(source_path)
+    rows = [[repr(r.t_mono)] + [r.payload.get(col, "") for col in columns]
+            for r in records if r.topic == topic]
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["t", *columns], *rows])
+    return len(rows)
+
+
+# the JSON forms of a record's topic: plain, each with one character
+# escaped, and topics that hold or extend the exported one's text
+TOPIC_FORMS = st.sampled_from([
+    '"otter_gps"', '"otter\\u005fgps"', '"\\u006ftter_gps"',
+    '"otter_gps\\u005f"', '"otter_gps_time"', '"otter_gps\\"x"',
+    '"otter_imu"', '"event"', '["otter_gps"]', '"otter\\/gps"'])
+# payload values that hold the exported topic's text, quoted or escaped
+TOPIC_TEXTS = st.sampled_from([
+    "otter_gps", '"otter_gps"', "otter\\u005fgps", 'a "otter_gps" b'])
+
+
+@st.composite
+def export_lines(draw):
+    """One line of a log whose topic, in one of its JSON forms, may or
+    may not be otter_gps, and whose payload may quote that topic; maybe
+    damaged."""
+    payload = draw(st.dictionaries(
+        st.sampled_from(["utc", "lat", "lon", "alt", "name", "detail"]),
+        st.floats(allow_nan=False) | TOPIC_TEXTS | st.text(max_size=3),
+        max_size=4))
+    obj = {"v": 1, "t_mono": draw(st.floats(0.0, 100.0)), "t_utc": 0.5,
+           "dir": "rx", "topic": "@", "payload": payload}
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    line = line.replace('"@"', draw(TOPIC_FORMS), 1).encode()
+    damage = draw(st.sampled_from(["none"] * 3 + ["truncated", "bad-utf8"]))
+    at = draw(st.integers(0, len(line)))
+    if damage == "truncated":
+        return line[:at]
+    if damage == "bad-utf8":
+        return line[:at] + b"\xff" + line[at:]
+    return line
+
+
 class TestExportCsv:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(export_lines(), max_size=8))
+    def test_matches_an_export_that_parses_every_line(self, tmp_path_factory,
+                                                      lines):
+        tmp = tmp_path_factory.mktemp("export")
+        log = tmp / "run.olog"
+        log.write_bytes(b"\n".join(lines))
+        assert (export_csv(log, "otter_gps", tmp / "got.csv")
+                == reference_export_csv(log, "otter_gps", tmp / "want.csv"))
+        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
     def test_topic_rows_and_columns(self, tmp_path):
         log = tmp_path / "run.olog"
         with LogWriter(log) as writer:

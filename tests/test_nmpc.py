@@ -7,7 +7,7 @@ from otterlink import nmpc, runner
 from otterlink.client import SyncedSample
 from otterlink.config import ConfigFileError, load_config
 from otterlink.guidance import PolylinePath, figure_eight
-from otterlink.nmpc import (STOPS, ControlSolution, NmpcConfig, _evaluate,
+from otterlink.nmpc import (STOPS, NmpcConfig, _evaluate,
                             _jacobian, cost_gradient,
                             cost_of_inputs, predict, shift_warm_start,
                             solve_nmpc, state_from_synced, state_vector)
@@ -480,13 +480,48 @@ class TestSolve:
         assert solve_nmpc(state, EAST_LINE, config, P) is None
 
     def test_warm_start_shift(self):
+        # shifted by one plan step: the first command dropped, the last
+        # repeated
         motors = np.arange(8.0).reshape(4, 2)
-        sol = ControlSolution(motors=motors, predicted=np.zeros((5, 6)),
-                              cost=0.0, iters=1, solve_time=0.0,
-                              converged=True)
-        shifted = shift_warm_start(sol)
+        shifted = shift_warm_start(motors, 0.2, 0.2)
         assert np.array_equal(shifted[:-1], motors[1:])
         assert np.array_equal(shifted[-1], motors[-1])
+
+    def test_warm_start_by_the_elapsed_time(self):
+        config = NmpcConfig()
+        dt, n = config.dt, config.steps_N
+        rng = np.random.default_rng(71)
+        for faces in (True, False, True, False):
+            motors = box_motors(rng, n, faces)
+            # one plan step: bit for bit the whole-step shift
+            assert (shift_warm_start(motors, dt, dt).tobytes()
+                    == np.vstack([motors[1:], motors[-1:]]).tobytes())
+            # no time passed: the plan itself
+            assert shift_warm_start(motors, 0.0, dt).tobytes() \
+                == motors.tobytes()
+            # half a plan step, the 10 Hz control period: the midpoints
+            # of neighbouring rows, the last row held
+            half = shift_warm_start(motors, 0.1, dt)
+            assert np.max(np.abs(half[:-1] - 0.5 * (motors[:-1]
+                                                     + motors[1:]))) \
+                <= 2.0 ** -53
+            assert np.array_equal(half[-1], motors[-1])
+            # past the horizon: the last command, held
+            for elapsed in (n * dt, n * dt + 0.1, 1e9, math.inf):
+                assert np.array_equal(shift_warm_start(motors, elapsed, dt),
+                                      np.repeat(motors[-1:], n, axis=0))
+
+    def test_warm_start_defaults_to_one_plan_step(self):
+        config = NmpcConfig()
+        state = VesselState(north=2.0, psi=1.3, u=0.8)
+        path = figure_eight(20.0)
+        cold = solve_nmpc(state, path, config, P)
+        default, stepped = (
+            solve_nmpc(state, path, config, P, warm_start=cold,
+                       prev_motors=tuple(cold.motors[0]), **elapsed)
+            for elapsed in ({}, {"elapsed": config.dt}))
+        assert np.array_equal(default.motors, stepped.motors)
+        assert default.iters == stepped.iters
 
     def test_warm_started_resolve_is_cheap(self):
         config = NmpcConfig()

@@ -12,7 +12,7 @@ from otterlink.runner import (NmpcController, compute_metrics,
                               metrics_from_records, run_embedded_mission,
                               write_metrics_csv)
 from otterlink.transport import FaultProfile
-from otterlink.vessel import VesselParams, VesselState, mix
+from otterlink.vessel import EnvDisturbance, VesselParams, VesselState, mix
 from otterlink import geo, runner
 
 ORIGIN = (45.0, -76.0)
@@ -206,3 +206,58 @@ class TestPublish:
         monkeypatch.setattr(runner, "solve_nmpc", lambda *a, **k: None)
         ctl.step(1.1)
         assert sent == [line, line]
+
+
+class TestWarmStartClock:
+    @staticmethod
+    def record_elapsed(monkeypatch) -> list:
+        """Make `runner.solve_nmpc` record (elapsed, solution) of every
+        warm-started solve."""
+        solves = []
+
+        def recorded(*args, elapsed=None, **kwargs):
+            sol = solve_nmpc(*args, elapsed=elapsed, **kwargs)
+            if kwargs["warm_start"] is not None:
+                solves.append((elapsed, sol))
+            return sol
+
+        monkeypatch.setattr(runner, "solve_nmpc", recorded)
+        return solves
+
+    def test_embedded_steps_shift_by_the_control_period(self, monkeypatch):
+        solves = self.record_elapsed(monkeypatch)
+        run_embedded_mission("nmpc", figure_eight(20.0), duration=2.0)
+        assert len(solves) == 19
+        assert all(elapsed == pytest.approx(0.1, abs=1e-9)
+                   for elapsed, _ in solves)
+
+    def test_shift_spans_a_skipped_slot_and_a_long_dropout(
+            self, monkeypatch):
+        # 0.2 s after a skipped slot; 5 s after a dropout longer than the
+        # 4 s horizon, whose warm start is the last command, held
+        solves = self.record_elapsed(monkeypatch)
+        gateway = TopicGateway(command_sender=lambda _line: None)
+        ctl = NmpcController(gateway, figure_eight(20.0), NmpcConfig(),
+                             VesselParams(), *ORIGIN)
+        obc = OtterObc()
+        for t in (1.0, 1.1, 1.3, 6.3):
+            for line in obc.tick(t):
+                gateway.feed_line(line, t)
+            ctl.step(t)
+        assert [elapsed for elapsed, _ in solves] == [
+            pytest.approx(e, abs=1e-9) for e in (0.1, 0.2, 5.0)]
+        assert all(sol is not None for _, sol in solves)
+        assert ctl.dropout_events == 0
+
+
+class TestControlUnderCurrent:
+    @pytest.mark.parametrize("current_east", [0.1, 0.2])
+    def test_nmpc_completes_under_an_east_current(self, current_east):
+        # a plan that lags the sample it is solved at, or a solve that
+        # stops one iteration early, leaves the vessel short of the lap
+        # share against the current
+        result = run_embedded_mission(
+            "nmpc", figure_eight(20.0), duration=120.0, target_laps=0.6,
+            env=EnvDisturbance(current_east=current_east))
+        assert result.completed
+        assert result.metrics["completion_time_s"] > 0.0
