@@ -27,7 +27,7 @@ predicted decrease. A trial's rollout, its RK4 stage points,
 projection and residuals are reused for the next linearization. A
 solve ends `converged` when no entry of the projected gradient reaches
 grad_tol, `stalled` when an accepted step improves the cost by at most
-1e-2 (1 + cost), 1 %, `line_search` when no step along the direction
+1 % of (1 + cost), `line_search` when no step along the direction
 lowers the cost, `budget` past its wall-clock budget and `max_iters`
 after max_iters iterations. The plan is published as (x, z) = T m
 (`vessel.unmix`), which the OBC's `vessel.mix` maps back to m.
@@ -217,11 +217,10 @@ def _rollout_jacobian(states: np.ndarray, stages: list,
     B[5, 7] = -B[5, 6]
     E = np.eye(6, 8)  # [I | 0]
 
-    # stage points y1 = y, then y2, y3, y4 of each step: all 4N stage
-    # Jacobians at once, stage by stage
-    points = np.concatenate([states[:-1],
-                             np.reshape(stages, (n, 3, 6)).transpose(1, 0, 2)
-                             .reshape(3 * n, 6)])
+    # stage points y1 = y, then the y2, y3, y4 the rollout kept: all 4N
+    # stage Jacobians at once, stage by stage
+    points = np.concatenate([states[:-1], stages[0::3], stages[1::3],
+                             stages[2::3]])
     A = _stage_jacobians(*points.T[2:], p).reshape(4, n, 6, 6)
     # K_i = [dk_i/dy | dk_i/dm] = A_i (E + step K_{i-1}) + B
     K = A[0] @ E + B
