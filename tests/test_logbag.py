@@ -330,7 +330,8 @@ class TestExportCsv:
         log.write_bytes(b"\n".join(lines))
         assert (export_csv(log, "otter_gps", tmp / "got.csv")
                 == reference_export_csv(log, "otter_gps", tmp / "want.csv"))
-        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+        assert ((tmp / "got.csv").read_bytes()
+                == (tmp / "want.csv").read_bytes())
 
     def test_topic_rows_and_columns(self, tmp_path):
         log = tmp_path / "run.olog"
