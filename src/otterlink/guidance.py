@@ -12,8 +12,12 @@ The scalar queries `project` and `project_near` first look in an exact
 uniform grid built with the path: each cell lists every segment that
 can be nearest to any point in it, ties included, so the scan over that
 short list returns the same segment, bit for bit, as the full kernel.
-Points off the grid, non-finite points, windows that exclude the
-candidate nearest and paths too large for the grid use the full kernel.
+The batch query `project_many` runs the kernel over the union of the
+lists of the cells its points fall in, which holds every point's own
+list, so its argmin is also the full kernel's. Points off the grid,
+non-finite points (for `project_many`, a batch holding one), windows
+that exclude the candidate nearest and paths too large for the grid use
+the full kernel.
 """
 
 from __future__ import annotations
@@ -87,34 +91,40 @@ class PolylinePath:
         self._port = np.column_stack([self._tangents[:, 1],
                                       -self._tangents[:, 0]])
         self._headings = np.arctan2(self._vecs[:, 1], self._vecs[:, 0])
-        # per-component copies for the foot-point kernel: numpy reductions
-        # over a length-2 axis cost more than the arithmetic they sum
-        self._sn, self._se = np.ascontiguousarray(self._starts.T)
-        self._vn, self._ve = np.ascontiguousarray(self._vecs.T)
-        self._tn, self._te = np.ascontiguousarray(self._tangents.T)
+        # per-component rows for the foot-point kernel, (start n, start
+        # e, tangent n, tangent e, length, vector n, vector e): numpy
+        # reductions over a length-2 axis cost more than the arithmetic
+        # they sum, and one gather takes a subset of segments
+        self._kernel = np.vstack([self._starts.T, self._tangents.T,
+                                  self._lengths, self._vecs.T])
+        self._sn, self._se, self._tn, self._te, _, self._vn, self._ve = \
+            self._kernel
         # Python floats for the scalar queries
         self._cum_f = self._cum.tolist()
         self._mids_f = self._mids.tolist()
         self._lengths_f = self._lengths.tolist()
         self._headings_f = self._headings.tolist()
-        self._grid = self._build_grid()
+        self._grid, self._batch_grid = self._build_grid()
 
     def _build_grid(self):
         """Uniform grid over the bounding box plus a margin; per cell the
         ascending tuple of segment rows (index, start, tangent, length,
-        vector) that can be nearest to a point of the cell.
+        vector) that can be nearest to a point of the cell; and, for
+        `project_many`, the grid as arrays: lower and upper bounds, cell
+        side, last cell, cell strides and the lists as a (cells,
+        segments) boolean mask.
 
         A point p of a cell lies within half the cell diagonal D of its
         centre c, and each segment's distance moves by at most |p - c|,
         so a segment nearest to p (ties included) is within min + D of
         c. Every segment with dist(c) <= min + D + slack is kept, the
-        slack covering rounding in the computed distances. Returns None
-        (full kernel only) when cells x segments exceeds its cap or the
-        path's coordinates are not moderate.
+        slack covering rounding in the computed distances. Returns None,
+        None (full kernel only) when cells x segments exceeds its cap or
+        the path's coordinates are not moderate.
         """
         lo, hi = self.points.min(axis=0), self.points.max(axis=0)
         if not np.abs([lo, hi]).max() < _MAX_COORD:
-            return None
+            return None, None
         n_seg = len(self._lengths)
         # upper median by sort: np.median imports numpy.ma, ~10 ms cold
         side = _CELL_SEGMENTS * float(np.sort(self._lengths)[n_seg // 2])
@@ -125,7 +135,7 @@ class PolylinePath:
                 break
             side *= max(1.01, math.sqrt(nx * ny / _MAX_CELLS))
         if nx * ny * n_seg > _MAX_CELL_SEGMENTS:
-            return None
+            return None, None
         x0 = float(lo[0]) - _GRID_MARGIN * side
         y0 = float(lo[1]) - _GRID_MARGIN * side
         x1, y1 = x0 + nx * side, y0 + ny * side
@@ -139,7 +149,7 @@ class PolylinePath:
         centre_n = np.repeat(x0 + (np.arange(nx) + 0.5) * side, ny)
         centre_e = np.tile(y0 + (np.arange(ny) + 0.5) * side, nx)
         chunk = max(1, _BUILD_PAIRS // n_seg)
-        cells = []
+        cells, masks = [], []
         for k in range(0, nx * ny, chunk):
             _, d2 = self._foot(centre_n[k:k + chunk, None],
                                centre_e[k:k + chunk, None])
@@ -147,7 +157,11 @@ class PolylinePath:
             keep = dist <= dist.min(axis=1, keepdims=True) + reach
             cells.extend(tuple(rows[j] for j in np.flatnonzero(m).tolist())
                          for m in keep)
-        return x0, y0, x1, y1, side, nx, ny, cells
+            masks.append(keep)
+        return ((x0, y0, x1, y1, side, nx, ny, cells),
+                (np.array([x0, y0]), np.array([x1, y1]), side,
+                 np.array([nx - 1, ny - 1]), np.array([ny, 1]),
+                 np.concatenate(masks)))
 
     @property
     def length(self) -> float:
@@ -157,14 +171,15 @@ class PolylinePath:
     def end_point(self) -> np.ndarray:
         return self._starts[-1] + self._vecs[-1]
 
-    def _foot(self, pn, pe):
+    def _foot(self, pn, pe, segments=None):
         """Clamped foot-point parameter t and squared distance d2 of
-        (pn, pe) to every segment: scalars give (segments,) arrays,
-        (K, 1) columns give (K, segments)."""
-        t = np.clip(((pn - self._sn) * self._tn + (pe - self._se) * self._te)
-                    / self._lengths, 0.0, 1.0)
-        d2 = ((pn - (self._sn + t * self._vn)) ** 2
-              + (pe - (self._se + t * self._ve)) ** 2)
+        (pn, pe) to every segment, or to the `segments` indexed: scalars
+        give (segments,) arrays, (K, 1) columns give (K, segments)."""
+        sn, se, tn, te, length, vn, ve = (
+            self._kernel if segments is None
+            else self._kernel[:, segments])
+        t = np.clip(((pn - sn) * tn + (pe - se) * te) / length, 0.0, 1.0)
+        d2 = (pn - (sn + t * vn)) ** 2 + (pe - (se + t * ve)) ** 2
         return t, d2
 
     def _grid_nearest(self, north, east):
@@ -251,14 +266,39 @@ class PolylinePath:
 
     project = project_near  # project(n, e): the global projection
 
+    def _batch_candidates(self, p: np.ndarray):
+        """Ascending indices of the segments listed by any grid cell that
+        holds a point of the (K, 2) batch `p`, or None (every segment)
+        without a grid, for an empty batch, or when a point is off the
+        grid or not finite."""
+        if self._batch_grid is None or not len(p):
+            return None
+        lo, hi, side, last, strides, masks = self._batch_grid
+        if not ((lo <= p) & (p < hi)).all():
+            return None
+        # `_grid_nearest`'s cell of each point
+        cell = ((p - lo) / side).astype(np.intp)
+        np.minimum(cell, last, out=cell)
+        return np.flatnonzero(masks[cell @ strides].any(axis=0))
+
     def project_many(self, points: np.ndarray):
         """Vectorized nearest-segment projection of (K, 2) points.
 
         Returns (cross_track (K,), path_heading (K,), port_normal (K, 2)).
+
+        The kernel runs over the union of the candidate lists of the grid
+        cells the points fall in. Each point's own cell lists every
+        segment that can be nearest to it, ties included, so the argmin
+        over that ascending union is the full kernel's, bit for bit.
+        Batches with a point off the grid or not finite scan every
+        segment.
         """
         p = np.asarray(points, dtype=float)
-        _, d2 = self._foot(p[:, 0:1], p[:, 1:2])
+        segments = self._batch_candidates(p)
+        _, d2 = self._foot(p[:, 0:1], p[:, 1:2], segments)
         idx = np.argmin(d2, axis=1)
+        if segments is not None:
+            idx = segments[idx]
         port = self._port[idx]
         e_ct = ((p - self._starts[idx]) * port).sum(axis=1)
         return e_ct, self._headings[idx], port

@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,15 +118,15 @@ def predict(y0: np.ndarray, motors: np.ndarray, config: NmpcConfig,
     """RK4 rollout of the nominal model, thrusts F_max m; identical
     stepping to the simulator's step_dynamics for matching dt. A
     `stages` list gets each step's stage points y2, y3, y4 appended."""
-    dt = config.dt
-    y = tuple(float(v) for v in y0)
-    rows = [y]
+    dt, f_max = config.dt, params.F_max
+    y = tuple(np.asarray(y0, dtype=float).tolist())
+    flat = list(y)  # the states' floats, row by row
     for port, stbd in np.asarray(motors, dtype=float).tolist():
-        y = rk4_step(y, params.F_max * port, params.F_max * stbd, 0.0, 0.0,
-                     params, dt, stages)
+        y = rk4_step(y, f_max * port, f_max * stbd, 0.0, 0.0, params, dt,
+                     stages)
         y = (y[0], y[1], wrap_2pi(y[2]), y[3], y[4], y[5])
-        rows.append(y)
-    states = np.array(rows)
+        flat += y
+    states = np.array(flat).reshape(-1, 6)
     if not np.all(np.isfinite(states)):
         raise FloatingPointError("non-finite rollout")
     return states
@@ -196,6 +197,20 @@ def _stage_jacobians(psi, u, v, r, p: VesselParams) -> np.ndarray:
     return A
 
 
+@lru_cache(maxsize=8)
+def _input_maps(p: VesselParams) -> tuple[np.ndarray, np.ndarray]:
+    """B = [0 | df/dm] and E = [I | 0], both (6, 8), of the nominal
+    model: the thrusts enter u' and r' only, u' through their sum and r'
+    through their difference. Read-only."""
+    B = np.zeros((6, 8))
+    B[3, 6:] = p.F_max / p.m11
+    B[5, 6] = p.lever * p.F_max / p.m33
+    B[5, 7] = -B[5, 6]
+    E = np.eye(6, 8)
+    B.flags.writeable = E.flags.writeable = False
+    return B, E
+
+
 def _rollout_jacobian(states: np.ndarray, stages: list,
                       config: NmpcConfig, p: VesselParams) -> np.ndarray:
     """d(state k+1)/d(motors flattened) for k = 0..N-1, as (N, 6, 2N),
@@ -205,23 +220,20 @@ def _rollout_jacobian(states: np.ndarray, stages: list,
     All N RK4 steps at once: the stage Jacobians [df/dy | df/dm]
     (N, 6, 8) chain through batched matmuls into each step's A_k =
     dy'/dy and B_k = dy'/dm, and then S_{k+1} = A_k S_k with B_k in
-    columns 2k, 2k+1.
+    columns 2k, 2k+1, over the full width (the columns of later steps
+    are zeros until then).
     """
     n, dt = len(states) - 1, config.dt
     h = 0.5 * dt
-    # the thrusts enter u' and r' only: u' through their sum, r' through
-    # their difference
-    B = np.zeros((6, 8))  # [0 | df/dm]
-    B[3, 6:] = p.F_max / p.m11
-    B[5, 6] = p.lever * p.F_max / p.m33
-    B[5, 7] = -B[5, 6]
-    E = np.eye(6, 8)  # [I | 0]
+    B, E = _input_maps(p)
 
-    # stage points y1 = y, then the y2, y3, y4 the rollout kept: all 4N
-    # stage Jacobians at once, stage by stage
-    points = np.concatenate([states[:-1], stages[0::3], stages[1::3],
-                             stages[2::3]])
-    A = _stage_jacobians(*points.T[2:], p).reshape(4, n, 6, 6)
+    # stage points y1 = y, then the y2, y3, y4 the rollout kept (one
+    # array, step by step): all 4N stage Jacobians at once, stage by stage
+    points = np.concatenate([
+        states[None, :-1],
+        np.array(stages).reshape(n, 3, 6).transpose(1, 0, 2)])
+    A = _stage_jacobians(*points.reshape(4 * n, 6).T[2:], p).reshape(
+        4, n, 6, 6)
     # K_i = [dk_i/dy | dk_i/dm] = A_i (E + step K_{i-1}) + B
     K = A[0] @ E + B
     total = K.copy()
@@ -232,30 +244,44 @@ def _rollout_jacobian(states: np.ndarray, stages: list,
     B_steps = (dt / 6.0) * total[:, :, 6:]
 
     sens = np.zeros((n, 6, 2 * n))
-    for i in range(n):
-        if i:
-            np.matmul(A_steps[i], sens[i - 1, :, :2 * i],
-                      out=sens[i, :, :2 * i])
+    sens[0, :, :2] = B_steps[0]
+    for i in range(1, n):
+        np.matmul(A_steps[i], sens[i - 1], out=sens[i])
         sens[i, :, 2 * i:2 * i + 2] = B_steps[i]
     return sens
 
 
+def _new_jacobian(config: NmpcConfig) -> np.ndarray:
+    """A (7N, 2N) Jacobian whose effort and rate rows, the last 4N,
+    which no rollout moves, are filled; the state rows are not."""
+    n2 = 2 * config.steps_N
+    J = np.empty((7 * config.steps_N, n2))
+    eye = np.eye(n2)
+    J[3 * config.steps_N:] = np.concatenate([
+        math.sqrt(0.5 * config.w_u) * eye,
+        math.sqrt(0.5 * config.w_du) * (eye - np.eye(n2, k=-2))])
+    return J
+
+
 def _jacobian(states: np.ndarray, stages: list, port, psi_path,
-              config: NmpcConfig, params: VesselParams) -> np.ndarray:
+              config: NmpcConfig, params: VesselParams,
+              out: np.ndarray | None = None) -> np.ndarray:
     """d(_residuals)/d(motors flattened), (7N, 2N), at the rollout
     `states` and its RK4 `stages`; e_ct moves along the port normal of
-    its segment and psi_path is constant per segment."""
+    its segment and psi_path is constant per segment. Its state rows
+    are written into `out`, a `_new_jacobian`, when one is given."""
     n = len(states) - 1
+    J = _new_jacobian(config) if out is None else out
     sens = _rollout_jacobian(states, stages, config, params)
     half_cos = 0.5 * np.cos(0.5 * _heading_error(states, psi_path))
-    eye = np.eye(2 * n)
-    return np.concatenate([
-        math.sqrt(config.w_ct) * (port[:, 0:1] * sens[:, 0]
-                                  + port[:, 1:2] * sens[:, 1]),
-        math.sqrt(2.0 * config.w_head) * half_cos[:, None] * sens[:, 2],
-        math.sqrt(config.w_speed) * sens[:, 3],
-        math.sqrt(0.5 * config.w_u) * eye,
-        math.sqrt(0.5 * config.w_du) * (eye - np.eye(2 * n, k=-2))])
+    cross = J[:n]
+    np.multiply(port[:, 0:1], sens[:, 0], out=cross)
+    cross += port[:, 1:2] * sens[:, 1]
+    cross *= math.sqrt(config.w_ct)
+    np.multiply(math.sqrt(2.0 * config.w_head) * half_cos[:, None],
+                sens[:, 2], out=J[n:2 * n])
+    np.multiply(math.sqrt(config.w_speed), sens[:, 3], out=J[2 * n:3 * n])
+    return J
 
 
 def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
@@ -292,6 +318,8 @@ def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
             held[j] = True
             continue
         d += step
+        if not held.any():
+            break  # no multiplier to check
         q = g + H @ d
         wrong = np.where(held, np.where(upper, q, -q), 0.0)
         j = int(np.argmax(wrong))
@@ -357,8 +385,9 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
         return None
     iters = trials = 0
     stop = "max_iters"
+    J_out = _new_jacobian(config)
     while iters < config.max_iters:
-        J = _jacobian(states, stages, port, psi_path, config, params)
+        J = _jacobian(states, stages, port, psi_path, config, params, J_out)
         half_grad = J.T @ r
         flat = motors.ravel()
         if (np.max(np.abs(flat - np.clip(flat - 2.0 * half_grad, -1.0, 1.0)))
@@ -369,7 +398,7 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
         H = J.T @ J
         # with zero input weights a motor that moves no weighted state
         # leaves H singular; a tiny ridge keeps it positive definite
-        H[np.diag_indices_from(H)] += 1e-12 * (1.0 + np.trace(H))
+        H.flat[::2 * n + 1] += 1e-12 * (1.0 + np.trace(H))
         step = _box_qp(H, half_grad, -1.0 - flat, 1.0 - flat).reshape(n, 2)
         Jd = J @ step.ravel()
         slope, curve = 2.0 * float(r @ Jd), float(Jd @ Jd)

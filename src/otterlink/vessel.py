@@ -167,37 +167,64 @@ def dynamics_deriv(y, f_port: float, f_stbd: float,
 
 def rk4_step(y, f_port, f_stbd, current_north, current_east,
              p: VesselParams, dt: float, stages: list | None = None):
-    """One classical RK4 step of the 6-state model; psi left unwrapped.
-    A `stages` list gets the step's stage points y2, y3 and y4 appended.
+    """One classical RK4 step of the 6-state model of `dynamics_deriv`;
+    psi left unwrapped. A `stages` list gets the step's stage points y2,
+    y3 and y4 appended.
 
-    Written out per component (this runs ~10^5 times per NMPC mission):
-    the same float operations in the same order as an index loop, so
-    the result is bit-identical to one.
+    The model is written out inline, its parameters read once (this runs
+    ~10^5 times per NMPC mission): the same float operations in the same
+    order as four `dynamics_deriv` calls and an index loop, so the
+    result is bit-identical to them.
     """
-    def f(yy):
-        return dynamics_deriv(yy, f_port, f_stbd, current_north, current_east, p)
-
+    d1u, d2u, d1v, d1r = p.d1u, p.d2u, p.d1v, p.d1r
+    m11, m22, m33 = p.m11, p.m22, p.m33
+    thrust = f_port + f_stbd
+    moment = p.lever * (f_port - f_stbd)
+    munk = m22 - m11
     n, e, psi, u, v, r = y
     h = 0.5 * dt
-    n1, e1, psi1, u1, v1, r1 = f(y)
-    y2 = (n + h * n1, e + h * e1, psi + h * psi1,
-          u + h * u1, v + h * v1, r + h * r1)
-    n2, e2, psi2, u2, v2, r2 = f(y2)
-    y3 = (n + h * n2, e + h * e2, psi + h * psi2,
-          u + h * u2, v + h * v2, r + h * r2)
-    n3, e3, psi3, u3, v3, r3 = f(y3)
-    y4 = (n + dt * n3, e + dt * e3, psi + dt * psi3,
-          u + dt * u3, v + dt * v3, r + dt * r3)
-    n4, e4, psi4, u4, v4, r4 = f(y4)
+    s, c = math.sin(psi), math.cos(psi)
+    dn1 = u * c - v * s + current_north
+    de1 = u * s + v * c + current_east
+    du1 = (thrust - d1u * u - d2u * u * abs(u) + m22 * v * r) / m11
+    dv1 = (-d1v * v - m11 * u * r) / m22
+    dr1 = (moment - d1r * r - munk * u * v) / m33
+    y2 = (n + h * dn1, e + h * de1, psi + h * r, u + h * du1, v + h * dv1,
+          r + h * dr1)
+    _, _, psi2, u2, v2, r2 = y2
+    s, c = math.sin(psi2), math.cos(psi2)
+    dn2 = u2 * c - v2 * s + current_north
+    de2 = u2 * s + v2 * c + current_east
+    du2 = (thrust - d1u * u2 - d2u * u2 * abs(u2) + m22 * v2 * r2) / m11
+    dv2 = (-d1v * v2 - m11 * u2 * r2) / m22
+    dr2 = (moment - d1r * r2 - munk * u2 * v2) / m33
+    y3 = (n + h * dn2, e + h * de2, psi + h * r2, u + h * du2, v + h * dv2,
+          r + h * dr2)
+    _, _, psi3, u3, v3, r3 = y3
+    s, c = math.sin(psi3), math.cos(psi3)
+    dn3 = u3 * c - v3 * s + current_north
+    de3 = u3 * s + v3 * c + current_east
+    du3 = (thrust - d1u * u3 - d2u * u3 * abs(u3) + m22 * v3 * r3) / m11
+    dv3 = (-d1v * v3 - m11 * u3 * r3) / m22
+    dr3 = (moment - d1r * r3 - munk * u3 * v3) / m33
+    y4 = (n + dt * dn3, e + dt * de3, psi + dt * r3, u + dt * du3,
+          v + dt * dv3, r + dt * dr3)
+    _, _, psi4, u4, v4, r4 = y4
+    s, c = math.sin(psi4), math.cos(psi4)
+    dn4 = u4 * c - v4 * s + current_north
+    de4 = u4 * s + v4 * c + current_east
+    du4 = (thrust - d1u * u4 - d2u * u4 * abs(u4) + m22 * v4 * r4) / m11
+    dv4 = (-d1v * v4 - m11 * u4 * r4) / m22
+    dr4 = (moment - d1r * r4 - munk * u4 * v4) / m33
     if stages is not None:
         stages += (y2, y3, y4)
     w = dt / 6.0
-    return (n + w * (n1 + 2.0 * n2 + 2.0 * n3 + n4),
-            e + w * (e1 + 2.0 * e2 + 2.0 * e3 + e4),
-            psi + w * (psi1 + 2.0 * psi2 + 2.0 * psi3 + psi4),
-            u + w * (u1 + 2.0 * u2 + 2.0 * u3 + u4),
-            v + w * (v1 + 2.0 * v2 + 2.0 * v3 + v4),
-            r + w * (r1 + 2.0 * r2 + 2.0 * r3 + r4))
+    return (n + w * (dn1 + 2.0 * dn2 + 2.0 * dn3 + dn4),
+            e + w * (de1 + 2.0 * de2 + 2.0 * de3 + de4),
+            psi + w * (r + 2.0 * r2 + 2.0 * r3 + r4),
+            u + w * (du1 + 2.0 * du2 + 2.0 * du3 + du4),
+            v + w * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4),
+            r + w * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4))
 
 
 def wrap_2pi(angle: float) -> float:

@@ -103,10 +103,48 @@ class TestPolyline:
         for path, points in special.items():
             batches = [points[i:i + 20] for i in range(0, len(points), 20)]
             batches += [rng.uniform(-25, 25, size=(20, 2)) for _ in range(300)]
-            for batch in batches:
-                for got, want in zip(path.project_many(batch),
-                                     reference(path, batch)):
-                    assert np.array_equal(got, want)
+            on_grid, off_grid = self.grid_batches(path, rng)
+            # the union scan runs on these, the full kernel on those
+            assert all(path._batch_candidates(batch) is not None
+                       for batch in on_grid)
+            assert all(path._batch_candidates(batch) is None
+                       for batch in off_grid)
+            with np.errstate(invalid="ignore"):  # the infinite points
+                for batch in batches + on_grid + off_grid:
+                    for got, want in zip(path.project_many(batch),
+                                         reference(path, batch)):
+                        assert np.array_equal(got, want, equal_nan=True)
+
+    @staticmethod
+    def grid_batches(path, rng):
+        """Batches at the edges of the candidate grid of `path`, as (on
+        the grid, not on it): on it, at and next to its bounds, and inside
+        a single cell; not on it, straddling each bound, mixing on- and
+        off-grid points, and holding a NaN or an infinity among on-grid
+        points."""
+        x0, y0, x1, y1, side, _, _, _ = path._grid
+        inf = math.inf
+        inside = rng.uniform([x0, y0], [x1, y1], size=(20, 2))
+        edges = np.array([
+            (x0, y0), (np.nextafter(x0, inf), y0), (x0 + side, y0 + side),
+            (np.nextafter(x1, -inf), np.nextafter(y1, -inf)),
+            (np.nextafter(x1, -inf), y0), (x0, np.nextafter(y1, -inf))])
+        outside = np.array([
+            (np.nextafter(x0, -inf), y0), (x0, np.nextafter(y0, -inf)),
+            (x1, y0), (x0, y1), (x1 + side, 0.5 * (y0 + y1)),
+            (0.5 * (x0 + x1), y0 - 3.0 * side)])
+        on_grid = [edges, np.vstack([edges, inside])]
+        for corner in inside[:5]:
+            # every point in the one cell that holds `corner`
+            cell = np.floor((corner - (x0, y0)) / side) * side + (x0, y0)
+            on_grid.append(cell + rng.uniform(0.0, side, size=(20, 2)))
+        off_grid = [np.vstack([edges, outside])]
+        for off in outside:
+            off_grid.append(np.vstack([inside[:10], [off], inside[10:]]))
+        for bad in ((math.nan, 0.0), (0.0, math.nan), (inf, 0.0),
+                    (0.0, -inf)):
+            off_grid.append(np.vstack([inside[:5], [bad], inside[5:]]))
+        return on_grid, off_grid
 
     def test_project_near_sticks_to_hinted_branch(self):
         # at the lemniscate self-intersection a global projection is
