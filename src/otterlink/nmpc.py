@@ -23,13 +23,24 @@ the box and the Jacobian, built for all N RK4 steps at once from their
 stage points, is exact everywhere in it, faces included. Each iteration
 minimizes |r + J d|^2 over the box by a small primal active-set method
 and backtracks along d with an Armijo test against the model's
-predicted decrease. A trial's rollout, its RK4 stage points,
-projection and residuals are reused for the next linearization. A
-solve ends `converged` when no entry of the projected gradient reaches
-grad_tol, `stalled` when an accepted step improves the cost by at most
-1 % of (1 + cost), `line_search` when no step along the direction
-lowers the cost, `budget` past its wall-clock budget and `max_iters`
-after max_iters iterations. The plan is published as (x, z) = T m
+predicted decrease.
+
+The Jacobian J of the start plan, and J^T J, are kept while full steps
+are accepted: later iterations step on it with the gradient J^T r of
+their own plan's fresh residuals (a mixed-level iteration: Frasch,
+Wirsching, Sager & Bock, IFAC NMPC 2012). The solver relinearizes at
+the same plan when a step on a kept J fails the Armijo test at full
+length, before any backtracking, and when a kept J's projected
+gradient vanishes, before any stop. So every backtrack runs on a fresh
+J, and a solve ends `converged` only when no entry of the projected
+gradient at its own plan reaches grad_tol. An accepted trial's rollout,
+its RK4 stage points, projection and residuals are reused for the next
+linearization. A solve ends `stalled` when an accepted step improves
+the cost by at most 1 % of (1 + cost), `line_search` when no step
+along a fresh J's direction lowers the cost, `budget` past its
+wall-clock budget and `max_iters` after max_iters iterations; a full
+step on a kept J that fails, and is retried on a fresh one, is part of
+the same iteration. The plan is published as (x, z) = T m
 (`vessel.unmix`), which the OBC's `vessel.mix` maps back to m.
 
 A solve starts from the previous plan shifted by the time that passed
@@ -37,7 +48,7 @@ since it was solved (`shift_warm_start`): row k is that plan linearly
 interpolated at k dt + elapsed, its last row held past the horizon. At
 10 Hz that is half a plan step, so the start is close to the plan the
 sample before would have applied, and most solves stall after two
-iterations.
+iterations on one Jacobian.
 
 `cost_of_inputs` and `cost_gradient`, which the solver does not call,
 wrap the solver's own evaluation of a motor command sequence: the cost
@@ -106,6 +117,7 @@ class ControlSolution:
     converged: bool        # stop is "converged" or "stalled"
     stop: str = "converged"  # one of STOPS
     trials: int = 0        # trial rollouts of the line searches
+    jacobians: int = 0     # linearizations (Jacobians built)
 
 
 def state_vector(state: VesselState) -> np.ndarray:
@@ -383,22 +395,29 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
             y0, motors, path, config, params, prev_motors)
     except FloatingPointError:
         return None
-    iters = trials = 0
+    iters = trials = jacobians = 0
     stop = "max_iters"
     J_out = _new_jacobian(config)
+    J = None  # kept across accepted steps; None: linearize at `motors`
     while iters < config.max_iters:
-        J = _jacobian(states, stages, port, psi_path, config, params, J_out)
+        if J is None:
+            J = _jacobian(states, stages, port, psi_path, config, params,
+                          J_out)
+            jacobians += 1
+            fresh = True  # J is linearized at `motors`
+            H = J.T @ J
+            # with zero input weights a motor that moves no weighted state
+            # leaves H singular; a tiny ridge keeps it positive definite
+            H.flat[::2 * n + 1] += 1e-12 * (1.0 + np.trace(H))
         half_grad = J.T @ r
         flat = motors.ravel()
         if (np.max(np.abs(flat - np.clip(flat - 2.0 * half_grad, -1.0, 1.0)))
                 < config.grad_tol):
-            stop = "converged"  # the projected gradient vanishes
-            break
-        iters += 1
-        H = J.T @ J
-        # with zero input weights a motor that moves no weighted state
-        # leaves H singular; a tiny ridge keeps it positive definite
-        H.flat[::2 * n + 1] += 1e-12 * (1.0 + np.trace(H))
+            if fresh:
+                stop = "converged"  # the projected gradient vanishes
+                break
+            J = None  # only on a kept J: check again on a fresh one
+            continue
         step = _box_qp(H, half_grad, -1.0 - flat, 1.0 - flat).reshape(n, 2)
         Jd = J @ step.ravel()
         slope, curve = 2.0 * float(r @ Jd), float(Jd @ Jd)
@@ -412,20 +431,27 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
             except FloatingPointError:
                 return None
             # Armijo against the model's decrease |r|^2 - |r + a J d|^2
-            if trial[4] <= c + 1e-4 * alpha * (slope + alpha * curve):
+            accepted = trial[4] <= c + 1e-4 * alpha * (slope + alpha * curve)
+            if accepted or not fresh:
                 break
             # minimizer of the quadratic through c, the slope at 0 and the
             # trial, kept within [0.1, 0.5] of the rejected step
             excess = trial[4] - c - alpha * slope
             alpha = min(max(-0.5 * slope * alpha * alpha / excess,
                             0.1 * alpha), 0.5 * alpha)
-        else:
+        if not accepted:
+            if not fresh:
+                J = None  # the kept J's full step failed: relinearize here
+                continue
             # no step along the Gauss-Newton direction lowers the cost
+            iters += 1
             stop = "line_search"
             break
+        iters += 1
         improvement = c - trial[4]
         motors = trial_motors
         states, stages, (_, psi_path, port), r, c = trial
+        fresh = False
         if improvement <= 1e-2 * (1.0 + abs(c)):
             stop = "stalled"
             break
@@ -436,7 +462,7 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
                            iters=iters,
                            solve_time=time.perf_counter() - t_start,
                            converged=stop in STOPS[:2], stop=stop,
-                           trials=trials)
+                           trials=trials, jacobians=jacobians)
 
 
 def state_from_synced(sample, origin_lat: float, origin_lon: float

@@ -578,7 +578,8 @@ class TestSolve:
         assert cold is not None and warm is not None
 
     @staticmethod
-    def mission_solutions(monkeypatch, arc, port_offset, heading_deg):
+    def mission_solutions(monkeypatch, arc, port_offset, heading_deg,
+                          config=NmpcConfig()):
         """Every solve of a 14 s figure-eight mission that starts
         `port_offset` m to port of the path at `arc` m of arc, turned
         `heading_deg` to starboard of it."""
@@ -592,13 +593,53 @@ class TestSolve:
         solutions = []
 
         def recorded(*args, **kwargs):
-            solutions.append(solve_nmpc(*args, **kwargs))
+            solutions.append(nmpc.solve_nmpc(*args, **kwargs))
             return solutions[-1]
 
         monkeypatch.setattr(runner, "solve_nmpc", recorded)
-        runner.run_embedded_mission("nmpc", path, duration=14.0,
-                                    initial_state=start)
+        runner.run_embedded_mission("nmpc", path, nmpc_config=config,
+                                    duration=14.0, initial_state=start)
         return solutions
+
+    @classmethod
+    def mission_events(cls, monkeypatch, *pose, config=NmpcConfig()):
+        """`mission_solutions` of the pose, each with the solver's calls
+        in order: ("E", motors, states) per rollout, ("J", states) per
+        linearization, ("Q", lo, step) per box QP."""
+        calls = []
+        evaluate, jacobian, box_qp = (nmpc._evaluate, nmpc._jacobian,
+                                      nmpc._box_qp)
+
+        def evaluated(y0, motors, *args):
+            out = evaluate(y0, motors, *args)
+            calls.append(("E", motors.copy(), out[0]))
+            return out
+
+        def linearized_at(states, *args):
+            calls.append(("J", states))
+            return jacobian(states, *args)
+
+        def stepped(H, g, lo, hi):
+            step = box_qp(H, g, lo, hi)
+            calls.append(("Q", lo.copy(), step.copy()))
+            return step
+
+        def solve(*args, **kwargs):
+            calls.append(("S",))
+            return solve_nmpc(*args, **kwargs)
+
+        monkeypatch.setattr(nmpc, "_evaluate", evaluated)
+        monkeypatch.setattr(nmpc, "_jacobian", linearized_at)
+        monkeypatch.setattr(nmpc, "_box_qp", stepped)
+        monkeypatch.setattr(nmpc, "solve_nmpc", solve)
+        solutions = cls.mission_solutions(monkeypatch, *pose, config=config)
+        per_solve = []
+        for call in calls:
+            if call[0] == "S":
+                per_solve.append([])
+            else:
+                per_solve[-1].append(call)
+        return list(zip(solutions, per_solve))
 
     def test_mission_solves_end_below_max_iters(self, monkeypatch):
         # a figure-eight start 0.491 m to port and 5.076 deg to starboard
@@ -621,6 +662,69 @@ class TestSolve:
         assert len(solutions) == 140
         assert iters <= trials <= 1.2 * iters
         assert all(sol.stop in ("converged", "stalled") for sol in solutions)
+
+    def test_mission_linearizes_about_once_per_solve(self, monkeypatch):
+        # the first linearization's Jacobian is kept while full steps are
+        # accepted, where each iteration used to build its own (about 2
+        # per solve)
+        solutions = self.mission_solutions(monkeypatch, 20.434, 0.503, 4.997)
+        assert all(sol.jacobians >= 1 for sol in solutions)
+        assert sum(sol.jacobians for sol in solutions) <= 1.2 * len(solutions)
+
+    def test_a_kept_jacobian_is_relinearized_before_a_backtrack(
+            self, monkeypatch):
+        # a full step on a kept Jacobian that fails the Armijo test is
+        # retried from a Jacobian at the same plan; only a line search on
+        # a fresh Jacobian shortens its step
+        retried = backtracks = 0
+        for _, calls in self.mission_events(monkeypatch, 20.434, 0.503,
+                                            4.997):
+            plans = [calls[0]]  # ("E", motors, states) of every rollout
+            linearized_at = search = None
+            for call in calls[1:]:
+                if call[0] == "J":
+                    if (search is not None and search["kept"]
+                            and search["trials"] == 1
+                            and call[1] is search["at"]):
+                        retried += 1
+                    linearized_at = call[1]
+                elif call[0] == "Q":
+                    _, lo, step = call
+                    # the plan the step starts from: lo = -1 - plan
+                    start = [plan for plan in plans if np.array_equal(
+                        -1.0 - plan[1].ravel(), lo)][-1]
+                    search = {"at": start[2],
+                              "kept": linearized_at is not start[2],
+                              "full": np.clip(start[1] + step.reshape(-1, 2),
+                                              -1.0, 1.0),
+                              "trials": 0}
+                else:
+                    plans.append(call)
+                    search["trials"] += 1
+                    if not np.array_equal(call[1], search["full"]):
+                        assert not search["kept"]
+                        backtracks += 1
+        assert retried > 0
+
+    def test_no_solve_converges_on_a_kept_gradient(self, monkeypatch):
+        # with a coarse tolerance some kept Jacobians' projected
+        # gradients vanish; each such solve relinearizes, and one that
+        # ends converged ends on the gradient at its own plan
+        vanished = converged = 0
+        for sol, calls in self.mission_events(
+                monkeypatch, 20.434, 0.503, 4.997,
+                config=NmpcConfig(grad_tol=0.03)):
+            rollouts = [call[2] for call in calls if call[0] == "E"]
+            linearized = [call[1] for call in calls if call[0] == "J"]
+            # a linearization at an accepted plan, not at the start
+            vanished += sum(any(states is rolled for rolled in rollouts[1:])
+                            for states in linearized)
+            if sol.stop == "converged":
+                converged += 1
+                assert linearized[-1] is sol.predicted
+            assert sol.jacobians == len(linearized)
+        assert converged > 0
+        assert vanished > converged
 
     def test_every_stop_reason_is_reached(self, monkeypatch):
         # a 3 m offset from an east-going line, solved from rest

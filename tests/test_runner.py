@@ -250,6 +250,15 @@ class TestWarmStartClock:
         assert ctl.dropout_events == 0
 
 
+class TestLapProgress:
+    def test_nmpc_keeps_its_lap_share_in_a_minute(self):
+        # 0.413 laps at the time of writing; a solver change may cost at
+        # most 1% of it
+        result = run_embedded_mission("nmpc", figure_eight(20.0),
+                                      duration=60.0)
+        assert result.metrics["laps"] >= 0.409
+
+
 class TestControlUnderCurrent:
     @pytest.mark.parametrize("current_east", [0.1, 0.2])
     def test_nmpc_completes_under_an_east_current(self, current_east):
