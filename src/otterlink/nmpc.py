@@ -263,27 +263,27 @@ def _rollout_jacobian(states: np.ndarray, stages: list,
     return sens
 
 
-def _new_jacobian(config: NmpcConfig) -> np.ndarray:
-    """A (7N, 2N) Jacobian whose effort and rate rows, the last 4N,
-    which no rollout moves, are filled; the state rows are not."""
-    n2 = 2 * config.steps_N
-    J = np.empty((7 * config.steps_N, n2))
-    eye = np.eye(n2)
-    J[3 * config.steps_N:] = np.concatenate([
+@lru_cache(maxsize=8)
+def _input_rows(config: NmpcConfig) -> np.ndarray:
+    """The Jacobian's effort and rate rows, its last 4N, which no
+    rollout moves: d(_residuals)/d(motors flattened). Read-only."""
+    eye = np.eye(2 * config.steps_N)
+    rows = np.concatenate([
         math.sqrt(0.5 * config.w_u) * eye,
-        math.sqrt(0.5 * config.w_du) * (eye - np.eye(n2, k=-2))])
-    return J
+        math.sqrt(0.5 * config.w_du) * (eye - np.eye(2 * config.steps_N,
+                                                     k=-2))])
+    rows.flags.writeable = False
+    return rows
 
 
 def _jacobian(states: np.ndarray, stages: list, port, psi_path,
-              config: NmpcConfig, params: VesselParams,
-              out: np.ndarray | None = None) -> np.ndarray:
+              config: NmpcConfig, params: VesselParams) -> np.ndarray:
     """d(_residuals)/d(motors flattened), (7N, 2N), at the rollout
     `states` and its RK4 `stages`; e_ct moves along the port normal of
-    its segment and psi_path is constant per segment. Its state rows
-    are written into `out`, a `_new_jacobian`, when one is given."""
+    its segment and psi_path is constant per segment."""
     n = len(states) - 1
-    J = _new_jacobian(config) if out is None else out
+    J = np.empty((7 * n, 2 * n))
+    J[3 * n:] = _input_rows(config)
     sens = _rollout_jacobian(states, stages, config, params)
     half_cos = 0.5 * np.cos(0.5 * _heading_error(states, psi_path))
     cross = J[:n]
@@ -397,12 +397,10 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
         return None
     iters = trials = jacobians = 0
     stop = "max_iters"
-    J_out = _new_jacobian(config)
     J = None  # kept across accepted steps; None: linearize at `motors`
     while iters < config.max_iters:
         if J is None:
-            J = _jacobian(states, stages, port, psi_path, config, params,
-                          J_out)
+            J = _jacobian(states, stages, port, psi_path, config, params)
             jacobians += 1
             fresh = True  # J is linearized at `motors`
             H = J.T @ J
