@@ -264,14 +264,14 @@ def _rollout_jacobian(states: np.ndarray, stages: list,
 
 
 @lru_cache(maxsize=8)
-def _input_rows(config: NmpcConfig) -> np.ndarray:
-    """The Jacobian's effort and rate rows, its last 4N, which no
-    rollout moves: d(_residuals)/d(motors flattened). Read-only."""
-    eye = np.eye(2 * config.steps_N)
+def _input_rows(n: int, w_u: float, w_du: float) -> np.ndarray:
+    """The Jacobian's effort and rate rows for n steps, its last 4n,
+    which no rollout moves: d(_residuals)/d(motors flattened).
+    Read-only."""
+    eye = np.eye(2 * n)
     rows = np.concatenate([
-        math.sqrt(0.5 * config.w_u) * eye,
-        math.sqrt(0.5 * config.w_du) * (eye - np.eye(2 * config.steps_N,
-                                                     k=-2))])
+        math.sqrt(0.5 * w_u) * eye,
+        math.sqrt(0.5 * w_du) * (eye - np.eye(2 * n, k=-2))])
     rows.flags.writeable = False
     return rows
 
@@ -283,7 +283,7 @@ def _jacobian(states: np.ndarray, stages: list, port, psi_path,
     its segment and psi_path is constant per segment."""
     n = len(states) - 1
     J = np.empty((7 * n, 2 * n))
-    J[3 * n:] = _input_rows(config)
+    J[3 * n:] = _input_rows(n, config.w_u, config.w_du)
     sens = _rollout_jacobian(states, stages, config, params)
     half_cos = 0.5 * np.cos(0.5 * _heading_error(states, psi_path))
     cross = J[:n]

@@ -245,8 +245,10 @@ class TestGradient:
     def test_matches_finite_differences(self):
         config = NmpcConfig()
         rng = np.random.default_rng(17)
-        for _ in range(5):
+        for i in range(5):
             state, motors = random_instance(rng, config)
+            # the last sequence is shorter than the horizon's steps_N
+            motors = motors[:7] if i == 4 else motors
             y0 = state_vector(state)
             prev = (float(motors[0, 0]), float(motors[0, 1]))
             c, grad = cost_gradient(y0, motors, EAST_LINE, config, P, prev)
