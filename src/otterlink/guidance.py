@@ -173,8 +173,9 @@ class PolylinePath:
 
     def _foot(self, pn, pe, segments=None):
         """Clamped foot-point parameter t and squared distance d2 of
-        (pn, pe) to every segment, or to the `segments` indexed: scalars
-        give (segments,) arrays, (K, 1) columns give (K, segments)."""
+        (pn, pe) to every segment, or to those the index array `segments`
+        picks: scalars give (segments,) arrays, (K, 1) columns give (K,
+        segments)."""
         sn, se, tn, te, length, vn, ve = (
             self._kernel if segments is None
             else self._kernel[:, segments])

@@ -437,15 +437,14 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
             excess = trial[4] - c - alpha * slope
             alpha = min(max(-0.5 * slope * alpha * alpha / excess,
                             0.1 * alpha), 0.5 * alpha)
+        if not (accepted or fresh):
+            J = None  # the kept J's full step failed: relinearize here
+            continue
+        iters += 1
         if not accepted:
-            if not fresh:
-                J = None  # the kept J's full step failed: relinearize here
-                continue
             # no step along the Gauss-Newton direction lowers the cost
-            iters += 1
             stop = "line_search"
             break
-        iters += 1
         improvement = c - trial[4]
         motors = trial_motors
         states, stages, (_, psi_path, port), r, c = trial
