@@ -97,8 +97,6 @@ class PolylinePath:
         # they sum, and one gather takes a subset of segments
         self._kernel = np.vstack([self._starts.T, self._tangents.T,
                                   self._lengths, self._vecs.T])
-        self._sn, self._se, self._tn, self._te, _, self._vn, self._ve = \
-            self._kernel
         # Python floats for the scalar queries
         self._cum_f = self._cum.tolist()
         self._mids_f = self._mids.tolist()
@@ -142,10 +140,7 @@ class PolylinePath:
         diag = math.hypot(side, side)
         reach = diag + _SLACK * (diag + max(abs(x0), abs(x1),
                                             abs(y0), abs(y1)))
-        rows = list(zip(range(n_seg), self._sn.tolist(), self._se.tolist(),
-                        self._tn.tolist(), self._te.tolist(),
-                        self._lengths_f, self._vn.tolist(),
-                        self._ve.tolist()))
+        rows = list(zip(range(n_seg), *self._kernel.tolist()))
         centre_n = np.repeat(x0 + (np.arange(nx) + 0.5) * side, ny)
         centre_e = np.tile(y0 + (np.arange(ny) + 0.5) * side, nx)
         chunk = max(1, _BUILD_PAIRS // n_seg)

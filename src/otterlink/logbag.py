@@ -68,7 +68,7 @@ class LogRecord:
     t_mono: float
     t_utc: float
     direction: str  # "rx" or "tx"
-    topic: str      # TopicName, event/metric, or "raw"
+    topic: str      # TopicName, "event" or "metric"
     payload: dict
 
     def to_json(self) -> str:
@@ -125,7 +125,6 @@ class LogWriter:
         self._last_t: float | None = None
         self._last_flush = time.monotonic()
         self.disabled = False
-        self.io_warnings = 0
 
     def record(self, rec: LogRecord) -> None:
         if self.disabled:
@@ -141,18 +140,20 @@ class LogWriter:
                 self._last_flush = now
         except (OSError, ValueError) as exc:
             # ValueError covers writes on a stream invalidated underneath us
-            self.disabled = True
-            self.io_warnings += 1
-            warnings.warn(f"logging disabled after IO failure: {exc}")
+            self._disable(exc)
             return
         self._last_t = rec.t_mono
 
     def close(self) -> None:
         try:
-            self._fh.flush()
-            self._fh.close()
-        except OSError:
-            pass
+            self._fh.close()  # flushes, and closes the file if that fails
+        except OSError as exc:
+            if not self.disabled:
+                self._disable(exc)
+
+    def _disable(self, exc: Exception) -> None:
+        self.disabled = True
+        warnings.warn(f"logging disabled after IO failure: {exc}")
 
     def __enter__(self):
         return self

@@ -12,6 +12,7 @@ seconds; UTC only ever appears inside message payloads.
 from __future__ import annotations
 
 import math
+import queue
 import random
 import select
 import socket
@@ -92,14 +93,17 @@ class UdpBroadcaster:
     """Rate-paced UDP sender with sender-side fault shaping.
 
     One producing context may call send(); a worker thread paces the
-    queued lines onto the socket. A datagram whose send fails is shed
-    and counted in `send_errors`.
+    queued lines onto the socket. It waits for the next slot, then for
+    a line; a slot admits that line and up to `burst - 1` more already
+    queued, and the slots fall every 1/rate s, catching up to the
+    present after an idle spell. close() ends either wait at once. A
+    datagram whose send fails is shed and counted in `send_errors`.
     """
 
     def __init__(self, endpoint: Endpoint, rate: RateConfig,
                  fault: FaultProfile | None = None, burst: int = 1):
-        if burst < 1:
-            raise ConfigError("burst must be >= 1")
+        if not (isinstance(burst, int) and burst >= 1):
+            raise ConfigError("need an integer burst >= 1")
         self.endpoint = endpoint
         self.rate = rate
         self.burst = burst  # datagrams allowed per rate interval
@@ -112,65 +116,48 @@ class UdpBroadcaster:
                 sock.close()
             raise TransportError(f"socket setup failed: {exc}") from exc
         self._sock = sock
-        self._lock = threading.Condition()
-        self._queue: list[bytes] = []
+        self._queue: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
+        self._closed = threading.Event()
         self._fault = fault or FaultProfile()
         self._rng = random.Random(self._fault.seed)
-        self._closed = False
         self.send_errors = 0  # written by the worker thread only
         self.t0 = time.monotonic()
-        self._next_send = self.t0
         self._worker = threading.Thread(target=self._run, daemon=True)
         self._worker.start()
 
     def send(self, line: str) -> None:
         """Queue one sentence for paced, fault-shaped delivery."""
-        with self._lock:
-            if self._closed:
-                raise TransportClosedError("send on closed broadcaster")
-            self._queue.append(line.encode("ascii"))
-            self._lock.notify()
+        if self._closed.is_set():
+            raise TransportClosedError("send on closed broadcaster")
+        self._queue.put(line.encode("ascii"))
 
     def pending(self) -> int:
-        with self._lock:
-            return len(self._queue)
+        return self._queue.qsize()
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._lock.notify()
+        self._closed.set()
+        self._queue.put(None)  # wakes a worker blocked on get()
         self._worker.join(timeout=2.0)
         self._sock.close()
 
     def _run(self) -> None:
         interval = 1.0 / self.rate.telemetry_hz
-        while True:
-            to_send: list[bytes] = []
-            with self._lock:
-                while not to_send:
-                    if self._closed:
-                        return
-                    now = time.monotonic()
-                    if not self._queue:
-                        self._lock.wait()
-                        continue
-                    if now < self._next_send:
-                        self._lock.wait(timeout=self._next_send - now)
-                        continue
-                    # one rate slot admits up to `burst` queued lines
-                    # (burst=1 gives strict per-datagram pacing)
-                    chunk = self._queue[:self.burst]
-                    del self._queue[:self.burst]
-                    self._next_send = max(self._next_send + interval, now)
-                    to_send = [data for data in chunk if not
-                               self._fault.sheds(now - self.t0, self._rng)]
-            for data in to_send:
-                try:
-                    self._sock.sendto(data, self.endpoint.addr)
-                except OSError:  # e.g. EMSGSIZE: shed, and counted
-                    self.send_errors += 1
+        slot = self.t0
+        while not self._closed.wait(slot - time.monotonic()):
+            # the only consumer, so qsize() lines are there to take
+            batch = [self._queue.get()]
+            batch += [self._queue.get_nowait()
+                      for _ in range(min(self.burst - 1, self._queue.qsize()))]
+            if self._closed.is_set():
+                return
+            now = time.monotonic()
+            slot = max(slot + interval, now)
+            for data in batch:
+                if not self._fault.sheds(now - self.t0, self._rng):
+                    try:
+                        self._sock.sendto(data, self.endpoint.addr)
+                    except OSError:  # e.g. EMSGSIZE: shed, and counted
+                        self.send_errors += 1
 
 
 class UdpListener:

@@ -1,11 +1,15 @@
 import csv
+import errno
+import io
 import json
+import math
 import time
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from otterlink import logbag
 from otterlink.logbag import (TOPIC_COLUMNS, LogRecord, LogWriter,
                               OrderingError, SCHEMA_VERSION,
                               UnknownTopicError, export_csv, read_records,
@@ -244,6 +248,27 @@ class TestWriterReader:
             writer.record(rec(1.0))
         assert writer.disabled
         writer.record(rec(2.0))  # now a no-op, still no exception
+
+    def test_failed_final_flush_disables_and_closes(self, tmp_path,
+                                                    monkeypatch):
+        class Full(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        writer = LogWriter(tmp_path / "run.olog")
+        writer._fh.close()
+        writer._fh = io.TextIOWrapper(io.BufferedWriter(Full()),
+                                      encoding="utf-8")
+        monkeypatch.setattr(logbag, "FLUSH_INTERVAL", math.inf)
+        writer.record(rec(0.0))  # buffered until close() flushes it
+        assert not writer.disabled
+        with pytest.warns(UserWarning, match="logging disabled"):
+            writer.close()
+        assert writer.disabled
+        assert writer._fh.closed
 
 
 class TestReplay:

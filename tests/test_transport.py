@@ -158,8 +158,25 @@ class TestLoopback:
         assert broadcaster.send_errors == 1
 
     def test_bad_burst_rejected(self):
-        with pytest.raises(ConfigError):
-            UdpBroadcaster(fresh_endpoint(), RateConfig(10.0), burst=0)
+        # 2.5 and NaN used to pass `burst < 1`, and the worker then died
+        # on its first slot while send() kept queuing
+        for burst in (0, 2.5, float("nan"), "4"):
+            with pytest.raises(ConfigError):
+                UdpBroadcaster(fresh_endpoint(), RateConfig(10.0),
+                               burst=burst)
+
+    def test_pending_counts_the_lines_that_wait_for_their_slot(self):
+        broadcaster, listener = make_pair(rate_hz=2.0)
+        try:
+            for i in range(3):
+                broadcaster.send(f"$POTCMD,DRIFT,1*{i:02d}\r\n")
+            assert len(listener.poll(0.2)) == 1  # the first slot is due
+            assert broadcaster.pending() == 2
+            assert len(listener.poll(0.5)) == 1  # the second, 0.5 s on
+            assert broadcaster.pending() == 1
+        finally:
+            broadcaster.close()
+            listener.close()
 
     def test_full_loss_drops_everything(self):
         broadcaster, listener = make_pair(
@@ -215,6 +232,21 @@ class TestLifecycle:
             broadcaster.send("$POTCMD,DRIFT,1*6C\r\n")
         with pytest.raises(TransportClosedError):
             listener.poll(0.01)
+
+    def test_close_ends_the_wait_for_a_slot_at_once(self):
+        broadcaster, listener = make_pair(rate_hz=1.0)
+        try:
+            broadcaster.send("$POTCMD,DRIFT,1*6C\r\n")
+            assert len(listener.poll(0.2)) == 1
+            broadcaster.send("$POTCMD,DRIFT,0*6D\r\n")
+            broadcaster.send("$POTCMD,DRIFT,1*6C\r\n")
+            start = time.monotonic()
+            broadcaster.close()  # the worker waits for the 1 Hz slot
+            assert time.monotonic() - start < 0.2
+            assert listener.poll(1.2) == []
+        finally:
+            broadcaster.close()
+            listener.close()
 
     def test_close_is_idempotent(self):
         broadcaster, listener = make_pair()
