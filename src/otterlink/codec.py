@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Union
@@ -58,8 +57,9 @@ class RangeError(CodecError):
 
 FLOAT, UINT, DATE, MODE, FLAG = "float", "uint", "date", "mode", "flag"
 _FORMATS = {UINT: "d", DATE: "08d", MODE: "", FLAG: "d"}
-# wire text -> value, by kind; rendering the value gives the text back
-_PARSERS = {FLOAT: float, UINT: int, DATE: int, MODE: str,
+# wire text -> value, by kind, FLOAT aside; rendering the value gives
+# the text back
+_PARSERS = {UINT: int, DATE: int, MODE: str,
             FLAG: {"0": False, "1": True}.__getitem__}
 
 
@@ -87,14 +87,11 @@ class Field:
                            if self.kind == FLOAT else _FORMATS[self.kind])
 
     def out_of_range(self, value) -> bool:
-        """True when a parsed value may not appear on the wire: outside
-        the range, or of the wrong type (a UINT or DATE takes only what
-        operator.index accepts, a FLOAT only a real number)."""
-        if self.kind == FLOAT:
-            # float first: the numbers.Real check alone takes ~0.5 us
-            real = isinstance(value, float) or isinstance(value, numbers.Real)
-            return not (real and math.isfinite(value)
-                        and self.lo <= value <= self.hi)
+        """True when a parsed value of a UINT, DATE, MODE or FLAG field
+        may not appear on the wire: outside the range, or of the wrong
+        type (a UINT or DATE takes only what operator.index accepts).
+        `_render` and `_parse` check a FLOAT field's float inline, as
+        they run per field of every sentence."""
         if self.kind == MODE:
             return value not in MODE_TAGS
         if self.kind == FLAG:
@@ -220,6 +217,10 @@ OtterMessage = Union[
 ]
 
 
+# every checksum field the framing allows: two uppercase hex digits
+_HEX_PAIRS = frozenset(f"{b:02X}" for b in range(256))
+
+
 def compute_checksum(payload: str) -> str:
     """XOR of all payload bytes, as two uppercase hex digits."""
     acc = 0
@@ -251,7 +252,7 @@ def unframe(line: str) -> str:
     if not (payload.isascii() and payload.isprintable()) or "$" in payload:
         raise FramingError(f"payload holds a forbidden character: "
                            f"{payload!r}")
-    if len(checksum) != 2 or any(c not in "0123456789ABCDEF" for c in checksum):
+    if checksum not in _HEX_PAIRS:
         raise FramingError(f"bad checksum field {checksum!r}")
     expect = compute_checksum(payload)
     if checksum != expect:
@@ -334,10 +335,12 @@ def _render(entry: Message, msg: OtterMessage) -> list[str]:
         if f.kind == FLOAT:
             try:
                 text = format(value, f.fmt)
+                value = float(text)  # a complex value does not parse
             except (TypeError, ValueError, OverflowError):
                 raise f.range_error(value) from None
-            value = float(text)
-        if f.out_of_range(value):
+            if not (math.isfinite(value) and f.lo <= value <= f.hi):
+                raise f.range_error(value)
+        elif f.out_of_range(value):
             raise f.range_error(value)
         if f.kind == FLAG:
             text = "1" if value else "0"
@@ -374,14 +377,19 @@ def _parse(entry: Message, parts: list[str]) -> list:
     values = []
     for f, part in zip(entry.fields, parts):
         try:
-            value = _PARSERS[f.kind](part)
+            if f.kind == FLOAT:
+                value = float(part)
+                bad = not (math.isfinite(value) and f.lo <= value <= f.hi)
+            else:
+                value = _PARSERS[f.kind](part)
+                bad = f.out_of_range(value)
             rendered = format(value, f.fmt) == part
         except (KeyError, ValueError):
             rendered = False
         if not rendered:
             raise MalformedFieldError(
                 f"{entry.tag}: bad field {f.name!r}: {part!r}")
-        if f.out_of_range(value) or (f.periodic and value == f.hi):
+        if bad or (f.periodic and value == f.hi):
             raise f.range_error(value)
         values.append(value)
     return values

@@ -8,20 +8,41 @@ Cross-track error is the signed perpendicular distance to the nearest
 segment, positive to port (left) of the path direction.
 
 Nearest-segment search runs one foot-point kernel over every segment.
-The scalar queries `project` and `project_near` first look in an exact
-uniform grid built with the path: each cell lists every segment that
-can be nearest to any point in it, ties included, so the scan over that
-short list returns the same segment, bit for bit, as the full kernel.
-The batch query `project_many` runs the kernel over the union of the
-lists of the cells its points fall in, which holds every point's own
-list, so its argmin is also the full kernel's. Points off the grid,
-non-finite points (for `project_many`, a batch holding one), windows
-that exclude the candidate nearest and paths too large for the grid use
-the full kernel.
+The scalar search first looks in an exact uniform grid built with the
+path: each cell lists every segment that can be nearest to any point in
+it, ties included, so the scan over that short list returns the same
+segment, bit for bit, as the full kernel. Points off the grid,
+non-finite points, windows that exclude the candidate nearest and paths
+too large for the grid use the full kernel.
+
+Three queries answer the cross-track error, each with its own formula:
+
+- `project` and `project_near` return a `Projection`; e_ct is the dot
+  of (p - start) with the port normal, a scalar numpy `@`.
+- `cross_track_many` groups a batch by grid cell and scans each cell's
+  candidate list; its e_ct is a stack of (1, 2) @ (2, 1) products, which
+  numpy computes with the same BLAS dot as the scalar `@`, so it equals
+  `project(n, e).cross_track` bit for bit. It serves the mission
+  metrics.
+- `project_many` runs the kernel over the union of the lists of the
+  cells its points fall in (the full kernel when a point is off the grid
+  or not finite); its e_ct is the plain sum of the two products, for
+  the NMPC.
+
+The BLAS dot of two 2-vectors may fuse a multiply into the add: with
+numpy 2.4's OpenBLAS 0.3.31 on an AVX-512 Xeon, it equalled
+fma(a1, b1, a0 b0) in 20,000 of 20,000 random draws, where the plain
+sum differed in a quarter of them. So the last bit of the `Projection`
+and `cross_track_many` errors, and of the logged `rms_cross_track_m`,
+depends on the machine's BLAS; `project_many`'s sum does not.
+
+`arc_near` is `project_near` without the cross-track error: the arc
+position and segment that lap counting and LOS guidance need.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -58,7 +79,8 @@ _CELL_SEGMENTS = 4.0          # cell side in median segment lengths
 _GRID_MARGIN = 2              # cells around the path's bounding box
 _MAX_CELLS = 4096             # the cell side grows to stay under this
 _MAX_CELL_SEGMENTS = 1 << 20  # cells x segments; above it, no grid
-_BUILD_PAIRS = 8192           # (cell, segment) pairs per build step
+_BUILD_PAIRS = 8192           # (cell or point, segment) pairs per kernel
+                              # call of the build and of cross_track_many
 _MAX_COORD = 1e150            # beyond it squared distances may overflow
 _SLACK = 1e-9                 # relative rounding allowance of the lists
 
@@ -85,6 +107,7 @@ class PolylinePath:
         if len(self._lengths) == 0:
             raise ValueError("path has no non-degenerate segment")
         self._cum = np.concatenate([[0.0], np.cumsum(self._lengths)])
+        self._length = float(self._cum[-1])
         self._mids = 0.5 * (self._cum[:-1] + self._cum[1:])
         self._tangents = self._vecs / self._lengths[:, None]
         # port normal of direction (cos X, sin X) is (sin X, -cos X)
@@ -97,11 +120,14 @@ class PolylinePath:
         # they sum, and one gather takes a subset of segments
         self._kernel = np.vstack([self._starts.T, self._tangents.T,
                                   self._lengths, self._vecs.T])
-        # Python floats for the scalar queries
+        # Python floats for the scalar queries; a row per segment (index,
+        # start n, start e, tangent n, tangent e, length, vector n, vector e)
         self._cum_f = self._cum.tolist()
         self._mids_f = self._mids.tolist()
         self._lengths_f = self._lengths.tolist()
         self._headings_f = self._headings.tolist()
+        self._rows = list(zip(range(len(self._lengths_f)),
+                              *self._kernel.tolist()))
         self._grid, self._batch_grid = self._build_grid()
 
     def _build_grid(self):
@@ -140,7 +166,7 @@ class PolylinePath:
         diag = math.hypot(side, side)
         reach = diag + _SLACK * (diag + max(abs(x0), abs(x1),
                                             abs(y0), abs(y1)))
-        rows = list(zip(range(n_seg), *self._kernel.tolist()))
+        rows = self._rows
         centre_n = np.repeat(x0 + (np.arange(nx) + 0.5) * side, ny)
         centre_e = np.tile(y0 + (np.arange(ny) + 0.5) * side, nx)
         chunk = max(1, _BUILD_PAIRS // n_seg)
@@ -160,7 +186,7 @@ class PolylinePath:
 
     @property
     def length(self) -> float:
-        return float(self._cum[-1])
+        return self._length
 
     @property
     def end_point(self) -> np.ndarray:
@@ -209,7 +235,7 @@ class PolylinePath:
         """True where a segment's arc midpoint lies farther than `window`
         (plus half the segment) from s_hint; arrays or one segment's
         floats, by the same arithmetic."""
-        length = self.length
+        length = self._length
         if self.closed:
             s_hint = s_hint % length
         d = mids - s_hint
@@ -234,6 +260,31 @@ class PolylinePath:
         return Projection(i, self._cum_f[i] + t * self._lengths_f[i], e_ct,
                           self._headings_f[i])
 
+    def _nearest(self, north, east, s_hint=None, window=10.0):
+        """(segment, t) of the nearest segment whose arc midpoint lies
+        within `window` meters (plus half the segment) of arc position
+        s_hint, as Python numbers.
+
+        The grid's candidate nearest is the lowest-index global argmin;
+        when it lies in the window it is also the windowed argmin, and
+        is returned as is. Otherwise (or off the grid) the masked full
+        kernel runs.
+        """
+        hit = self._grid_nearest(north, east)
+        if hit is None or (s_hint is not None and self._outside(
+                self._mids_f[hit[0]], self._lengths_f[hit[0]], s_hint,
+                window)):
+            hit = self._kernel_nearest(north, east, s_hint, window)
+        return hit
+
+    def arc_near(self, north: float, east: float,
+                 s_hint: float | None = None,
+                 window: float = 10.0) -> tuple[float, int]:
+        """(s_along, seg_index) of `project_near(north, east, s_hint,
+        window)`, bit for bit, without its cross-track error."""
+        i, t = self._nearest(north, east, s_hint, window)
+        return self._cum_f[i] + t * self._lengths_f[i], i
+
     def project_near(self, north: float, east: float,
                      s_hint: float | None = None,
                      window: float = 10.0) -> Projection:
@@ -247,20 +298,19 @@ class PolylinePath:
         to inf, so argmin ties resolve to the lowest index as in a
         global projection. With s_hint None, or no segment in range,
         this is the global projection.
-
-        The grid's candidate nearest is the lowest-index global argmin;
-        when it lies in the window it is also the windowed argmin, and
-        is returned as is. Otherwise (or off the grid) the masked full
-        kernel runs.
         """
-        hit = self._grid_nearest(north, east)
-        if hit is None or (s_hint is not None and self._outside(
-                self._mids_f[hit[0]], self._lengths_f[hit[0]], s_hint,
-                window)):
-            hit = self._kernel_nearest(north, east, s_hint, window)
-        return self._projection(north, east, *hit)
+        return self._projection(north, east,
+                                *self._nearest(north, east, s_hint, window))
 
     project = project_near  # project(n, e): the global projection
+
+    def _cells(self, p: np.ndarray) -> np.ndarray:
+        """`_grid_nearest`'s cell of each point of the (K, 2) batch `p`,
+        every point on the grid, as an index into the grid's masks."""
+        lo, _, side, last, strides, _ = self._batch_grid
+        cell = ((p - lo) / side).astype(np.intp)
+        np.minimum(cell, last, out=cell)
+        return cell @ strides
 
     def _batch_candidates(self, p: np.ndarray):
         """Ascending indices of the segments listed by any grid cell that
@@ -269,13 +319,10 @@ class PolylinePath:
         grid or not finite."""
         if self._batch_grid is None or not len(p):
             return None
-        lo, hi, side, last, strides, masks = self._batch_grid
+        lo, hi, _, _, _, masks = self._batch_grid
         if not ((lo <= p) & (p < hi)).all():
             return None
-        # `_grid_nearest`'s cell of each point
-        cell = ((p - lo) / side).astype(np.intp)
-        np.minimum(cell, last, out=cell)
-        return np.flatnonzero(masks[cell @ strides].any(axis=0))
+        return np.flatnonzero(masks[self._cells(p)].any(axis=0))
 
     def project_many(self, points: np.ndarray):
         """Vectorized nearest-segment projection of (K, 2) points.
@@ -299,16 +346,58 @@ class PolylinePath:
         e_ct = ((p - self._starts[idx]) * port).sum(axis=1)
         return e_ct, self._headings[idx], port
 
+    def cross_track_many(self, points) -> np.ndarray:
+        """Cross-track error of each of the (K, 2) points, equal bit for
+        bit to `project(north, east).cross_track`.
+
+        The points are grouped by grid cell, and the kernel runs over
+        each cell's ascending candidate list, so each argmin is the
+        segment the scalar scan finds. Points off the grid, non-finite
+        points and paths without a grid take the full kernel, in chunks.
+        e_ct is a stack of (1, 2) @ (2, 1) products: numpy runs the same
+        BLAS dot for each as for `_projection`'s scalar `@`.
+        """
+        p = np.asarray(points, dtype=float).reshape(-1, 2)
+        idx = np.zeros(len(p), dtype=np.intp)
+        rest = np.arange(len(p))
+        if self._batch_grid is not None:
+            lo, hi, _, _, _, masks = self._batch_grid
+            on = ((lo <= p) & (p < hi)).all(axis=1)  # NaN fails both
+            rest, members = np.flatnonzero(~on), np.flatnonzero(on)
+            cell = self._cells(p[members])
+            order = np.argsort(cell)
+            members, cell = members[order], cell[order]
+            firsts = np.flatnonzero(np.diff(cell, prepend=-1)).tolist()
+            for a, b in zip(firsts, firsts[1:] + [len(cell)]):
+                group = members[a:b]
+                segments = np.flatnonzero(masks[cell[a]])
+                _, d2 = self._foot(p[group, 0:1], p[group, 1:2], segments)
+                idx[group] = segments[np.argmin(d2, axis=1)]
+        chunk = max(1, _BUILD_PAIRS // len(self._lengths))
+        for k in range(0, len(rest), chunk):
+            group = rest[k:k + chunk]
+            _, d2 = self._foot(p[group, 0:1], p[group, 1:2])
+            idx[group] = np.argmin(d2, axis=1)
+        rel = p - self._starts[idx]
+        return np.matmul(rel[:, None, :],
+                         self._port[idx][:, :, None]).reshape(len(p))
+
+    def _point_at(self, s) -> tuple[float, float]:
+        """`point_at` as a (north, east) pair, without the array."""
+        if self.closed:
+            s = s % self._length
+        else:
+            s = min(max(s, 0.0), self._length)
+        # np.searchsorted(side="right") by the same comparisons
+        i = min(max(bisect.bisect_right(self._cum_f, s) - 1, 0),
+                len(self._rows) - 1)
+        _, sn, se, _, _, length, vn, ve = self._rows[i]
+        frac = (s - self._cum_f[i]) / length
+        return sn + frac * vn, se + frac * ve
+
     def point_at(self, s: float) -> np.ndarray:
         """Point at arc length s (wrapping if closed, clamped if open)."""
-        if self.closed:
-            s = s % self.length
-        else:
-            s = min(max(s, 0.0), self.length)
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
-        i = min(max(i, 0), len(self._lengths) - 1)
-        frac = (s - self._cum[i]) / self._lengths[i]
-        return self._starts[i] + frac * self._vecs[i]
+        return np.array(self._point_at(s))
 
 
 def figure_eight(amplitude: float) -> PolylinePath:
@@ -339,19 +428,18 @@ def los_guidance(north: float, east: float, path: PolylinePath,
     to the expected branch of a self-intersecting path; the returned
     s_along is the hint for the next call.
     """
-    proj = path.project_near(north, east, s_hint)
-    target = path.point_at(proj.s_along + los.lookahead)
+    s_along, seg = path.arc_near(north, east, s_hint)
+    target_n, target_e = path._point_at(s_along + los.lookahead)
     if not path.closed:
         end = path.end_point
         dist_end = math.hypot(end[0] - north, end[1] - east)
         if dist_end <= los.accept_radius:
-            return (bearing_deg(end[0] - north, end[1] - east), 0.0,
-                    proj.s_along)
-    dn, de = target[0] - north, target[1] - east
+            return (bearing_deg(end[0] - north, end[1] - east), 0.0, s_along)
+    dn, de = target_n - north, target_e - east
     if math.hypot(dn, de) < 1e-9:
-        tangent_heading = math.degrees(proj.path_heading) % 360.0
-        return tangent_heading, los.speed, proj.s_along
-    return bearing_deg(dn, de), los.speed, proj.s_along
+        tangent_heading = math.degrees(path._headings_f[seg]) % 360.0
+        return tangent_heading, los.speed, s_along
+    return bearing_deg(dn, de), los.speed, s_along
 
 
 class LapTracker:
@@ -365,7 +453,7 @@ class LapTracker:
     def update(self, north: float, east: float) -> float:
         if not (math.isfinite(north) and math.isfinite(east)):
             return self.total  # a non-finite fix has no arc position
-        s = self.path.project_near(north, east, self._last_s).s_along
+        s = self.path.arc_near(north, east, self._last_s)[0]
         if self._last_s is not None:
             delta = s - self._last_s
             if self.path.closed:

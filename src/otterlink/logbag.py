@@ -5,12 +5,12 @@ Each line is one self-describing record:
     {"v": 1, "t_mono": ..., "t_utc": ..., "dir": "rx"|"tx",
      "topic": "...", "payload": {...}}
 
-t_mono must be nondecreasing within a file. A line is corrupt when it
-is not UTF-8, is not exactly one JSON object (trailing data, a BOM,
-nesting deeper than the interpreter's recursion limit), lacks one of
-the keys above, has a payload that is not an object, or has a stamp
-that does not convert to a float. Blank lines are ignored; corrupt
-lines are skipped and counted rather than aborting the read.
+t_mono must be finite and nondecreasing within a file. A line is
+corrupt when it is not UTF-8, is not exactly one JSON object (trailing
+data, a BOM, nesting deeper than the interpreter's recursion limit),
+lacks one of the keys above, has a payload that is not an object, or
+has a stamp that does not convert to a float. Blank lines are ignored;
+corrupt lines are skipped and counted rather than aborting the read.
 
 Every reader shares one line parser (`_records`), which keeps a single
 copy of each payload key and of each `dir`/`topic` string per read.
@@ -44,7 +44,8 @@ TOPIC_COLUMNS = {**codec.TOPIC_COLUMNS,
 
 
 class OrderingError(ValueError):
-    """Record timestamps must be nondecreasing within a file."""
+    """Record timestamps must be finite and nondecreasing within a
+    file."""
 
 
 class UnknownTopicError(ValueError):
@@ -129,6 +130,9 @@ class LogWriter:
     def record(self, rec: LogRecord) -> None:
         if self.disabled:
             return
+        # a NaN stamp would pass every later comparison
+        if not math.isfinite(rec.t_mono):
+            raise OrderingError(f"t_mono {rec.t_mono} is not finite")
         if self._last_t is not None and rec.t_mono < self._last_t - 1e-12:
             raise OrderingError(
                 f"t_mono {rec.t_mono} < previous {self._last_t}")

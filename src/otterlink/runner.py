@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -268,18 +269,17 @@ def compute_metrics(records, path: PolylinePath,
     Pure function of the records, so replaying a log reproduces the
     live run's numbers exactly.
     """
-    errors = []
-    for rec in records:
-        if rec.topic != "otter_gps":
-            continue
-        north, east = geo.latlon_to_local(rec.payload["lat"],
-                                          rec.payload["lon"],
-                                          origin_lat, origin_lon)
-        errors.append(path.project(north, east).cross_track)
-    if not errors:
+    # (north, east) of each fix, flat: a list of tuples would hold ~100
+    # bytes a fix at once
+    fixes = np.fromiter(chain.from_iterable(
+        geo.latlon_to_local(rec.payload["lat"], rec.payload["lon"],
+                            origin_lat, origin_lon)
+        for rec in records if rec.topic == "otter_gps"), dtype=float)
+    if not len(fixes):
         return {"rms_cross_track_m": -1.0, "max_cross_track_m": -1.0,
                 "gps_samples": 0.0}
-    arr = np.array(errors)
+    # bit for bit the per-fix path.project(north, east).cross_track
+    arr = path.cross_track_many(fixes.reshape(-1, 2))
     return {"rms_cross_track_m": float(np.sqrt(np.mean(arr ** 2))),
             "max_cross_track_m": float(np.max(np.abs(arr))),
             "gps_samples": float(len(arr))}

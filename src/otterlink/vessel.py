@@ -21,7 +21,7 @@ drag split at v_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class NumericFault(ArithmeticError):
@@ -242,10 +242,11 @@ def step_dynamics(state: VesselState, forces: tuple[float, float],
     f_port, f_stbd = forces
     out = rk4_step(y, f_port, f_stbd, env.current_north, env.current_east,
                    params, dt)
-    if not all(math.isfinite(val) for val in out):
+    if not all(map(math.isfinite, out)):
         raise NumericFault(f"non-finite state after step: {out}")
-    return replace(state, north=out[0], east=out[1], psi=wrap_2pi(out[2]),
-                   u=out[3], v=out[4], r=out[5])
+    north, east, psi, u, v, r = out
+    return VesselState(north, east, wrap_2pi(psi), u, v, r,
+                       state.origin_lat, state.origin_lon)
 
 
 def kinetic_energy(state: VesselState, params: VesselParams) -> float:

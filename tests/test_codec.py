@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import numbers
 import operator
 import re
 import typing
@@ -170,6 +171,9 @@ class TestEncodeErrors:
                                         100.0)),
         ("utc_date", codec.TimeReport(10 ** 5000, 1.0)),
         ("temp", codec.StatusReport("MAN", 0, 0, 10 ** 5000, 50.0, 100.0)),
+        # a complex value formats with "f" but does not parse back
+        ("'x'", codec.ManualCmd(1j, 0.0, 0.0)),
+        ("'z'", codec.ManualCmd(0.0, 0.0, complex(0.5, 0.0))),
     ])
     def test_field_that_cannot_render_is_a_range_error(self, name, msg):
         with pytest.raises(codec.RangeError, match=name):
@@ -324,6 +328,147 @@ class TestDecoderGrammar:
         except codec.CodecError:
             return
         assert codec.encode_sentence(decoded) == line
+
+
+def reference_out_of_range(f, value):
+    """`Field.out_of_range` with the FLOAT case it had before `_render`
+    and `_parse` wrote that case out."""
+    if f.kind == codec.FLOAT:
+        real = isinstance(value, float) or isinstance(value, numbers.Real)
+        return not (real and math.isfinite(value) and f.lo <= value <= f.hi)
+    return f.out_of_range(value)
+
+
+def reference_render(entry, msg):
+    """`codec._render` over one range check for every kind, as it was
+    before the FLOAT range check was written out."""
+    texts = []
+    for f in entry.fields:
+        value = getattr(msg, f.name)
+        if f.kind == codec.FLOAT:
+            try:
+                text = format(value, f.fmt)
+            except (TypeError, ValueError, OverflowError):
+                raise f.range_error(value) from None
+            value = float(text)
+        if reference_out_of_range(f, value):
+            raise f.range_error(value)
+        if f.kind == codec.FLAG:
+            text = "1" if value else "0"
+        elif f.periodic and value == f.hi:
+            text = format(0.0, f.fmt)
+        elif f.kind != codec.FLOAT:
+            try:
+                text = format(value, f.fmt)
+            except ValueError:
+                raise f.range_error(value) from None
+        texts.append(text)
+    return texts
+
+
+REFERENCE_PARSERS = {codec.FLOAT: float, codec.UINT: int, codec.DATE: int,
+                     codec.MODE: str,
+                     codec.FLAG: {"0": False, "1": True}.__getitem__}
+
+
+def reference_parse(entry, parts):
+    """`codec._parse` as one parser lookup and one range check per
+    field."""
+    if len(parts) != len(entry.fields):
+        raise codec.MalformedFieldError(
+            f"{entry.tag}: expected {len(entry.fields)} fields, "
+            f"got {len(parts)}")
+    values = []
+    for f, part in zip(entry.fields, parts):
+        try:
+            value = REFERENCE_PARSERS[f.kind](part)
+            rendered = format(value, f.fmt) == part
+        except (KeyError, ValueError):
+            rendered = False
+        if not rendered:
+            raise codec.MalformedFieldError(
+                f"{entry.tag}: bad field {f.name!r}: {part!r}")
+        if reference_out_of_range(f, value) or (f.periodic
+                                                 and value == f.hi):
+            raise f.range_error(value)
+        values.append(value)
+    return values
+
+
+def outcome(fn, *args):
+    """The result, or the error type and message, of fn(*args)."""
+    try:
+        return "ok", repr(fn(*args))
+    except codec.CodecError as exc:
+        return type(exc), str(exc)
+
+
+VALID = {codec.PosReport: (43200.0, 45.0, -76.0, 0.0, 1.0, 90.0),
+         codec.AttReport: (43200.0, 0.0, 0.0, 90.0, 0.0, 0.0, 0.0),
+         codec.StatusReport: ("MAN", 1200, 900, 22.5, 50.0, 100.0),
+         codec.TimeReport: (20250101, 5.0),
+         codec.DriftCmd: (True,),
+         codec.ManualCmd: (0.5, 0.0, -0.5),
+         codec.StationKeepCmd: (45.0, -76.0, 1.0),
+         codec.CourseSpeedCmd: (90.0, 1.0)}
+
+
+class TestFieldLoopsMatchTheOutOfRangeForm:
+    """The written-out FLOAT checks of `_render` and `_parse` give the
+    same texts, values, errors and messages as the range check they
+    replaced."""
+
+    @staticmethod
+    def values(f):
+        bounds = [v for v in (f.lo, f.hi) if math.isfinite(v)]
+        return [*EDGES, -math.inf, -0.0, 0.0, 1e300, -1e300, 0.004999,
+                *bounds, *(np.nextafter(v, math.inf) for v in bounds),
+                *(np.nextafter(v, -math.inf) for v in bounds),
+                *(v + 0.006 for v in bounds), *(v - 0.006 for v in bounds),
+                np.float64(1.5), np.float32(0.25), 1, True, 10 ** 400,
+                "0.5", None]
+
+    @pytest.mark.parametrize("entry", codec.CATALOG, ids=lambda e: e.tag)
+    def test_render(self, entry):
+        base = VALID[entry.cls]
+        for k, f in enumerate(entry.fields):
+            for value in self.values(f):
+                msg = entry.cls(*base[:k], value, *base[k + 1:])
+                assert outcome(codec._render, entry, msg) \
+                    == outcome(reference_render, entry, msg)
+
+    @pytest.mark.parametrize("entry", codec.CATALOG, ids=lambda e: e.tag)
+    def test_parse(self, entry):
+        base = reference_render(entry, entry.cls(*VALID[entry.cls]))
+        for k, f in enumerate(entry.fields):
+            texts = ["", " 1.00", "1e0", "+1.00", "1_0.00", "inf", "-inf",
+                     "nan", "NaN", "360.00", "86400.00", "0", "1", "01",
+                     "MAN", "-0.000", "99999999999999999999.0000000"]
+            for value in self.values(f):
+                try:
+                    texts.append(format(value, f.fmt))
+                except (TypeError, ValueError, OverflowError):
+                    pass
+            for text in texts:
+                parts = [*base[:k], text, *base[k + 1:]]
+                assert outcome(codec._parse, entry, parts) \
+                    == outcome(reference_parse, entry, parts)
+
+    def test_checksum_field_check(self):
+        chars = "0129AFafGgz\u0663\uff11 $"
+        fields = ["", "0", "AB0", "0A0"] + [a + b for a in chars
+                                             for b in chars]
+        for checksum in fields:
+            refused = len(checksum) != 2 or any(
+                c not in "0123456789ABCDEF" for c in checksum)
+            try:
+                codec.unframe(f"$POTCMD,DRIFT,1*{checksum}\r\n")
+                verdict = "ok"
+            except codec.FramingError as exc:
+                verdict = str(exc)
+            except codec.ChecksumError:
+                verdict = "checksum"
+            assert (verdict == f"bad checksum field {checksum!r}") == refused
 
 
 def _abnf_productions() -> list[list[str]]:

@@ -83,6 +83,31 @@ class TestPolyline:
             e_ct = ((p - path._starts[idx]) * port).sum(axis=1)
             return e_ct, path._headings[idx], port
 
+        for path, batches, on_grid, off_grid in self.special_battery():
+            # the union scan runs on these, the full kernel on those
+            assert all(path._batch_candidates(batch) is not None
+                       for batch in on_grid)
+            assert all(path._batch_candidates(batch) is None
+                       for batch in off_grid)
+            with np.errstate(invalid="ignore"):  # the infinite points
+                for batch in batches + on_grid + off_grid:
+                    for got, want in zip(path.project_many(batch),
+                                         reference(path, batch)):
+                        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_cross_track_many_is_bitwise_the_scalar_projection(self):
+        for path, batches, on_grid, off_grid in self.special_battery():
+            with np.errstate(invalid="ignore"):  # the infinite points
+                for batch in batches + on_grid + off_grid:
+                    want = [path.project(north, east).cross_track
+                            for north, east in batch]
+                    assert same_bits(path.cross_track_many(batch), want)
+
+    @classmethod
+    def special_battery(cls):
+        """(path, batches, on_grid, off_grid) for the figure-eight and a
+        square: batches of special and random points, and the grid edge
+        batches of `grid_batches`."""
         eight = figure_eight(20.0)
         square = PolylinePath([(0, 0), (10, 0), (10, 10), (0, 10)],
                               closed=True)
@@ -103,17 +128,7 @@ class TestPolyline:
         for path, points in special.items():
             batches = [points[i:i + 20] for i in range(0, len(points), 20)]
             batches += [rng.uniform(-25, 25, size=(20, 2)) for _ in range(300)]
-            on_grid, off_grid = self.grid_batches(path, rng)
-            # the union scan runs on these, the full kernel on those
-            assert all(path._batch_candidates(batch) is not None
-                       for batch in on_grid)
-            assert all(path._batch_candidates(batch) is None
-                       for batch in off_grid)
-            with np.errstate(invalid="ignore"):  # the infinite points
-                for batch in batches + on_grid + off_grid:
-                    for got, want in zip(path.project_many(batch),
-                                         reference(path, batch)):
-                        assert np.array_equal(got, want, equal_nan=True)
+            yield (path, batches) + cls.grid_batches(path, rng)
 
     @staticmethod
     def grid_batches(path, rng):
@@ -230,6 +245,40 @@ def reference_masked_project_near(path, north, east, s_hint, window=10.0):
     return Projection(i, s, e_ct, float(path._headings[i]))
 
 
+def reference_point_at(path, s):
+    """The NumPy form that `point_at` replaced."""
+    if path.closed:
+        s = s % path.length
+    else:
+        s = min(max(s, 0.0), path.length)
+    i = int(np.searchsorted(path._cum, s, side="right")) - 1
+    i = min(max(i, 0), len(path._lengths) - 1)
+    frac = (s - path._cum[i]) / path._lengths[i]
+    return path._starts[i] + frac * path._vecs[i]
+
+
+def reference_los(north, east, path, los, s_hint=None):
+    """`los_guidance` as written over `project_near` and `point_at`."""
+    proj = path.project_near(north, east, s_hint)
+    target = path.point_at(proj.s_along + los.lookahead)
+    if not path.closed:
+        end = path.end_point
+        if math.hypot(end[0] - north, end[1] - east) <= los.accept_radius:
+            return (bearing_deg(end[0] - north, end[1] - east), 0.0,
+                    proj.s_along)
+    dn, de = target[0] - north, target[1] - east
+    if math.hypot(dn, de) < 1e-9:
+        return (math.degrees(proj.path_heading) % 360.0, los.speed,
+                proj.s_along)
+    return bearing_deg(dn, de), los.speed, proj.s_along
+
+
+def same_bits(got, want) -> bool:
+    """Equal float arrays, bit for bit: -0.0 differs from 0.0."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestProjectionMatchesReference:
     """`project` and `project_near` share one foot-point kernel and mask
     the window instead of gathering it; every Projection field, argmin
@@ -273,12 +322,14 @@ class TestProjectionMatchesReference:
 
     def test_open_path_with_empty_window_falls_back(self):
         path = self.OPEN
-        s_hint = path.length + 40.0
-        mids = 0.5 * (path._cum[:-1] + path._cum[1:])
-        assert not np.any(np.abs(mids - s_hint) <= 10.0 + 0.5 * path._lengths)
-        for north, east in self.special_points(path):
-            assert path.project_near(north, east, s_hint) \
-                == path.project(north, east)
+        for s_hint in (path.length + 40.0, -40.0):
+            mids = 0.5 * (path._cum[:-1] + path._cum[1:])
+            assert not np.any(np.abs(mids - s_hint)
+                              <= 10.0 + 0.5 * path._lengths)
+            for north, east in self.special_points(path):
+                assert path.project_near(north, east, s_hint) \
+                    == path.project(north, east)
+                self.check_arc_near(path, north, east, s_hint)
 
     @pytest.mark.parametrize("name", ["EIGHT", "SQUARE", "OPEN"])
     def test_random_points_and_hints(self, name):
@@ -338,6 +389,65 @@ class TestProjectionMatchesReference:
                 == reference_project_near(path, north, east, s_hint, window)
         assert excluded > 100
 
+    @staticmethod
+    def check_arc_near(path, north, east, s_hint, window=10.0):
+        proj = path.project_near(north, east, s_hint, window)
+        s_along, seg = path.arc_near(north, east, s_hint, window)
+        assert same_bits(s_along, proj.s_along)
+        assert type(s_along) is float and type(seg) is int
+        assert seg == proj.seg_index
+
+    @pytest.mark.parametrize("name", ["EIGHT", "SQUARE", "OPEN"])
+    def test_arc_near_is_project_near_without_the_error(self, name):
+        # the hints include empty windows and, on the open path, hints
+        # beyond either end
+        path = getattr(self, name)
+        hints = [None, *self.hints(path), -2.0 * path.length,
+                 path.length + 40.0]
+        rng = np.random.default_rng(89)
+        points = np.vstack([self.special_points(path),
+                            self.grid_lines(path, rng),
+                            rng.uniform(-25.0, 25.0, size=(300, 2))])
+        for k, (north, east) in enumerate(points):
+            for s_hint in hints[k % 4::4]:
+                self.check_arc_near(path, north, east, s_hint)
+            self.check_arc_near(path, north, east,
+                                rng.uniform(-0.5, 1.5) * path.length,
+                                float(rng.choice([0.5, 2.0, 10.0])))
+
+    @pytest.mark.parametrize("name", ["EIGHT", "SQUARE", "OPEN"])
+    def test_point_at_is_bitwise_the_numpy_form(self, name):
+        path = getattr(self, name)
+        length = path.length
+        rng = np.random.default_rng(97)
+        special = [0.0, -0.0, -1e-9, -3.0, -length, -length - 7.5, -1e300,
+                   length, np.nextafter(length, 0.0), length + 1e-9,
+                   2.5 * length, 1e300, math.nan, math.inf, -math.inf,
+                   *path._cum.tolist(), *path._mids.tolist()]
+        for s in special + (length * rng.uniform(-2.0, 3.0, 300)).tolist():
+            for arc in (s, np.float64(s)):
+                with np.errstate(invalid="ignore"):  # inf % length
+                    got = path.point_at(arc)
+                    want = reference_point_at(path, arc)
+                assert got.shape == (2,) and got.dtype == float
+                assert same_bits(got, want), (arc, got, want)
+
+    @pytest.mark.parametrize("name", ["EIGHT", "SQUARE", "OPEN"])
+    def test_los_guidance_is_bitwise_its_projection_form(self, name):
+        path = getattr(self, name)
+        rng = np.random.default_rng(101)
+        # a lookahead of one whole square lap puts the target on the
+        # vessel, so the course falls back to the segment's tangent
+        configs = [LosConfig(), LosConfig(lookahead=path.length)]
+        points = np.vstack([self.special_points(path), path.points,
+                            rng.uniform(-25.0, 25.0, size=(200, 2))])
+        for k, (north, east) in enumerate(points):
+            s_hint = (None, rng.uniform(-0.5, 1.5) * path.length)[k % 2]
+            for los in configs:
+                got = los_guidance(north, east, path, los, s_hint)
+                want = reference_los(north, east, path, los, s_hint)
+                assert same_bits(got, want), (north, east, got, want)
+
 
 def same_projection(a, b):
     """Field-wise equality that also equates NaN with NaN."""
@@ -377,6 +487,40 @@ class TestCandidateGrid:
                 assert same_projection(
                     path.project_near(north, east, s_hint),
                     reference_masked_project_near(path, north, east, s_hint))
+
+    def test_cross_track_many_off_the_grid_and_not_finite(self):
+        path = self.EIGHT
+        points = np.array(self.edge_points(path))
+        rng = np.random.default_rng(103)
+        inside = rng.uniform(-25.0, 25.0, size=(40, 2))
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = [path.project(north, east).cross_track
+                    for north, east in points]
+            assert same_bits(path.cross_track_many(points), want)
+            # one at a time, and mixed among points on the grid
+            for k, point in enumerate(points):
+                assert same_bits(path.cross_track_many([point]), [want[k]])
+                batch = np.vstack([inside[:k], [point], inside[k:]])
+                assert same_bits(path.cross_track_many(batch),
+                                 [path.project(n, e).cross_track
+                                  for n, e in batch])
+
+    def test_cross_track_many_of_an_empty_batch(self):
+        for batch in (np.empty((0, 2)), []):
+            got = self.EIGHT.cross_track_many(batch)
+            assert got.shape == (0,) and got.dtype == float
+
+    def test_cross_track_many_without_a_grid(self):
+        k = np.arange(5000)
+        zigzag = PolylinePath(np.column_stack([1.0 * k, 5.0 * (-1.0) ** k]))
+        assert zigzag._grid is None and zigzag._batch_grid is None
+        rng = np.random.default_rng(107)
+        points = np.column_stack([rng.uniform(-10.0, 5010.0, 150),
+                                  rng.uniform(-8.0, 8.0, 150)])
+        points = np.vstack([points, [[math.nan, 0.0], [0.0, math.inf]]])
+        with np.errstate(invalid="ignore"):
+            want = [zigzag.project(n, e).cross_track for n, e in points]
+            assert same_bits(zigzag.cross_track_many(points), want)
 
     def test_nan_hint_is_the_global_projection(self):
         path = self.EIGHT

@@ -149,6 +149,29 @@ class TestWriterReader:
             with pytest.raises(OrderingError):
                 writer.record(rec(1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_stamp_refused_before_writing(self, tmp_path, bad):
+        # a NaN stamp used to be written and then let every later stamp
+        # through: 5.0, NaN and 1.0 all reached the file, in that order
+        path = tmp_path / "run.olog"
+        with LogWriter(path) as writer:
+            writer.record(rec(5.0))
+            with pytest.raises(OrderingError, match="not finite"):
+                writer.record(rec(bad))
+            with pytest.raises(OrderingError):
+                writer.record(rec(1.0))
+            writer.record(rec(5.0))
+        back, corrupt = read_records(path)
+        assert (back, corrupt) == ([rec(5.0), rec(5.0)], 0)
+
+    def test_non_finite_first_stamp_refused(self, tmp_path):
+        path = tmp_path / "run.olog"
+        with LogWriter(path) as writer:
+            with pytest.raises(OrderingError):
+                writer.record(rec(math.nan))
+            writer.record(rec(0.0))
+        assert read_records(path) == ([rec(0.0)], 0)
+
     def test_corrupt_lines_skipped_and_counted(self, tmp_path):
         path = tmp_path / "run.olog"
         good = [rec(0.0), rec(1.0)]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from otterlink import codec
@@ -40,9 +41,40 @@ class TestComputeMetrics:
 
     def test_no_gps_records_flagged(self):
         path = PolylinePath([(0.0, 0.0), (0.0, 1.0)])
-        metrics = compute_metrics([], path, *ORIGIN)
-        assert metrics["gps_samples"] == 0.0
-        assert metrics["rms_cross_track_m"] == -1.0
+        others = [LogRecord(0.0, 43200.0, "tx", "control_cmds", {}),
+                  LogRecord(0.1, 43200.1, "rx", "otter_imu", {"yaw": 1.0})]
+        for records in ([], others):
+            metrics = compute_metrics(records, path, *ORIGIN)
+            assert metrics == {"rms_cross_track_m": -1.0,
+                               "max_cross_track_m": -1.0, "gps_samples": 0.0}
+
+    @staticmethod
+    def per_fix_metrics(records, path):
+        """The metrics as computed one `project` call per fix."""
+        errors = [path.project(*geo.latlon_to_local(
+                      r.payload["lat"], r.payload["lon"], *ORIGIN)).cross_track
+                  for r in records if r.topic == "otter_gps"]
+        arr = np.array(errors)
+        return {"rms_cross_track_m": float(np.sqrt(np.mean(arr ** 2))),
+                "max_cross_track_m": float(np.max(np.abs(arr))),
+                "gps_samples": float(len(arr))}
+
+    def test_equals_the_per_fix_projection(self):
+        path = figure_eight(20.0)
+        rng = np.random.default_rng(5)
+        # on and around the path, and off its candidate grid
+        points = np.vstack([rng.uniform(-25.0, 25.0, size=(300, 2)),
+                            [[0.0, 0.0], [60.0, 0.0], [0.0, -45.0]]])
+        records = []
+        for k, (north, east) in enumerate(points):
+            records.append(gps_record(0.1 * k, north, east))
+            records.append(LogRecord(0.1 * k, 43200.0 + 0.1 * k, "rx",
+                                     "otter_imu", {"yaw": 1.0}))
+        got = compute_metrics(records, path, *ORIGIN)
+        assert repr(got) == repr(self.per_fix_metrics(records, path))
+        mission = run_embedded_mission("baseline", path, duration=30.0)
+        assert repr(compute_metrics(mission.records, path, *ORIGIN)) \
+            == repr(self.per_fix_metrics(mission.records, path))
 
     def test_metrics_from_records_merges_metric_rows(self):
         path = PolylinePath([(0.0, -100.0), (0.0, 100.0)])
