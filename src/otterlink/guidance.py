@@ -254,16 +254,13 @@ class PolylinePath:
         i = int(np.argmin(d2))  # ties go to the lowest segment index
         return i, float(t[i])
 
-    def _projection(self, north, east, i: int, t: float) -> Projection:
-        e_ct = float((np.array([north, east]) - self._starts[i])
-                     @ self._port[i])
-        return Projection(i, self._cum_f[i] + t * self._lengths_f[i], e_ct,
-                          self._headings_f[i])
-
-    def _nearest(self, north, east, s_hint=None, window=10.0):
-        """(segment, t) of the nearest segment whose arc midpoint lies
-        within `window` meters (plus half the segment) of arc position
-        s_hint, as Python numbers.
+    def arc_near(self, north: float, east: float,
+                 s_hint: float | None = None,
+                 window: float = 10.0) -> tuple[float, int]:
+        """(s_along, seg_index) of the nearest segment whose arc midpoint
+        lies within `window` meters (plus half the segment) of arc
+        position s_hint, in Python numbers: `project_near` without its
+        cross-track error, bit for bit.
 
         The grid's candidate nearest is the lowest-index global argmin;
         when it lies in the window it is also the windowed argmin, and
@@ -275,14 +272,7 @@ class PolylinePath:
                 self._mids_f[hit[0]], self._lengths_f[hit[0]], s_hint,
                 window)):
             hit = self._kernel_nearest(north, east, s_hint, window)
-        return hit
-
-    def arc_near(self, north: float, east: float,
-                 s_hint: float | None = None,
-                 window: float = 10.0) -> tuple[float, int]:
-        """(s_along, seg_index) of `project_near(north, east, s_hint,
-        window)`, bit for bit, without its cross-track error."""
-        i, t = self._nearest(north, east, s_hint, window)
+        i, t = hit
         return self._cum_f[i] + t * self._lengths_f[i], i
 
     def project_near(self, north: float, east: float,
@@ -299,8 +289,10 @@ class PolylinePath:
         global projection. With s_hint None, or no segment in range,
         this is the global projection.
         """
-        return self._projection(north, east,
-                                *self._nearest(north, east, s_hint, window))
+        s_along, i = self.arc_near(north, east, s_hint, window)
+        e_ct = float((np.array([north, east]) - self._starts[i])
+                     @ self._port[i])
+        return Projection(i, s_along, e_ct, self._headings_f[i])
 
     project = project_near  # project(n, e): the global projection
 
@@ -355,7 +347,7 @@ class PolylinePath:
         segment the scalar scan finds. Points off the grid, non-finite
         points and paths without a grid take the full kernel, in chunks.
         e_ct is a stack of (1, 2) @ (2, 1) products: numpy runs the same
-        BLAS dot for each as for `_projection`'s scalar `@`.
+        BLAS dot for each as for `project_near`'s scalar `@`.
         """
         p = np.asarray(points, dtype=float).reshape(-1, 2)
         idx = np.zeros(len(p), dtype=np.intp)
