@@ -86,10 +86,12 @@ class Field:
         object.__setattr__(self, "fmt", f".{self.decimals}f"
                            if self.kind == FLOAT else _FORMATS[self.kind])
 
-    def out_of_range(self, value) -> bool:
-        """True when a parsed value of a UINT, DATE, MODE or FLAG field
-        may not appear on the wire: outside the range, or of the wrong
-        type (a UINT or DATE takes only what operator.index accepts).
+    def _out_of_range(self, value) -> bool:
+        """True when a value of this UINT, DATE, MODE or FLAG field may
+        not appear on the wire: outside the range, or of the wrong type
+        (a UINT or DATE takes only what operator.index accepts).
+
+        Not for a FLOAT field, which it would refuse whatever the value:
         `_render` and `_parse` check a FLOAT field's float inline, as
         they run per field of every sentence."""
         if self.kind == MODE:
@@ -340,7 +342,7 @@ def _render(entry: Message, msg: OtterMessage) -> list[str]:
                 raise f.range_error(value) from None
             if not (math.isfinite(value) and f.lo <= value <= f.hi):
                 raise f.range_error(value)
-        elif f.out_of_range(value):
+        elif f._out_of_range(value):
             raise f.range_error(value)
         if f.kind == FLAG:
             text = "1" if value else "0"
@@ -382,7 +384,7 @@ def _parse(entry: Message, parts: list[str]) -> list:
                 bad = not (math.isfinite(value) and f.lo <= value <= f.hi)
             else:
                 value = _PARSERS[f.kind](part)
-                bad = f.out_of_range(value)
+                bad = f._out_of_range(value)
             rendered = format(value, f.fmt) == part
         except (KeyError, ValueError):
             rendered = False

@@ -19,15 +19,18 @@ Three queries answer the cross-track error, each with its own formula:
 
 - `project` and `project_near` return a `Projection`; e_ct is the dot
   of (p - start) with the port normal, a scalar numpy `@`.
-- `cross_track_many` groups a batch by grid cell and scans each cell's
-  candidate list; its e_ct is a stack of (1, 2) @ (2, 1) products, which
-  numpy computes with the same BLAS dot as the scalar `@`, so it equals
-  `project(n, e).cross_track` bit for bit. It serves the mission
-  metrics.
-- `project_many` runs the kernel over the union of the lists of the
-  cells its points fall in (the full kernel when a point is off the grid
-  or not finite); its e_ct is the plain sum of the two products, for
-  the NMPC.
+- `cross_track_many` serves the mission metrics; its e_ct is a stack of
+  (1, 2) @ (2, 1) products, which numpy computes with the same BLAS dot
+  as the scalar `@`, so it equals `project(n, e).cross_track` bit for
+  bit.
+- `project_many` serves the NMPC; its e_ct is the plain sum of the two
+  products.
+
+The two batch queries share one search: in chunks of the batch, the
+kernel runs over the union of the lists of the cells the chunk's points
+fall in (over every segment when a point is off the grid or not
+finite), which holds every point's own list, so its argmin is also the
+full kernel's.
 
 The BLAS dot of two 2-vectors may fuse a multiply into the add: with
 numpy 2.4's OpenBLAS 0.3.31 on an AVX-512 Xeon, it equalled
@@ -80,7 +83,7 @@ _GRID_MARGIN = 2              # cells around the path's bounding box
 _MAX_CELLS = 4096             # the cell side grows to stay under this
 _MAX_CELL_SEGMENTS = 1 << 20  # cells x segments; above it, no grid
 _BUILD_PAIRS = 8192           # (cell or point, segment) pairs per kernel
-                              # call of the build and of cross_track_many
+                              # call of the build and of the batch queries
 _MAX_COORD = 1e150            # beyond it squared distances may overflow
 _SLACK = 1e-9                 # relative rounding allowance of the lists
 
@@ -134,7 +137,7 @@ class PolylinePath:
         """Uniform grid over the bounding box plus a margin; per cell the
         ascending tuple of segment rows (index, start, tangent, length,
         vector) that can be nearest to a point of the cell; and, for
-        `project_many`, the grid as arrays: lower and upper bounds, cell
+        the batch queries, the grid as arrays: lower and upper bounds, cell
         side, last cell, cell strides and the lists as a (cells,
         segments) boolean mask.
 
@@ -296,14 +299,6 @@ class PolylinePath:
 
     project = project_near  # project(n, e): the global projection
 
-    def _cells(self, p: np.ndarray) -> np.ndarray:
-        """`_grid_nearest`'s cell of each point of the (K, 2) batch `p`,
-        every point on the grid, as an index into the grid's masks."""
-        lo, _, side, last, strides, _ = self._batch_grid
-        cell = ((p - lo) / side).astype(np.intp)
-        np.minimum(cell, last, out=cell)
-        return cell @ strides
-
     def _batch_candidates(self, p: np.ndarray):
         """Ascending indices of the segments listed by any grid cell that
         holds a point of the (K, 2) batch `p`, or None (every segment)
@@ -311,65 +306,56 @@ class PolylinePath:
         grid or not finite."""
         if self._batch_grid is None or not len(p):
             return None
-        lo, hi, _, _, _, masks = self._batch_grid
+        lo, hi, side, last, strides, masks = self._batch_grid
         if not ((lo <= p) & (p < hi)).all():
             return None
-        return np.flatnonzero(masks[self._cells(p)].any(axis=0))
+        # `_grid_nearest`'s cell of each point
+        cell = ((p - lo) / side).astype(np.intp)
+        np.minimum(cell, last, out=cell)
+        return np.flatnonzero(masks[cell @ strides].any(axis=0))
+
+    def _nearest_many(self, p: np.ndarray) -> np.ndarray:
+        """Index of the nearest segment to each point of the (K, 2) batch
+        `p`: the full kernel's argmin, bit for bit.
+
+        The batch runs in chunks of `_BUILD_PAIRS` // segments points, so
+        no kernel call holds more than `_BUILD_PAIRS` pairs. Each chunk's
+        kernel runs over the union of the candidate lists of the grid
+        cells its points fall in. Each point's own cell lists every
+        segment that can be nearest to it, ties included, so the argmin
+        over that ascending union is the full kernel's. A chunk with a
+        point off the grid or not finite scans every segment.
+        """
+        idx = np.empty(len(p), dtype=np.intp)
+        chunk = max(1, _BUILD_PAIRS // len(self._lengths))
+        for k in range(0, len(p), chunk):
+            q = p[k:k + chunk]
+            segments = self._batch_candidates(q)
+            _, d2 = self._foot(q[:, 0:1], q[:, 1:2], segments)
+            i = np.argmin(d2, axis=1)
+            idx[k:k + chunk] = i if segments is None else segments[i]
+        return idx
 
     def project_many(self, points: np.ndarray):
         """Vectorized nearest-segment projection of (K, 2) points.
 
         Returns (cross_track (K,), path_heading (K,), port_normal (K, 2)).
-
-        The kernel runs over the union of the candidate lists of the grid
-        cells the points fall in. Each point's own cell lists every
-        segment that can be nearest to it, ties included, so the argmin
-        over that ascending union is the full kernel's, bit for bit.
-        Batches with a point off the grid or not finite scan every
-        segment.
+        e_ct is the plain sum of the two products, for the NMPC.
         """
         p = np.asarray(points, dtype=float)
-        segments = self._batch_candidates(p)
-        _, d2 = self._foot(p[:, 0:1], p[:, 1:2], segments)
-        idx = np.argmin(d2, axis=1)
-        if segments is not None:
-            idx = segments[idx]
+        idx = self._nearest_many(p)
         port = self._port[idx]
         e_ct = ((p - self._starts[idx]) * port).sum(axis=1)
         return e_ct, self._headings[idx], port
 
     def cross_track_many(self, points) -> np.ndarray:
         """Cross-track error of each of the (K, 2) points, equal bit for
-        bit to `project(north, east).cross_track`.
-
-        The points are grouped by grid cell, and the kernel runs over
-        each cell's ascending candidate list, so each argmin is the
-        segment the scalar scan finds. Points off the grid, non-finite
-        points and paths without a grid take the full kernel, in chunks.
-        e_ct is a stack of (1, 2) @ (2, 1) products: numpy runs the same
-        BLAS dot for each as for `project_near`'s scalar `@`.
+        bit to `project(north, east).cross_track`: e_ct is a stack of
+        (1, 2) @ (2, 1) products, and numpy runs the same BLAS dot for
+        each as for `project_near`'s scalar `@`.
         """
         p = np.asarray(points, dtype=float).reshape(-1, 2)
-        idx = np.zeros(len(p), dtype=np.intp)
-        rest = np.arange(len(p))
-        if self._batch_grid is not None:
-            lo, hi, _, _, _, masks = self._batch_grid
-            on = ((lo <= p) & (p < hi)).all(axis=1)  # NaN fails both
-            rest, members = np.flatnonzero(~on), np.flatnonzero(on)
-            cell = self._cells(p[members])
-            order = np.argsort(cell)
-            members, cell = members[order], cell[order]
-            firsts = np.flatnonzero(np.diff(cell, prepend=-1)).tolist()
-            for a, b in zip(firsts, firsts[1:] + [len(cell)]):
-                group = members[a:b]
-                segments = np.flatnonzero(masks[cell[a]])
-                _, d2 = self._foot(p[group, 0:1], p[group, 1:2], segments)
-                idx[group] = segments[np.argmin(d2, axis=1)]
-        chunk = max(1, _BUILD_PAIRS // len(self._lengths))
-        for k in range(0, len(rest), chunk):
-            group = rest[k:k + chunk]
-            _, d2 = self._foot(p[group, 0:1], p[group, 1:2])
-            idx[group] = np.argmin(d2, axis=1)
+        idx = self._nearest_many(p)
         rel = p - self._starts[idx]
         return np.matmul(rel[:, None, :],
                          self._port[idx][:, :, None]).reshape(len(p))

@@ -331,12 +331,12 @@ class TestDecoderGrammar:
 
 
 def reference_out_of_range(f, value):
-    """`Field.out_of_range` with the FLOAT case it had before `_render`
+    """`Field._out_of_range` with the FLOAT case it had before `_render`
     and `_parse` wrote that case out."""
     if f.kind == codec.FLOAT:
         real = isinstance(value, float) or isinstance(value, numbers.Real)
         return not (real and math.isfinite(value) and f.lo <= value <= f.hi)
-    return f.out_of_range(value)
+    return f._out_of_range(value)
 
 
 def reference_render(entry, msg):

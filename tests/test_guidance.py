@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from otterlink import guidance
 from otterlink.guidance import (LapTracker, LosConfig, PolylinePath,
                                 Projection, bearing_deg, figure_eight,
                                 los_guidance)
@@ -70,19 +71,6 @@ class TestPolyline:
             assert headings[i] == pytest.approx(proj.path_heading)
 
     def test_project_many_is_bitwise_the_axis_sum_form(self):
-        def reference(path, p):
-            rel = p[:, None, :] - path._starts[None, :, :]
-            t = np.clip((rel * path._tangents[None, :, :]).sum(axis=2)
-                        / path._lengths[None, :], 0.0, 1.0)
-            feet = (path._starts[None, :, :]
-                    + t[:, :, None] * path._vecs[None, :, :])
-            d2 = ((p[:, None, :] - feet) ** 2).sum(axis=2)
-            idx = np.argmin(d2, axis=1)
-            tangents = path._tangents[idx]
-            port = np.column_stack([tangents[:, 1], -tangents[:, 0]])
-            e_ct = ((p - path._starts[idx]) * port).sum(axis=1)
-            return e_ct, path._headings[idx], port
-
         for path, batches, on_grid, off_grid in self.special_battery():
             # the union scan runs on these, the full kernel on those
             assert all(path._batch_candidates(batch) is not None
@@ -92,7 +80,7 @@ class TestPolyline:
             with np.errstate(invalid="ignore"):  # the infinite points
                 for batch in batches + on_grid + off_grid:
                     for got, want in zip(path.project_many(batch),
-                                         reference(path, batch)):
+                                         reference_project_many(path, batch)):
                         assert np.array_equal(got, want, equal_nan=True)
 
     def test_cross_track_many_is_bitwise_the_scalar_projection(self):
@@ -192,6 +180,21 @@ def reference_project(path, north, east):
     e_ct = float((p - path._starts[i]) @ np.array([tangent[1], -tangent[0]]))
     s = float(path._cum[i] + t[i] * path._lengths[i])
     return Projection(i, s, e_ct, float(path._headings[i]))
+
+
+def reference_project_many(path, p):
+    """The axis-sum form over (points, segments, 2) arrays that
+    `project_many` replaced."""
+    rel = p[:, None, :] - path._starts[None, :, :]
+    t = np.clip((rel * path._tangents[None, :, :]).sum(axis=2)
+                / path._lengths[None, :], 0.0, 1.0)
+    feet = path._starts[None, :, :] + t[:, :, None] * path._vecs[None, :, :]
+    d2 = ((p[:, None, :] - feet) ** 2).sum(axis=2)
+    idx = np.argmin(d2, axis=1)
+    tangents = path._tangents[idx]
+    port = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+    e_ct = ((p - path._starts[idx]) * port).sum(axis=1)
+    return e_ct, path._headings[idx], port
 
 
 def reference_project_near(path, north, east, s_hint, window=10.0):
@@ -504,6 +507,36 @@ class TestCandidateGrid:
                 assert same_bits(path.cross_track_many(batch),
                                  [path.project(n, e).cross_track
                                   for n, e in batch])
+
+    def test_batch_queries_in_chunks_of_bounded_kernel_calls(self,
+                                                            monkeypatch):
+        # a held station: thousands of fixes in one grid cell, then the
+        # edge points (off the grid, NaN, infinities) and the station again
+        path = self.EIGHT
+        x0, y0, _, _, side, _, _, _ = path._grid
+        cell = np.floor((path.points[40] - (x0, y0)) / side) * side + (x0, y0)
+        held = cell + np.random.default_rng(109).uniform(
+            0.0, side, size=(3000, 2))
+        points = np.vstack([held, self.edge_points(path), held[:100]])
+        pairs = []
+        foot = PolylinePath._foot
+
+        def counted(self, pn, pe, segments=None):
+            t, d2 = foot(self, pn, pe, segments)
+            pairs.append(d2.size)
+            return t, d2
+
+        monkeypatch.setattr(PolylinePath, "_foot", counted)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = path.cross_track_many(points)
+            many = path.project_many(points)
+            chunk = guidance._BUILD_PAIRS // len(path._lengths)
+            assert max(pairs) <= guidance._BUILD_PAIRS
+            assert len(pairs) >= 2 * (len(points) // chunk)
+            assert same_bits(got, [path.project(n, e).cross_track
+                                   for n, e in points])
+            for out, want in zip(many, reference_project_many(path, points)):
+                assert np.array_equal(out, want, equal_nan=True)
 
     def test_cross_track_many_of_an_empty_batch(self):
         for batch in (np.empty((0, 2)), []):
