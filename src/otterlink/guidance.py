@@ -15,29 +15,17 @@ segment, bit for bit, as the full kernel. Points off the grid,
 non-finite points, windows that exclude the candidate nearest and paths
 too large for the grid use the full kernel.
 
-Three queries answer the cross-track error, each with its own formula:
+Every cross-track error, of `project`, `project_near` and
+`project_many` alike, is the plain sum
+0.0 + (north - start n) * port n + (east - start e) * port e, each
+product rounded on its own, never a BLAS dot (which may fuse a multiply
+into the add). So the queries agree bit for bit, and the errors and the
+metrics logged from them do not depend on the BLAS kernel numpy loads.
+The leading 0.0 is the start of numpy's axis sum: two zero products sum
+to +0.0.
 
-- `project` and `project_near` return a `Projection`; e_ct is the dot
-  of (p - start) with the port normal, a scalar numpy `@`.
-- `cross_track_many` serves the mission metrics; its e_ct is a stack of
-  (1, 2) @ (2, 1) products, which numpy computes with the same BLAS dot
-  as the scalar `@`, so it equals `project(n, e).cross_track` bit for
-  bit.
-- `project_many` serves the NMPC; its e_ct is the plain sum of the two
-  products.
-
-The two batch queries share one search: in chunks of the batch, the
-kernel runs over the union of the lists of the cells the chunk's points
-fall in (over every segment when a point is off the grid or not
-finite), which holds every point's own list, so its argmin is also the
-full kernel's.
-
-The BLAS dot of two 2-vectors may fuse a multiply into the add: with
-numpy 2.4's OpenBLAS 0.3.31 on an AVX-512 Xeon, it equalled
-fma(a1, b1, a0 b0) in 20,000 of 20,000 random draws, where the plain
-sum differed in a quarter of them. So the last bit of the `Projection`
-and `cross_track_many` errors, and of the logged `rms_cross_track_m`,
-depends on the machine's BLAS; `project_many`'s sum does not.
+`project_many` answers a batch by one chunked search over the union of
+the candidate lists of its points' cells (see `_nearest_many`).
 
 `arc_near` is `project_near` without the cross-track error: the arc
 position and segment that lap counting and LOS guidance need.
@@ -293,8 +281,9 @@ class PolylinePath:
         this is the global projection.
         """
         s_along, i = self.arc_near(north, east, s_hint, window)
-        e_ct = float((np.array([north, east]) - self._starts[i])
-                     @ self._port[i])
+        _, sn, se, tn, te, _, _, _ = self._rows[i]
+        # `project_many`'s sum over the port normal (te, -tn)
+        e_ct = float(0.0 + (north - sn) * te + (east - se) * -tn)
         return Projection(i, s_along, e_ct, self._headings_f[i])
 
     project = project_near  # project(n, e): the global projection
@@ -339,26 +328,15 @@ class PolylinePath:
     def project_many(self, points: np.ndarray):
         """Vectorized nearest-segment projection of (K, 2) points.
 
-        Returns (cross_track (K,), path_heading (K,), port_normal (K, 2)).
-        e_ct is the plain sum of the two products, for the NMPC.
+        Returns (cross_track (K,), path_heading (K,), port_normal (K, 2)),
+        for the NMPC's horizon and the mission metrics; the errors and
+        headings are `project`'s, bit for bit.
         """
         p = np.asarray(points, dtype=float)
         idx = self._nearest_many(p)
         port = self._port[idx]
         e_ct = ((p - self._starts[idx]) * port).sum(axis=1)
         return e_ct, self._headings[idx], port
-
-    def cross_track_many(self, points) -> np.ndarray:
-        """Cross-track error of each of the (K, 2) points, equal bit for
-        bit to `project(north, east).cross_track`: e_ct is a stack of
-        (1, 2) @ (2, 1) products, and numpy runs the same BLAS dot for
-        each as for `project_near`'s scalar `@`.
-        """
-        p = np.asarray(points, dtype=float).reshape(-1, 2)
-        idx = self._nearest_many(p)
-        rel = p - self._starts[idx]
-        return np.matmul(rel[:, None, :],
-                         self._port[idx][:, :, None]).reshape(len(p))
 
     def _point_at(self, s) -> tuple[float, float]:
         """`point_at` as a (north, east) pair, without the array."""

@@ -167,6 +167,11 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     `initial_state` must carry the mission origin. Control steps get no
     deadline, so solves are unbudgeted and runs bit-reproducible.
     """
+    # comparisons that NaN fails, so NaN is rejected too
+    if not 0.0 < duration < math.inf:
+        raise ValueError("duration must be finite and > 0")
+    if target_laps is not None and not 0.0 < target_laps < math.inf:
+        raise ValueError("target_laps must be None or finite and > 0")
     if initial_state is None:
         start = path.point_at(0.0)
         heading = path.project(start[0], start[1]).path_heading % (2 * math.pi)
@@ -278,8 +283,9 @@ def compute_metrics(records, path: PolylinePath,
     if not len(fixes):
         return {"rms_cross_track_m": -1.0, "max_cross_track_m": -1.0,
                 "gps_samples": 0.0}
-    # bit for bit the per-fix path.project(north, east).cross_track
-    arr = path.cross_track_many(fixes.reshape(-1, 2))
+    # the per-fix path.project(north, east).cross_track, bit for bit,
+    # on any BLAS kernel
+    arr = path.project_many(fixes.reshape(-1, 2))[0]
     return {"rms_cross_track_m": float(np.sqrt(np.mean(arr ** 2))),
             "max_cross_track_m": float(np.max(np.abs(arr))),
             "gps_samples": float(len(arr))}

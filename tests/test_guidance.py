@@ -1,4 +1,8 @@
+import inspect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -83,13 +87,22 @@ class TestPolyline:
                                          reference_project_many(path, batch)):
                         assert np.array_equal(got, want, equal_nan=True)
 
-    def test_cross_track_many_is_bitwise_the_scalar_projection(self):
+    def test_scalar_and_batch_errors_are_the_same_bits(self):
+        # one formula: `project`'s error of each point is `project_many`'s,
+        # signed zeros, NaN and infinities included, and a Python float
+        # for NumPy scalar inputs
+        zeros = np.array([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+        rng = np.random.default_rng(37)
         for path, batches, on_grid, off_grid in self.special_battery():
-            with np.errstate(invalid="ignore"):  # the infinite points
-                for batch in batches + on_grid + off_grid:
+            lines = TestProjectionMatchesReference.grid_lines(path, rng)
+            edges = np.array(TestCandidateGrid().edge_points(path))
+            with np.errstate(invalid="ignore", over="ignore"):
+                for batch in (batches + on_grid + off_grid
+                              + [zeros, path.points, lines, edges]):
                     want = [path.project(north, east).cross_track
                             for north, east in batch]
-                    assert same_bits(path.cross_track_many(batch), want)
+                    assert all(type(e_ct) is float for e_ct in want)
+                    assert same_bits(path.project_many(batch)[0], want)
 
     @classmethod
     def special_battery(cls):
@@ -176,8 +189,7 @@ def reference_project(path, north, east):
     feet = path._starts + t[:, None] * path._vecs
     d2 = ((p - feet) ** 2).sum(axis=1)
     i = int(np.argmin(d2))
-    tangent = path._tangents[i]
-    e_ct = float((p - path._starts[i]) @ np.array([tangent[1], -tangent[0]]))
+    e_ct = reference_cross_track(path, p, i)
     s = float(path._cum[i] + t[i] * path._lengths[i])
     return Projection(i, s, e_ct, float(path._headings[i]))
 
@@ -195,6 +207,14 @@ def reference_project_many(path, p):
     port = np.column_stack([tangents[:, 1], -tangents[:, 0]])
     e_ct = ((p - path._starts[idx]) * port).sum(axis=1)
     return e_ct, path._headings[idx], port
+
+
+def reference_cross_track(path, p, i):
+    """e_ct of point `p` to segment `i` in `reference_project_many`'s
+    axis-sum form."""
+    tangent = path._tangents[i]
+    return float(((p - path._starts[i])
+                  * np.array([tangent[1], -tangent[0]])).sum())
 
 
 def reference_project_near(path, north, east, s_hint, window=10.0):
@@ -218,8 +238,7 @@ def reference_project_near(path, north, east, s_hint, window=10.0):
     d2 = ((p - feet) ** 2).sum(axis=1)
     j = int(np.argmin(d2))
     i = int(idx[j])
-    tangent = path._tangents[i]
-    e_ct = float((p - path._starts[i]) @ np.array([tangent[1], -tangent[0]]))
+    e_ct = reference_cross_track(path, p, i)
     s = float(path._cum[i] + t[j] * path._lengths[i])
     return Projection(i, s, e_ct, float(path._headings[i]))
 
@@ -242,8 +261,7 @@ def reference_masked_project_near(path, north, east, s_hint, window=10.0):
     if not outside.all():
         d2[outside] = np.inf
     i = int(np.argmin(d2))
-    tangent = path._tangents[i]
-    e_ct = float((p - path._starts[i]) @ np.array([tangent[1], -tangent[0]]))
+    e_ct = reference_cross_track(path, p, i)
     s = float(path._cum[i] + t[i] * path._lengths[i])
     return Projection(i, s, e_ct, float(path._headings[i]))
 
@@ -491,7 +509,7 @@ class TestCandidateGrid:
                     path.project_near(north, east, s_hint),
                     reference_masked_project_near(path, north, east, s_hint))
 
-    def test_cross_track_many_off_the_grid_and_not_finite(self):
+    def test_project_many_off_the_grid_and_not_finite(self):
         path = self.EIGHT
         points = np.array(self.edge_points(path))
         rng = np.random.default_rng(103)
@@ -499,12 +517,12 @@ class TestCandidateGrid:
         with np.errstate(invalid="ignore", over="ignore"):
             want = [path.project(north, east).cross_track
                     for north, east in points]
-            assert same_bits(path.cross_track_many(points), want)
+            assert same_bits(path.project_many(points)[0], want)
             # one at a time, and mixed among points on the grid
             for k, point in enumerate(points):
-                assert same_bits(path.cross_track_many([point]), [want[k]])
+                assert same_bits(path.project_many([point])[0], [want[k]])
                 batch = np.vstack([inside[:k], [point], inside[k:]])
-                assert same_bits(path.cross_track_many(batch),
+                assert same_bits(path.project_many(batch)[0],
                                  [path.project(n, e).cross_track
                                   for n, e in batch])
 
@@ -528,22 +546,22 @@ class TestCandidateGrid:
 
         monkeypatch.setattr(PolylinePath, "_foot", counted)
         with np.errstate(invalid="ignore", over="ignore"):
-            got = path.cross_track_many(points)
             many = path.project_many(points)
             chunk = guidance._BUILD_PAIRS // len(path._lengths)
             assert max(pairs) <= guidance._BUILD_PAIRS
-            assert len(pairs) >= 2 * (len(points) // chunk)
-            assert same_bits(got, [path.project(n, e).cross_track
-                                   for n, e in points])
+            assert len(pairs) >= len(points) // chunk
+            assert same_bits(many[0], [path.project(n, e).cross_track
+                                       for n, e in points])
             for out, want in zip(many, reference_project_many(path, points)):
                 assert np.array_equal(out, want, equal_nan=True)
 
-    def test_cross_track_many_of_an_empty_batch(self):
-        for batch in (np.empty((0, 2)), []):
-            got = self.EIGHT.cross_track_many(batch)
-            assert got.shape == (0,) and got.dtype == float
+    def test_project_many_of_an_empty_batch(self):
+        e_ct, headings, port = self.EIGHT.project_many(np.empty((0, 2)))
+        assert e_ct.shape == headings.shape == (0,)
+        assert port.shape == (0, 2)
+        assert e_ct.dtype == headings.dtype == port.dtype == float
 
-    def test_cross_track_many_without_a_grid(self):
+    def test_project_many_without_a_grid(self):
         k = np.arange(5000)
         zigzag = PolylinePath(np.column_stack([1.0 * k, 5.0 * (-1.0) ** k]))
         assert zigzag._grid is None and zigzag._batch_grid is None
@@ -553,7 +571,7 @@ class TestCandidateGrid:
         points = np.vstack([points, [[math.nan, 0.0], [0.0, math.inf]]])
         with np.errstate(invalid="ignore"):
             want = [zigzag.project(n, e).cross_track for n, e in points]
-            assert same_bits(zigzag.cross_track_many(points), want)
+            assert same_bits(zigzag.project_many(points)[0], want)
 
     def test_nan_hint_is_the_global_projection(self):
         path = self.EIGHT
@@ -628,6 +646,48 @@ class TestCandidateGrid:
             cell = cells[min(int((north - x0) / side), nx - 1) * ny
                          + min(int((east - y0) / side), ny - 1)]
             assert nearest <= {row[0] for row in cell}
+
+
+def cross_track_digest() -> str:
+    """sha256 of the errors of 2000 seeded fixes about the figure-eight,
+    from `project` one by one and from one `project_many`."""
+    import hashlib
+
+    import numpy as np
+
+    from otterlink.guidance import figure_eight
+
+    path = figure_eight(20.0)
+    fixes = np.random.default_rng(113).uniform(-25.0, 25.0, size=(2000, 2))
+    digest = hashlib.sha256(np.array(
+        [path.project(n, e).cross_track for n, e in fixes]).tobytes())
+    digest.update(path.project_many(fixes)[0].tobytes())
+    return digest.hexdigest()
+
+
+def numpy_on_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26: no dict of the build
+        return False
+    return "openblas" in blas.get("name", "").lower()
+
+
+@pytest.mark.skipif(not numpy_on_openblas(),
+                    reason="numpy is not built on OpenBLAS")
+def test_errors_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS's oldest x86-64 kernel has no fused multiply-add; the
+    # default one on a newer CPU may fuse a dot's multiply into its add
+    src = os.path.dirname(os.path.dirname(guidance.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = inspect.getsource(cross_track_digest) \
+        + "print(cross_track_digest())\n"
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == cross_track_digest()
 
 
 class TestFigureEight:

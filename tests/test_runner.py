@@ -147,6 +147,23 @@ class TestEmbeddedMission:
                                  duration=1.0, initial_state=start,
                                  origin_lat=45.0, origin_lon=-76.0)
 
+    @pytest.mark.parametrize("duration", [
+        -5.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_duration_must_be_finite_and_positive(self, duration):
+        # a mission that never flies must not report itself completed
+        with pytest.raises(ValueError, match="duration"):
+            run_embedded_mission("baseline", figure_eight(20.0),
+                                 duration=duration)
+
+    @pytest.mark.parametrize("target_laps", [
+        0.0, -0.0, -1.0, math.nan, math.inf])
+    def test_lap_target_must_be_none_or_finite_and_positive(self,
+                                                           target_laps):
+        # a 0 lap target "completed" at the first tick with 0 laps
+        with pytest.raises(ValueError, match="target_laps"):
+            run_embedded_mission("baseline", figure_eight(20.0),
+                                 duration=1.0, target_laps=target_laps)
+
     def test_fault_window_sheds_all_telemetry_inside_it(self):
         start, length = 2.0, 2.0
         result = run_embedded_mission(
