@@ -22,6 +22,7 @@ from typing import get_type_hints
 
 from .guidance import LosConfig
 from .nmpc import NmpcConfig
+from .obc import SIM_DT
 from .transport import Endpoint, RateConfig
 from .vessel import EnvDisturbance, VesselParams, VesselState
 
@@ -89,8 +90,10 @@ class BenchSection:
         # comparisons that NaN fails, so NaN is rejected too
         if not 0.0 < self.amplitude < math.inf:
             raise ValueError("amplitude must be finite and > 0")
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError("duration must be finite and > 0")
+        if not (0.0 < self.duration < math.inf
+                and round(self.duration / SIM_DT) >= 1):
+            raise ValueError("duration must be finite and round to at "
+                             f"least one {SIM_DT} s step")
         if not 0.0 <= self.target_laps < math.inf:
             raise ValueError("target_laps must be finite and >= 0")
         if not self.dropout_start < math.inf:

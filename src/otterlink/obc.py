@@ -12,7 +12,6 @@ inability to show propeller direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import codec, geo
 from .transport import RateConfig
@@ -31,20 +30,15 @@ FULL_POWER_W = 900.0      # both motors at full
 BATTERY_WH = 1800.0
 
 
-@dataclass(frozen=True)
-class ControlGains:
-    """Cascaded PI/PD gains for the built-in course-and-speed mode."""
-
-    kp_psi: float = 0.4    # per rad
-    kd_psi: float = 0.35   # per rad/s
-    kp_u: float = 1.0      # per m/s
-    ki_u: float = 0.3      # per m
-    integ_limit: float = 2.0
-    sk_deadband: float = 2.0   # m
-    sk_gain: float = 0.2       # 1/s, distance-to-speed gain
-
-
-GAINS = ControlGains()
+# the built-in autopilots are vendor firmware with fixed gains: cascaded
+# PI/PD for course and speed, and station keeping on top of it
+KP_PSI = 0.4       # per rad
+KD_PSI = 0.35      # per rad/s
+KP_U = 1.0         # per m/s
+KI_U = 0.3         # per m
+INTEG_LIMIT = 2.0  # m, speed integrator clamp
+SK_DEADBAND = 2.0  # m
+SK_GAIN = 0.2      # 1/s, distance-to-speed gain
 
 
 def wrap_deg180(angle: float) -> float:
@@ -58,25 +52,25 @@ def wrap_deg180(angle: float) -> float:
 
 
 def builtin_course_speed(state: VesselState, course_cmd: float,
-                         speed_cmd: float, gains: ControlGains,
-                         integ: float, dt: float) -> tuple[float, float, float]:
-    """Cascaded PI/PD: PD on heading error, PI on speed error.
+                         speed_cmd: float,
+                         integ: float) -> tuple[float, float, float]:
+    """Cascaded PI/PD: PD on heading error, PI on speed error, for one
+    SIM_DT physics step.
 
     Returns (x_norm, z_norm, new_integrator). The speed integrator is
     clamped (anti-windup) and both outputs are clamped to [-1, 1].
     """
     err_deg = wrap_deg180(course_cmd - math.degrees(state.psi))
-    z = gains.kp_psi * math.radians(err_deg) - gains.kd_psi * state.r
+    z = KP_PSI * math.radians(err_deg) - KD_PSI * state.r
     err_u = speed_cmd - state.u
-    integ = max(-gains.integ_limit, min(gains.integ_limit, integ + err_u * dt))
-    x = gains.kp_u * err_u + gains.ki_u * integ
+    integ = max(-INTEG_LIMIT, min(INTEG_LIMIT, integ + err_u * SIM_DT))
+    x = KP_U * err_u + KI_U * integ
     return saturate(x), saturate(z), integ
 
 
 def builtin_station_keep(state: VesselState, target_lat: float,
                          target_lon: float, speed_cap: float,
-                         gains: ControlGains, integ: float,
-                         dt: float) -> tuple[float, float, float]:
+                         integ: float) -> tuple[float, float, float]:
     """Steer toward the target outside the deadband, drift inside it.
 
     Returns (x_norm, z_norm, new_integrator).
@@ -85,11 +79,11 @@ def builtin_station_keep(state: VesselState, target_lat: float,
                                  state.origin_lat, state.origin_lon)
     dn, de = tn - state.north, te - state.east
     dist = math.hypot(dn, de)
-    if dist < gains.sk_deadband:
+    if dist < SK_DEADBAND:
         return 0.0, 0.0, 0.0
     course = math.degrees(math.atan2(de, dn)) % 360.0
-    speed = min(speed_cap, gains.sk_gain * dist)
-    return builtin_course_speed(state, course, speed, gains, integ, dt)
+    speed = min(speed_cap, SK_GAIN * dist)
+    return builtin_course_speed(state, course, speed, integ)
 
 
 class OtterObc:
@@ -99,8 +93,7 @@ class OtterObc:
     def __init__(self, params: VesselParams = VesselParams(),
                  telemetry_hz: float = RateConfig.telemetry_hz,
                  env: EnvDisturbance = EnvDisturbance(),
-                 initial_state: VesselState = VesselState(),
-                 utc0: float = DEFAULT_UTC0):
+                 initial_state: VesselState = VesselState()):
         RateConfig(telemetry_hz)  # raises ConfigError, a ValueError
         self.params = params
         self.env = env
@@ -109,7 +102,7 @@ class OtterObc:
         self.motor_port = MotorState()
         self.motor_stbd = MotorState()
         self.telemetry_hz = telemetry_hz
-        self.utc0 = utc0
+        self.utc0 = DEFAULT_UTC0
         self.battery = 100.0
         self.power = IDLE_POWER_W
         self.t = 0.0
@@ -146,13 +139,11 @@ class OtterObc:
             return saturate(mode.x), saturate(mode.z)
         if isinstance(mode, codec.CourseSpeedCmd):
             x, z, self._integ_u = builtin_course_speed(
-                self.state, mode.course, mode.speed, GAINS,
-                self._integ_u, SIM_DT)
+                self.state, mode.course, mode.speed, self._integ_u)
             return x, z
         if isinstance(mode, codec.StationKeepCmd):
             x, z, self._integ_u = builtin_station_keep(
-                self.state, mode.lat, mode.lon, mode.speed, GAINS,
-                self._integ_u, SIM_DT)
+                self.state, mode.lat, mode.lon, mode.speed, self._integ_u)
             return x, z
         return 0.0, 0.0
 

@@ -167,9 +167,11 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     `initial_state` must carry the mission origin. Control steps get no
     deadline, so solves are unbudgeted and runs bit-reproducible.
     """
-    # comparisons that NaN fails, so NaN is rejected too
-    if not 0.0 < duration < math.inf:
-        raise ValueError("duration must be finite and > 0")
+    # comparisons that NaN fails, so NaN is rejected too; a duration
+    # that rounds to no physics step would fly nothing and "complete"
+    if not (0.0 < duration < math.inf and round(duration / SIM_DT) >= 1):
+        raise ValueError("duration must be finite and round to at least "
+                         f"one {SIM_DT} s step")
     if target_laps is not None and not 0.0 < target_laps < math.inf:
         raise ValueError("target_laps must be None or finite and > 0")
     if initial_state is None:

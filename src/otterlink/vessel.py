@@ -91,10 +91,12 @@ class EnvDisturbance:
 
 @dataclass(frozen=True)
 class MotorState:
-    target_norm: float = 0.0
     actual_norm: float = 0.0
     since_stationary_cmd: float = 0.0  # s into a cold-start delay episode
-    rpm_signed: float = 0.0
+
+    @property
+    def rpm_signed(self) -> float:
+        return self.actual_norm * RPM_MAX
 
     @property
     def rpm_unsigned(self) -> int:
@@ -139,14 +141,14 @@ def apply_motor_lag(motor: MotorState, target: float, dt: float,
     if motor.actual_norm == 0.0 and target != 0.0 and stationary:
         since += dt
         if since < params.startup_delay - 1e-12:
-            return MotorState(target, 0.0, since, 0.0)
+            return MotorState(0.0, since)
     actual = motor.actual_norm + (target - motor.actual_norm) * (
         1.0 - math.exp(-dt / params.motor_tau))
     if target == 0.0 and abs(actual) < MOTOR_SNAP_EPS:
         actual = 0.0
     if actual != 0.0 or target == 0.0:
         since = 0.0
-    return MotorState(target, actual, since, actual * RPM_MAX)
+    return MotorState(actual, since)
 
 
 def dynamics_deriv(y, f_port: float, f_stbd: float,

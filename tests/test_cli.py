@@ -167,6 +167,10 @@ EXIT_CODE_MATRIX = [
     pytest.param("run --embedded", "[bench]\nduration = inf",
                  EXIT_CONFIG, "config error: duration",
                  id="bench-infinite-duration"),
+    # used to exit 0 with completion_time_s 0.0 after no physics step
+    pytest.param("run --embedded", "[bench]\nduration = 0.009\n"
+                 "target_laps = 0", EXIT_CONFIG, "config error: duration",
+                 id="bench-duration-under-a-step"),
     pytest.param("run --embedded", "[bench]\nduration = 1\ntarget_laps = nan",
                  EXIT_CONFIG, "config error: target_laps",
                  id="bench-target-laps"),

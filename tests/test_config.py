@@ -169,7 +169,10 @@ class TestRejection:
         ("vessel", "origin_lon", "-180.5", "origin_lon"),
         ("vessel", "origin_lon", "nan", "origin_lon"),
         ("vessel", "current_east", "-inf", "current_east"),
-        ("vessel", "lever", "inf", "VesselParams.lever")])
+        ("vessel", "lever", "inf", "VesselParams.lever"),
+        # rounds to no 20 ms physics step: a mission that flies nothing
+        ("bench", "duration", "0.009", "duration"),
+        ("bench", "duration", "0.01", "duration")])
     def test_post_init_errors_surface_as_config_error(self, tmp_path, section,
                                                       key, raw, match):
         with pytest.raises(ConfigFileError, match=match):

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from otterlink import codec
-from otterlink.obc import (ControlGains, OtterObc, SIM_DT,
-                           builtin_course_speed, wrap_deg180)
+from otterlink.obc import (OtterObc, SIM_DT, builtin_course_speed,
+                           wrap_deg180)
 from otterlink.vessel import EnvDisturbance, VesselState
 
 
@@ -50,8 +50,8 @@ class TestTelemetryCadence:
         assert pos[-1].utc - pos[0].utc == pytest.approx(1.9, abs=1e-6)
 
     def test_heading_and_utc_just_below_their_wrap_decode_as_zero(self):
-        obc = OtterObc(initial_state=VesselState(psi=2.0 * math.pi - 1e-6),
-                       utc0=86399.896)
+        obc = OtterObc(initial_state=VesselState(psi=2.0 * math.pi - 1e-6))
+        obc.utc0 = 86399.896
         att = [m for m in run_for(obc, 0.1) if isinstance(m, codec.AttReport)]
         assert (att[0].yaw, att[0].utc) == (0.0, 0.0)
 
@@ -151,11 +151,13 @@ class TestModes:
         assert max(dists) < 5.0
 
     def test_station_keep_drifts_inside_deadband(self):
+        # from rest, a nonzero thrust command would spin the motors once
+        # the 2 s cold-start delay ends
         obc = OtterObc(initial_state=VesselState(north=0.5, east=0.0))
         obc.handle_command(codec.StationKeepCmd(45.0, -76.0, 1.0))
         run_for(obc, 5.0)
-        assert obc.motor_port.target_norm == 0.0
-        assert obc.motor_stbd.target_norm == 0.0
+        assert obc.motor_port.actual_norm == 0.0
+        assert obc.motor_stbd.actual_norm == 0.0
 
     def test_mode_switch_resets_speed_integrator(self):
         obc = OtterObc()
@@ -224,9 +226,8 @@ class TestHelpers:
 
     def test_pd_heading_sign(self):
         # heading east of command -> negative (counterclockwise) torque
-        gains = ControlGains()
         state = VesselState(psi=math.radians(30.0), u=1.0)
-        x, z, _ = builtin_course_speed(state, 0.0, 1.0, gains, 0.0, SIM_DT)
+        x, z, _ = builtin_course_speed(state, 0.0, 1.0, 0.0)
         assert z < 0.0
 
 
@@ -280,6 +281,56 @@ PINNED_WIRE = (
 )
 
 
+# station keeping for 2 s from a moving start 10 m from the target, its
+# speed set by the distance gain below the 2.5 m/s cap
+PINNED_SK_WIRE = (
+    '$POTPOS,43200.10,45.0000723,-76.0000755,0.00,0.78,57.30*11\r\n',
+    '$POTATT,43200.10,0.00,0.00,57.31,0.00,0.00,0.47*0F\r\n',
+    '$POTPOS,43200.20,45.0000727,-76.0000746,0.00,0.79,57.34*11\r\n',
+    '$POTATT,43200.20,0.00,0.00,57.41,0.00,0.00,1.53*0F\r\n',
+    '$POTPOS,43200.30,45.0000731,-76.0000738,0.00,0.81,57.43*19\r\n',
+    '$POTATT,43200.30,0.00,0.00,57.63,0.00,0.00,2.98*0A\r\n',
+    '$POTPOS,43200.40,45.0000735,-76.0000729,0.00,0.85,57.60*1F\r\n',
+    '$POTATT,43200.40,0.00,0.00,58.01,0.00,0.00,4.65*02\r\n',
+    '$POTPOS,43200.50,45.0000739,-76.0000719,0.00,0.89,57.88*1B\r\n',
+    '$POTATT,43200.50,0.00,0.00,58.57,0.00,0.00,6.45*00\r\n',
+    '$POTPOS,43200.60,45.0000744,-76.0000710,0.00,0.95,58.27*1C\r\n',
+    '$POTATT,43200.60,0.00,0.00,59.30,0.00,0.00,8.27*09\r\n',
+    '$POTPOS,43200.70,45.0000748,-76.0000699,0.00,1.01,58.79*16\r\n',
+    '$POTATT,43200.70,0.00,0.00,60.22,0.00,0.00,10.08*35\r\n',
+    '$POTPOS,43200.80,45.0000753,-76.0000688,0.00,1.07,59.44*1A\r\n',
+    '$POTATT,43200.80,0.00,0.00,61.32,0.00,0.00,11.83*38\r\n',
+    '$POTPOS,43200.90,45.0000758,-76.0000675,0.00,1.14,60.23*1B\r\n',
+    '$POTATT,43200.90,0.00,0.00,62.59,0.00,0.00,13.52*39\r\n',
+    '$POTPOS,43201.00,45.0000763,-76.0000662,0.00,1.21,61.15*1F\r\n',
+    '$POTATT,43201.00,0.00,0.00,64.02,0.00,0.00,15.14*3D\r\n',
+    '$POTSTA,SK,951,433,22.5,100.0,579.2*0F\r\n',
+    '$POTTIM,20250101,43201.00*04\r\n',
+    '$POTPOS,43201.10,45.0000768,-76.0000648,0.00,1.28,62.20*11\r\n',
+    '$POTATT,43201.10,0.00,0.00,65.61,0.00,0.00,16.69*31\r\n',
+    '$POTPOS,43201.20,45.0000774,-76.0000634,0.00,1.34,63.38*11\r\n',
+    '$POTATT,43201.20,0.00,0.00,67.36,0.00,0.00,18.19*3B\r\n',
+    '$POTPOS,43201.30,45.0000779,-76.0000618,0.00,1.41,64.69*12\r\n',
+    '$POTATT,43201.30,0.00,0.00,69.25,0.00,0.00,19.65*3C\r\n',
+    '$POTPOS,43201.40,45.0000785,-76.0000601,0.00,1.47,66.12*16\r\n',
+    '$POTATT,43201.40,0.00,0.00,71.29,0.00,0.00,21.12*35\r\n',
+    '$POTPOS,43201.50,45.0000790,-76.0000584,0.00,1.53,67.68*14\r\n',
+    '$POTATT,43201.50,0.00,0.00,73.47,0.00,0.00,22.68*30\r\n',
+    '$POTPOS,43201.60,45.0000795,-76.0000565,0.00,1.59,69.37*13\r\n',
+    '$POTATT,43201.60,0.00,0.00,75.83,0.00,0.00,24.35*33\r\n',
+    '$POTPOS,43201.70,45.0000800,-76.0000546,0.00,1.64,71.18*1A\r\n',
+    '$POTATT,43201.70,0.00,0.00,78.35,0.00,0.00,26.17*30\r\n',
+    '$POTPOS,43201.80,45.0000805,-76.0000526,0.00,1.68,73.13*13\r\n',
+    '$POTATT,43201.80,0.00,0.00,81.07,0.00,0.00,28.16*37\r\n',
+    '$POTPOS,43201.90,45.0000809,-76.0000505,0.00,1.72,75.23*11\r\n',
+    '$POTATT,43201.90,0.00,0.00,83.99,0.00,0.00,30.30*3E\r\n',
+    '$POTPOS,43202.00,45.0000812,-76.0000483,0.00,1.76,77.49*14\r\n',
+    '$POTATT,43202.00,0.00,0.00,87.13,0.00,0.00,32.59*3F\r\n',
+    '$POTSTA,SK,1080,477,22.5,100.0,647.1*36\r\n',
+    '$POTTIM,20250101,43202.00*07\r\n',
+)
+
+
 class TestWire:
     def test_scripted_run_emits_the_pinned_lines(self):
         obc = OtterObc(initial_state=VesselState(north=3.0, east=-2.0,
@@ -289,3 +340,9 @@ class TestWire:
         obc.handle_command(codec.CourseSpeedCmd(90.0, 1.2))
         lines += obc.tick(2.0)
         assert tuple(lines) == PINNED_WIRE
+
+    def test_station_keeping_emits_the_pinned_lines(self):
+        obc = OtterObc(initial_state=VesselState(north=8.0, east=-6.0,
+                                                 psi=1.0, u=0.8))
+        obc.handle_command(codec.StationKeepCmd(45.0, -76.0, 2.5))
+        assert tuple(obc.tick(2.0)) == PINNED_SK_WIRE

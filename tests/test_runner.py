@@ -8,7 +8,7 @@ from otterlink.client import TopicGateway
 from otterlink.guidance import PolylinePath, figure_eight
 from otterlink.logbag import LogRecord, LogWriter, read_records
 from otterlink.nmpc import NmpcConfig, solve_nmpc
-from otterlink.obc import OtterObc
+from otterlink.obc import SIM_DT, OtterObc
 from otterlink.runner import (NmpcController, compute_metrics,
                               metrics_from_records, run_embedded_mission,
                               write_metrics_csv)
@@ -148,7 +148,9 @@ class TestEmbeddedMission:
                                  origin_lat=45.0, origin_lon=-76.0)
 
     @pytest.mark.parametrize("duration", [
-        -5.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+        -5.0, 0.0, -0.0, math.nan, math.inf, -math.inf,
+        # positive, but rounded to no physics step
+        0.009, 0.5 * SIM_DT])
     def test_duration_must_be_finite_and_positive(self, duration):
         # a mission that never flies must not report itself completed
         with pytest.raises(ValueError, match="duration"):

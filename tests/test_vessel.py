@@ -67,7 +67,7 @@ class TestMotorLag:
         assert motor.actual_norm == pytest.approx(expected, rel=1e-9)
 
     def test_snap_to_zero_on_small_residual(self):
-        motor = MotorState(actual_norm=5e-5, rpm_signed=5e-5 * RPM_MAX)
+        motor = MotorState(actual_norm=5e-5)
         motor = apply_motor_lag(motor, 0.0, 0.02, P, stationary=False)
         assert motor.actual_norm == 0.0
 
