@@ -12,16 +12,27 @@ lacks one of the keys above, has a payload that is not an object, or
 has a stamp that does not convert to a float. Blank lines are ignored;
 corrupt lines are skipped and counted rather than aborting the read.
 
-Every reader shares one line parser (`_records`), which keeps a single
-copy of each payload key and of each `dir`/`topic` string per read.
-`replay` reads the whole file first, to check the largest gap against
-its speed; `export_csv` streams, writing each row as its line is parsed,
-and parses only the lines that can hold its topic.
+A record is a `LogRecord`, an immutable named tuple of its five
+fields. Its line is what `json.dumps(..., separators=(",", ":"),
+sort_keys=True)` writes. When its stamps and payload values are floats
+and its `dir`, `topic` and payload keys are strings, as in every
+telemetry and command record, `to_json` fills a format string cached
+per (dir, topic, payload keys) with the floats' `repr`, which is what
+the C encoder writes for a finite float; a non-finite float, and every
+other record, goes to the encoder itself.
+
+Every reader shares one line parser (`_records`). It builds each record
+with `tuple.__new__`, keeps a single copy of each `dir`/`topic` string
+per read, and re-keys each payload through one shared tuple of key
+strings per key set. `replay` reads the whole file first, to check the
+largest gap against its speed; `export_csv` streams, writing each row as
+its line is parsed, and parses only the lines that can hold its topic.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -29,8 +40,9 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import codec
 
@@ -64,8 +76,7 @@ _CORRUPT = (ValueError, KeyError, TypeError, OverflowError, RecursionError,
             StopIteration)
 
 
-@dataclass(frozen=True, slots=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     t_mono: float
     t_utc: float
     direction: str  # "rx" or "tx"
@@ -73,9 +84,22 @@ class LogRecord:
     payload: dict
 
     def to_json(self) -> str:
-        return _ENCODER.encode({"v": SCHEMA_VERSION, "t_mono": self.t_mono,
-                                "t_utc": self.t_utc, "dir": self.direction,
-                                "topic": self.topic, "payload": self.payload})
+        t_mono, t_utc, direction, topic, payload = self
+        template = None
+        if (type(t_mono) is float and type(t_utc) is float
+                and type(direction) is str and type(topic) is str
+                and type(payload) is dict):
+            template = _template((direction, topic, *payload,
+                                  *map(type, payload),
+                                  *map(type, payload.values())))
+        # a float sum is finite only if every term is; a sum that
+        # overflows just sends the record to the encoder
+        if template is not None and math.isfinite(sum(payload.values(),
+                                                 t_mono + t_utc)):
+            return template.format(t_mono, t_utc, *payload.values())
+        return _ENCODER.encode({"v": SCHEMA_VERSION, "t_mono": t_mono,
+                                "t_utc": t_utc, "dir": direction,
+                                "topic": topic, "payload": payload})
 
     @classmethod
     def from_json(cls, line: str) -> "LogRecord":
@@ -87,12 +111,39 @@ class LogRecord:
         raise ValueError(f"not a log record: {line[:80]!r}")
 
 
+@functools.lru_cache(maxsize=1024)
+def _template(shape: tuple) -> str | None:
+    """The str.format template of a record's line from its stamps and
+    payload values in payload order, as _ENCODER writes it for finite
+    floats (float.__repr__), or None unless every payload key is a str
+    and every value a float. `shape` is (direction, topic, payload keys,
+    their types, the values' types), flattened."""
+    direction, topic, *rest = shape
+    n = len(rest) // 3
+    keys, types = rest[:n], rest[n:]
+    if any(t is not str for t in types[:n]) or any(
+            t is not float for t in types[n:]):
+        return None
+
+    def text(s: str) -> str:
+        return encode_basestring_ascii(s).replace("{", "{{").replace(
+            "}", "}}")
+
+    fields = ",".join(f"{text(k)}:{{{i}!r}}"
+                      for k, i in sorted(zip(keys, range(2, n + 2))))
+    return ('{{"dir":%s,"payload":{{%s}},"t_mono":{0!r},"t_utc":{1!r},'
+            '"topic":%s,"v":%d}}' % (text(direction), fields, text(topic),
+                                     SCHEMA_VERSION))
+
+
 def _records(lines: Iterable[bytes]) -> Iterator[LogRecord | None]:
     """Parse each non-blank line: yield its LogRecord, or None when it is
     corrupt. Lines are bytes, so one that is not UTF-8 counts as corrupt
     (UnicodeDecodeError is a ValueError) instead of ending the read."""
     strings: dict[str, str] = {}
     share = strings.setdefault  # the first copy of an equal string
+    keysets: dict[tuple, tuple] = {}  # payload keys -> their first copies
+    new = tuple.__new__
     for line in lines:
         line = line.strip()
         if not line:
@@ -108,9 +159,13 @@ def _records(lines: Iterable[bytes]) -> Iterator[LogRecord | None]:
                 direction = share(direction, direction)
             if isinstance(topic, str):
                 topic = share(topic, topic)
-            rec = LogRecord(
+            keys = tuple(payload)
+            shared = keysets.get(keys)
+            if shared is None:
+                shared = keysets[keys] = tuple(map(share, keys, keys))
+            rec = new(LogRecord, (
                 float(obj["t_mono"]), float(obj["t_utc"]), direction, topic,
-                dict(zip(map(share, payload, payload), payload.values())))
+                dict(zip(shared, payload.values()))))
         except _CORRUPT:
             rec = None
         yield rec
@@ -204,14 +259,17 @@ def replay(path, speed_factor: float,
                 f"speed_factor {speed_factor} stretches a {gap:g} s gap "
                 f"past the longest sleep, {threading.TIMEOUT_MAX:g} s")
     start = time.monotonic()
-    prev_t: float | None = None
-    for rec in records:
-        if speed_factor > 0 and prev_t is not None:
+    if speed_factor == 0.0:
+        for rec in records:
+            consumer(rec)
+    else:
+        prev_t = records[0].t_mono if records else 0.0
+        for rec in records:
             delay = (rec.t_mono - prev_t) / speed_factor
             if delay > 0:
                 time.sleep(delay)
-        prev_t = rec.t_mono
-        consumer(rec)
+            prev_t = rec.t_mono
+            consumer(rec)
     return ReplaySummary(delivered=len(records), corrupt_count=corrupt,
                          wall_time=time.monotonic() - start)
 

@@ -85,8 +85,9 @@ class FaultProfile:
         """Whether a datagram sent `t_rel` s into the run is shed: inside
         a dropout window without a draw, else by one draw of `rng`
         against `loss_prob` (no draw at all when it is 0)."""
-        return self.in_dropout(t_rel) or (
-            self.loss_prob > 0.0 and rng.random() < self.loss_prob)
+        if self.dropout_windows and self.in_dropout(t_rel):
+            return True
+        return self.loss_prob > 0.0 and rng.random() < self.loss_prob
 
 
 class UdpBroadcaster:

@@ -1,10 +1,12 @@
 import csv
+import enum
 import errno
 import io
 import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,45 @@ KEYS = ("v", "t_mono", "t_utc", "dir", "topic", "payload")
 DAMAGE = ["none"] * 4 + [
     "bad-stamp", "bad-payload", "missing-key", "not-object", "blank", "bom",
     "trailing", "cr", "bad-utf8", "truncated", "padded"]
+
+
+class Mode(enum.IntEnum):
+    MANUAL = 0
+    DRIFT = -3
+
+
+# floats the template path must render as the encoder does, or hand to
+# it: signed zeros, infinities, NaN, subnormals and 17-digit values
+FLOATS = st.floats() | st.sampled_from([
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+    -2.225073858507201e-308,
+    0.30000000000000004, 1 / 3, 43200.123456789015, 1.7976931348623157e308])
+TEXTS = st.text(st.sampled_from('"\\{}%!r0:,a\u00e9\u2603\x00\n')
+                | st.characters(), max_size=5)
+LEAVES = (FLOATS | st.integers() | st.booleans() | st.none()
+          | st.sampled_from(Mode) | FLOATS.map(np.float64) | TEXTS)
+VALUES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(TEXTS, inner, max_size=3),
+                      max_leaves=6)
+RECORD_KEYS = st.sampled_from(["lat", "lon", "utc", "yaw", "name"]) | TEXTS
+RECORD_PAYLOADS = st.one_of(
+    st.dictionaries(RECORD_KEYS, FLOATS, max_size=7),  # telemetry's shape
+    st.dictionaries(RECORD_KEYS, VALUES, max_size=4),
+    st.dictionaries(st.integers() | st.booleans() | st.none(), FLOATS,
+                    max_size=3),
+    st.dictionaries(FLOATS, VALUES, max_size=3))
+RECORD_NAMES = st.sampled_from(["rx", "tx", "otter_gps", "event"]) | TEXTS
+RECORD_STAMPS = FLOATS | st.integers(-10**6, 10**6)
+RECORDS = st.builds(LogRecord, RECORD_STAMPS, RECORD_STAMPS,
+                    RECORD_NAMES | st.integers(), RECORD_NAMES | st.integers(),
+                    RECORD_PAYLOADS)
+
+
+def dumped(record):
+    return json.dumps({"v": SCHEMA_VERSION, "t_mono": record.t_mono,
+                       "t_utc": record.t_utc, "dir": record.direction,
+                       "topic": record.topic, "payload": record.payload},
+                      separators=(",", ":"), sort_keys=True)
 
 
 @st.composite
@@ -129,6 +170,55 @@ class TestRecordFormat:
             b'{"dir":"tx","payload":{"detail":[1,null,true],'
             b'"name":"caf\\u00e9","value":NaN},"t_mono":1.5,'
             b'"t_utc":43201.5,"topic":"event","v":1}\n')
+
+    @settings(max_examples=500, deadline=None)
+    @given(record=RECORDS)
+    def test_line_is_what_json_dumps_writes(self, record):
+        try:
+            want = dumped(record)
+        except (TypeError, ValueError) as exc:  # keys of unlike types
+            with pytest.raises(type(exc)):
+                record.to_json()
+        else:
+            assert record.to_json() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=FLOATS, names=st.tuples(RECORD_NAMES, RECORD_NAMES),
+           payload=st.dictionaries(RECORD_KEYS, FLOATS | VALUES, max_size=5))
+    def test_record_survives_its_line(self, t, names, payload):
+        # NaN equals nothing, itself included: it is compared as its line
+        assume(t == t)
+        record = LogRecord(t, 43200.0 + t, *names, payload)
+        line = record.to_json()
+        back = LogRecord.from_json(line)
+        assert back.to_json() == line
+        if "NaN" not in line:
+            assert back == record
+
+    def test_float_records_are_rendered_without_the_encoder(self,
+                                                            monkeypatch):
+        class Refusing:
+            def encode(self, obj):
+                raise AssertionError("encoder called")
+
+        monkeypatch.setattr(logbag, "_ENCODER", Refusing())
+        gps = rec(1.5, payload={"utc": 43201.5, "lat": 45.0, "lon": -76.0,
+                                "alt": -0.0})
+        assert gps.to_json() == (
+            '{"dir":"rx","payload":{"alt":-0.0,"lat":45.0,"lon":-76.0,'
+            '"utc":43201.5},"t_mono":1.5,"t_utc":43201.5,'
+            '"topic":"otter_gps","v":1}')
+        for other in ({"lat": math.nan}, {"lat": 45}, {"name": "lap"}):
+            with pytest.raises(AssertionError, match="encoder called"):
+                rec(1.5, payload=other).to_json()
+
+    def test_record_refuses_assignment(self):
+        record = rec(0.0)
+        for name in ("t_mono", "t_utc", "direction", "topic", "payload",
+                     "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+        assert record == rec(0.0)
 
 
 class TestWriterReader:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from otterlink import codec
 from otterlink.client import TopicGateway
+from otterlink.config import RunConfig
 from otterlink.guidance import PolylinePath, figure_eight
 from otterlink.logbag import LogRecord, LogWriter, read_records
 from otterlink.nmpc import NmpcConfig, solve_nmpc
@@ -102,6 +104,22 @@ class TestMetricsCsv:
                           tmp_path / "two.csv")
         assert (tmp_path / "one.csv").read_bytes() == \
             (tmp_path / "two.csv").read_bytes()
+
+
+    def test_logged_mission_bytes_pinned(self, tmp_path):
+        # a 20 s baseline mission with every default: its .olog and its
+        # metrics CSV, to the byte, as the JSON encoder wrote them before
+        # the log writer rendered float records from templates
+        log, csv = tmp_path / "run.olog", tmp_path / "metrics.csv"
+        with LogWriter(log) as writer:
+            result = run_embedded_mission(
+                "baseline", figure_eight(RunConfig().bench.amplitude),
+                duration=20.0, log_writer=writer)
+        write_metrics_csv(result.metrics, csv)
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "c822a31c48b1427bc5b31bca088e4e0736aa0fc901584ddb8857d7b70f4e8e56")
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "53470301ef4cb0d521ec7add431e27d3cf369ec3b1fe9593aefdeca8ed689ba9")
 
 
 class TestEmbeddedMission:
