@@ -15,11 +15,15 @@ corrupt lines are skipped and counted rather than aborting the read.
 A record is a `LogRecord`, an immutable named tuple of its five
 fields. Its line is what `json.dumps(..., separators=(",", ":"),
 sort_keys=True)` writes. When its stamps and payload values are floats
-and its `dir`, `topic` and payload keys are strings, as in every
-telemetry and command record, `to_json` fills a format string cached
-per (dir, topic, payload keys) with the floats' `repr`, which is what
-the C encoder writes for a finite float; a non-finite float, and every
-other record, goes to the encoder itself.
+and its `dir`, `topic` and payload keys are strings, `to_json` fills a
+format string cached per (dir, topic, payload keys, payload value
+types) with the floats' `repr`, which is what the C encoder writes for
+a finite float. Of the topics a mission logs, `otter_gps`,
+`otter_cogsog`, `otter_imu`, `control_cmds`, `course_speed_cmds` and
+`station_keeping_cmds` carry only floats; `otter_status` (a str mode,
+int rpms), `otter_gps_time` (an int date), `drift_cmds` (a bool) and
+the str-named `event` and `metric` records do not. Those, and a record
+holding a non-finite float, go to the encoder itself.
 
 Every reader shares one line parser (`_records`). It builds each record
 with `tuple.__new__`, keeps a single copy of each `dir`/`topic` string
@@ -90,7 +94,6 @@ class LogRecord(NamedTuple):
                 and type(direction) is str and type(topic) is str
                 and type(payload) is dict):
             template = _template((direction, topic, *payload,
-                                  *map(type, payload),
                                   *map(type, payload.values())))
         # a float sum is finite only if every term is; a sum that
         # overflows just sends the record to the encoder
@@ -117,12 +120,13 @@ def _template(shape: tuple) -> str | None:
     payload values in payload order, as _ENCODER writes it for finite
     floats (float.__repr__), or None unless every payload key is a str
     and every value a float. `shape` is (direction, topic, payload keys,
-    their types, the values' types), flattened."""
+    the values' types), flattened. A str key writes the same text as the
+    exact str it equals, so the key types need no place in `shape`."""
     direction, topic, *rest = shape
-    n = len(rest) // 3
+    n = len(rest) // 2
     keys, types = rest[:n], rest[n:]
-    if any(t is not str for t in types[:n]) or any(
-            t is not float for t in types[n:]):
+    if not all(isinstance(k, str) for k in keys) or any(
+            t is not float for t in types):
         return None
 
     def text(s: str) -> str:
@@ -259,17 +263,14 @@ def replay(path, speed_factor: float,
                 f"speed_factor {speed_factor} stretches a {gap:g} s gap "
                 f"past the longest sleep, {threading.TIMEOUT_MAX:g} s")
     start = time.monotonic()
-    if speed_factor == 0.0:
-        for rec in records:
-            consumer(rec)
-    else:
-        prev_t = records[0].t_mono if records else 0.0
-        for rec in records:
+    prev_t: float | None = None
+    for rec in records:
+        if speed_factor > 0 and prev_t is not None:
             delay = (rec.t_mono - prev_t) / speed_factor
             if delay > 0:
                 time.sleep(delay)
-            prev_t = rec.t_mono
-            consumer(rec)
+        prev_t = rec.t_mono
+        consumer(rec)
     return ReplaySummary(delivered=len(records), corrupt_count=corrupt,
                          wall_time=time.monotonic() - start)
 

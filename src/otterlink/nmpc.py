@@ -314,18 +314,14 @@ def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
     upper[held] = hi[held] <= 0.0
     tol = 1e-12 * (1.0 + float(np.max(np.abs(g))))
     for _ in range(4 * n):
+        free = ~held
         q = g + H @ d
-        if not held.any():
-            step = np.linalg.solve(H, -q)
-        else:
-            free = ~held
-            step = np.zeros(n)
-            if free.any():
-                step[free] = np.linalg.solve(H[np.ix_(free, free)], -q[free])
-        room = np.full(n, np.inf)
-        up, down = step > 0.0, step < 0.0
-        room[up] = (hi[up] - d[up]) / step[up]
-        room[down] = (lo[down] - d[down]) / step[down]
+        step = np.zeros(n)
+        if free.any():
+            step[free] = np.linalg.solve(H[np.ix_(free, free)], -q[free])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step > 0.0, (hi - d) / step,
+                            np.where(step < 0.0, (lo - d) / step, np.inf))
         j = int(np.argmin(room))
         if room[j] < 1.0:
             d += max(room[j], 0.0) * step

@@ -66,6 +66,10 @@ class Mode(enum.IntEnum):
     DRIFT = -3
 
 
+class Key(str):
+    """A str subclass: the encoder writes it as the str it equals."""
+
+
 # floats the template path must render as the encoder does, or hand to
 # it: signed zeros, infinities, NaN, subnormals and 17-digit values
 FLOATS = st.floats() | st.sampled_from([
@@ -79,7 +83,8 @@ LEAVES = (FLOATS | st.integers() | st.booleans() | st.none()
 VALUES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3)
                       | st.dictionaries(TEXTS, inner, max_size=3),
                       max_leaves=6)
-RECORD_KEYS = st.sampled_from(["lat", "lon", "utc", "yaw", "name"]) | TEXTS
+RECORD_KEYS = (st.sampled_from(["lat", "lon", "utc", "yaw", "name"]) | TEXTS
+               | st.sampled_from(["lat", "lon"]).map(Key))
 RECORD_PAYLOADS = st.one_of(
     st.dictionaries(RECORD_KEYS, FLOATS, max_size=7),  # telemetry's shape
     st.dictionaries(RECORD_KEYS, VALUES, max_size=4),

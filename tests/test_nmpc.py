@@ -453,70 +453,6 @@ class TestGaussNewton:
                     <= 1e-6 * max(1.0, float(np.max(np.abs(fd)))))
 
 
-def reference_box_qp(H, g, lo, hi):
-    """The box QP as it was before it solved H whole while no variable
-    is held and found each bound's room by masks: the new one must give
-    the same step to the bit."""
-    n = len(g)
-    d = np.zeros(n)
-    upper = np.zeros(n, dtype=bool)
-    held = ((lo >= 0.0) & (g > 0.0)) | ((hi <= 0.0) & (g < 0.0))
-    upper[held] = hi[held] <= 0.0
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(g))))
-    for _ in range(4 * n):
-        free = ~held
-        q = g + H @ d
-        step = np.zeros(n)
-        if free.any():
-            step[free] = np.linalg.solve(H[np.ix_(free, free)], -q[free])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step > 0.0, (hi - d) / step,
-                            np.where(step < 0.0, (lo - d) / step, np.inf))
-        j = int(np.argmin(room))
-        if room[j] < 1.0:
-            d += max(room[j], 0.0) * step
-            upper[j] = step[j] > 0.0
-            d[j] = hi[j] if upper[j] else lo[j]
-            held[j] = True
-            continue
-        d += step
-        if not held.any():
-            break
-        q = g + H @ d
-        wrong = np.where(held, np.where(upper, q, -q), 0.0)
-        j = int(np.argmax(wrong))
-        if wrong[j] <= tol:
-            break
-        held[j] = False
-    return d
-
-
-class TestBoxQp:
-    def test_steps_equal_the_reference_to_the_bit(self):
-        # Gauss-Newton QPs of 20 motor pairs as the solver builds them,
-        # from residual Jacobians of full and deficient rank, at plans
-        # inside the box and on its faces, with gradients small enough
-        # for the free Newton step and large enough to pin many bounds
-        rng = np.random.default_rng(2029)
-        n = 40
-        pinned = started_held = 0
-        for i in range(300):
-            J = rng.normal(size=(rng.choice([12, 40, 140]), n))
-            H = J.T @ J
-            H.flat[::n + 1] += 1e-12 * (1.0 + np.trace(H))
-            flat = box_motors(rng, n // 2, faces=i % 2).ravel()
-            lo, hi = -1.0 - flat, 1.0 - flat
-            g = J.T @ rng.normal(size=J.shape[0]) * 10.0 ** rng.uniform(-3, 2)
-            step = nmpc._box_qp(H, g, lo, hi)
-            assert step.tobytes() == reference_box_qp(H, g, lo, hi).tobytes()
-            pinned += np.any((step == lo) | (step == hi))
-            started_held += np.any(((lo >= 0.0) & (g > 0.0))
-                                   | ((hi <= 0.0) & (g < 0.0)))
-        # both branches ran often: the whole-H solve and the held one
-        assert 50 < pinned < 280
-        assert started_held > 50
-
-
 class TestSolve:
     def test_solution_is_feasible_and_improving(self):
         config = NmpcConfig()
