@@ -191,6 +191,7 @@ class PolylinePath:
         sn, se, tn, te, length, vn, ve = (
             self._kernel if segments is None
             else self._kernel[:, segments])
+        # np.clip keeps a -0.0 that np.maximum(-0.0, 0.0) would make +0.0
         t = np.clip(((pn - sn) * tn + (pe - se) * te) / length, 0.0, 1.0)
         d2 = (pn - (sn + t * vn)) ** 2 + (pe - (se + t * ve)) ** 2
         return t, d2
@@ -240,9 +241,9 @@ class PolylinePath:
         t, d2 = self._foot(north, east)
         if s_hint is not None:
             outside = self._outside(self._mids, self._lengths, s_hint, window)
-            if not outside.all():
+            if not np.logical_and.reduce(outside, axis=None):
                 d2[outside] = np.inf
-        i = int(np.argmin(d2))  # ties go to the lowest segment index
+        i = int(d2.argmin())  # ties go to the lowest segment index
         return i, float(t[i])
 
     def arc_near(self, north: float, east: float,
@@ -296,12 +297,12 @@ class PolylinePath:
         if self._batch_grid is None or not len(p):
             return None
         lo, hi, side, last, strides, masks = self._batch_grid
-        if not ((lo <= p) & (p < hi)).all():
+        if not np.logical_and.reduce((lo <= p) & (p < hi), axis=None):
             return None
         # `_grid_nearest`'s cell of each point
         cell = ((p - lo) / side).astype(np.intp)
         np.minimum(cell, last, out=cell)
-        return np.flatnonzero(masks[cell @ strides].any(axis=0))
+        return np.logical_or.reduce(masks[cell @ strides]).nonzero()[0]
 
     def _nearest_many(self, p: np.ndarray) -> np.ndarray:
         """Index of the nearest segment to each point of the (K, 2) batch
@@ -321,7 +322,7 @@ class PolylinePath:
             q = p[k:k + chunk]
             segments = self._batch_candidates(q)
             _, d2 = self._foot(q[:, 0:1], q[:, 1:2], segments)
-            i = np.argmin(d2, axis=1)
+            i = d2.argmin(axis=1)
             idx[k:k + chunk] = i if segments is None else segments[i]
         return idx
 
@@ -335,7 +336,7 @@ class PolylinePath:
         p = np.asarray(points, dtype=float)
         idx = self._nearest_many(p)
         port = self._port[idx]
-        e_ct = ((p - self._starts[idx]) * port).sum(axis=1)
+        e_ct = np.add.reduce((p - self._starts[idx]) * port, axis=1)
         return e_ct, self._headings[idx], port
 
     def _point_at(self, s) -> tuple[float, float]:

@@ -50,6 +50,13 @@ interpolated at k dt + elapsed, its last row held past the horizon. At
 sample before would have applied, and most solves stall after two
 iterations on one Jacobian.
 
+Every numpy call on the per-iteration path is a ufunc, a ufunc
+reduction or an ndarray C method, never one of numpy's Python-level
+wrappers (np.max, .any(), np.clip, np.ix_, np.errstate, ...), whose call
+overhead outweighs the arithmetic on these 20- to 140-element arrays.
+The exceptions are np.linalg.solve, which has no public lower-level
+call, and the np.clip of the path's foot-point kernel (`PolylinePath`).
+
 `cost_of_inputs` and `cost_gradient`, which the solver does not call,
 wrap the solver's own evaluation of a motor command sequence: the cost
 r.r and its gradient 2 J^T r.
@@ -139,7 +146,7 @@ def predict(y0: np.ndarray, motors: np.ndarray, config: NmpcConfig,
         y = (y[0], y[1], wrap_2pi(y[2]), y[3], y[4], y[5])
         flat += y
     states = np.array(flat).reshape(-1, 6)
-    if not np.all(np.isfinite(states)):
+    if not np.logical_and.reduce(np.isfinite(states), axis=None):
         raise FloatingPointError("non-finite rollout")
     return states
 
@@ -175,7 +182,7 @@ def _residuals(states: np.ndarray, motors: np.ndarray, e_ct, psi_path,
     flattened row by row."""
     d = _heading_error(states, psi_path)
     prev = np.asarray(prev_motors, dtype=float)
-    diffs = np.diff(np.vstack([prev[None, :], motors]), axis=0)
+    diffs = motors - np.concatenate([prev[None, :], motors[:-1]])
     return np.concatenate([
         math.sqrt(config.w_ct) * e_ct,
         math.sqrt(2.0 * config.w_head) * np.sin(0.5 * d),
@@ -223,6 +230,10 @@ def _input_maps(p: VesselParams) -> tuple[np.ndarray, np.ndarray]:
     return B, E
 
 
+_EYE6 = np.eye(6)  # read-only; np.eye is a Python-level function
+_EYE6.flags.writeable = False
+
+
 def _rollout_jacobian(states: np.ndarray, stages: list,
                       config: NmpcConfig, p: VesselParams) -> np.ndarray:
     """d(state k+1)/d(motors flattened) for k = 0..N-1, as (N, 6, 2N),
@@ -252,7 +263,7 @@ def _rollout_jacobian(states: np.ndarray, stages: list,
     for i, (step, weight) in enumerate(((h, 2.0), (h, 2.0), (dt, 1.0)), 1):
         K = A[i] @ (E + step * K) + B
         total += weight * K
-    A_steps = np.eye(6) + (dt / 6.0) * total[:, :, :6]
+    A_steps = _EYE6 + (dt / 6.0) * total[:, :, :6]
     B_steps = (dt / 6.0) * total[:, :, 6:]
 
     sens = np.zeros((n, 6, 2 * n))
@@ -312,17 +323,18 @@ def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
     upper = np.zeros(n, dtype=bool)  # which bound a held variable is at
     held = ((lo >= 0.0) & (g > 0.0)) | ((hi <= 0.0) & (g < 0.0))
     upper[held] = hi[held] <= 0.0
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(g))))
+    tol = 1e-12 * (1.0 + float(np.maximum.reduce(np.abs(g))))
+    room = np.empty(n)  # step length to each variable's bound, inf if none
     for _ in range(4 * n):
         free = ~held
         q = g + H @ d
         step = np.zeros(n)
-        if free.any():
-            step[free] = np.linalg.solve(H[np.ix_(free, free)], -q[free])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step > 0.0, (hi - d) / step,
-                            np.where(step < 0.0, (lo - d) / step, np.inf))
-        j = int(np.argmin(room))
+        if np.logical_or.reduce(free):
+            step[free] = np.linalg.solve(H[free][:, free], -q[free])
+        room.fill(np.inf)
+        np.divide(hi - d, step, out=room, where=step > 0.0)
+        np.divide(lo - d, step, out=room, where=step < 0.0)
+        j = int(room.argmin())
         if room[j] < 1.0:
             d += max(room[j], 0.0) * step
             upper[j] = step[j] > 0.0
@@ -330,11 +342,11 @@ def _box_qp(H: np.ndarray, g: np.ndarray, lo: np.ndarray,
             held[j] = True
             continue
         d += step
-        if not held.any():
+        if not np.logical_or.reduce(held):
             break  # no multiplier to check
         q = g + H @ d
         wrong = np.where(held, np.where(upper, q, -q), 0.0)
-        j = int(np.argmax(wrong))
+        j = int(wrong.argmax())
         if wrong[j] <= tol:
             break
         held[j] = False
@@ -406,11 +418,11 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
             H = J.T @ J
             # with zero input weights a motor that moves no weighted state
             # leaves H singular; a tiny ridge keeps it positive definite
-            H.flat[::2 * n + 1] += 1e-12 * (1.0 + np.trace(H))
+            H.flat[::2 * n + 1] += 1e-12 * (1.0 + H.trace())
         half_grad = J.T @ r
         flat = motors.ravel()
-        if (np.max(np.abs(flat - np.clip(flat - 2.0 * half_grad, -1.0, 1.0)))
-                < config.grad_tol):
+        projected = np.minimum(np.maximum(flat - 2.0 * half_grad, -1.0), 1.0)
+        if np.maximum.reduce(np.abs(flat - projected)) < config.grad_tol:
             if fresh:
                 stop = "converged"  # the projected gradient vanishes
                 break
@@ -421,7 +433,8 @@ def solve_nmpc(state: VesselState, path: PolylinePath, config: NmpcConfig,
         slope, curve = 2.0 * float(r @ Jd), float(Jd @ Jd)
         alpha = 1.0
         while alpha > 1e-3:
-            trial_motors = np.clip(motors + alpha * step, -1.0, 1.0)
+            trial_motors = np.minimum(np.maximum(motors + alpha * step, -1.0),
+                                      1.0)
             trials += 1
             try:
                 trial = _evaluate(y0, trial_motors, path, config, params,

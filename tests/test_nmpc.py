@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -792,6 +794,185 @@ class TestSolve:
             NmpcConfig(steps_N=1)
         with pytest.raises(ValueError):
             NmpcConfig(w_ct=-1.0)
+
+
+def wrapper_box_qp(H, g, lo, hi):
+    """`nmpc._box_qp` in its earlier form, on numpy's Python-level
+    wrappers (np.ix_, np.errstate around a nested np.where, np.argmin,
+    np.argmax, .any()): the reference for the ufunc form, bit for bit.
+    Also returns how many held variables it freed and how many free
+    variables took an exactly zero Newton step."""
+    n = len(g)
+    d = np.zeros(n)
+    upper = np.zeros(n, dtype=bool)
+    held = ((lo >= 0.0) & (g > 0.0)) | ((hi <= 0.0) & (g < 0.0))
+    upper[held] = hi[held] <= 0.0
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(g))))
+    freed = zero_steps = 0
+    for _ in range(4 * n):
+        free = ~held
+        q = g + H @ d
+        step = np.zeros(n)
+        if free.any():
+            step[free] = np.linalg.solve(H[np.ix_(free, free)], -q[free])
+        zero_steps += int(np.sum(free & (step == 0.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step > 0.0, (hi - d) / step,
+                            np.where(step < 0.0, (lo - d) / step, np.inf))
+        j = int(np.argmin(room))
+        if room[j] < 1.0:
+            d += max(room[j], 0.0) * step
+            upper[j] = step[j] > 0.0
+            d[j] = hi[j] if upper[j] else lo[j]
+            held[j] = True
+            continue
+        d += step
+        if not held.any():
+            break
+        q = g + H @ d
+        wrong = np.where(held, np.where(upper, q, -q), 0.0)
+        j = int(np.argmax(wrong))
+        if wrong[j] <= tol:
+            break
+        held[j] = False
+        freed += 1
+    return d, freed, zero_steps
+
+
+def box_qp_problems(rng, count):
+    """Seeded positive definite box QPs: about a quarter of the bounds
+    exactly at 0, as for a motor command on its limit, and about one
+    variable in seven decoupled with a zero gradient, so its Newton step
+    is exactly zero."""
+    for _ in range(count):
+        n = int(rng.integers(2, 41))
+        A = rng.standard_normal((n, n))
+        H = A @ A.T + 1e-3 * np.eye(n)
+        g = rng.choice([0.1, 1.0, 10.0]) * rng.standard_normal(n)
+        lo, hi = -rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+        lo[rng.random(n) < 0.25] = 0.0
+        hi[rng.random(n) < 0.25] = 0.0
+        still = rng.random(n) < 0.15
+        H[still, :] = H[:, still] = 0.0
+        H[still, still] = 1.0
+        g[still] = 0.0
+        yield H, g, lo, hi
+
+
+# numpy's Python-level wrapper modules: `fromnumeric` (np.max, np.clip,
+# np.argmin, ...), `_methods` (.any(), .all(), .sum(), .clip()),
+# `numeric`, `shape_base` (np.vstack), `_ufunc_config` (np.errstate)
+# and `numpy.lib` (np.ix_, np.diff, np.eye)
+NUMPY_WRAPPERS = ("numpy._core.fromnumeric", "numpy._core._methods",
+                  "numpy._core.numeric", "numpy._core.shape_base",
+                  "numpy._core._ufunc_config")
+
+
+def numpy_wrapper_entries(run):
+    """Run `run()` under sys.setprofile and return, for each call into a
+    numpy wrapper module, (module, function, caller) of the numpy call
+    it happened in: the outermost numpy frame on its stack, and the
+    function that made that call."""
+    def module(frame):
+        return "" if frame is None else frame.f_globals.get("__name__", "")
+
+    entries = []
+
+    def profile(frame, event, arg):
+        name = module(frame)
+        if event != "call" or not (name in NUMPY_WRAPPERS or name == "numpy.lib"
+                                   or name.startswith("numpy.lib.")):
+            return
+        while module(frame.f_back).partition(".")[0] == "numpy":
+            frame = frame.f_back
+        entries.append((module(frame), frame.f_code.co_name,
+                        frame.f_back.f_code.co_name))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return entries
+
+
+def wrapper_exempt(entry):
+    """np.linalg.solve, which has no public lower-level call, and
+    `_foot`'s np.clip (np.maximum(-0.0, 0.0) is +0.0, where np.clip keeps
+    -0.0)."""
+    return (entry[:2] == ("numpy.linalg._linalg", "solve")
+            or entry[0] == "numpy._core.fromnumeric"
+            and entry[1] in ("clip", "_clip_dispatcher")
+            and entry[2] == "_foot")
+
+
+class TestUfuncPath:
+    def test_box_qp_equals_the_wrapper_form_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(2909)
+        problems = list(box_qp_problems(rng, 300))
+        # and the QPs of a cold and a warm solve on the figure-eight
+        box_qp = nmpc._box_qp
+
+        def kept(H, g, lo, hi):
+            problems.append((H.copy(), g.copy(), lo.copy(), hi.copy()))
+            return box_qp(H, g, lo, hi)
+
+        monkeypatch.setattr(nmpc, "_box_qp", kept)
+        config, path = NmpcConfig(), figure_eight(20.0)
+        state = VesselState(north=2.0, psi=1.3, u=0.8)
+        cold = solve_nmpc(state, path, config, P)
+        solve_nmpc(state, path, config, P, warm_start=cold,
+                   prev_motors=tuple(cold.motors[0]))
+        monkeypatch.undo()
+
+        at_zero = held_at_start = freed = zero_steps = 0
+        for H, g, lo, hi in problems:
+            with warnings.catch_warnings():
+                # a division the `where=` masks do not guard would warn
+                warnings.simplefilter("error")
+                d = nmpc._box_qp(H, g, lo, hi)
+            ref, ref_freed, ref_zero = wrapper_box_qp(H, g, lo, hi)
+            assert d.tobytes() == ref.tobytes()
+            at_zero += int(np.sum(lo == 0.0) + np.sum(hi == 0.0))
+            held_at_start += int(np.sum((lo >= 0.0) & (g > 0.0))
+                                 + np.sum((hi <= 0.0) & (g < 0.0)))
+            freed += ref_freed
+            zero_steps += ref_zero
+        assert min(at_zero, held_at_start, freed, zero_steps) > 0
+
+    def test_min_max_equals_clip_at_the_unit_box(self):
+        x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1.0, -1.0,
+                      np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+                      np.nextafter(1.0, 0.0), 5e-324, -5e-324, 0.25, -3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.minimum(np.maximum(x, -1.0), 1.0)
+        assert got.tobytes() == np.clip(x, -1.0, 1.0).tobytes()
+
+    def test_solve_calls_no_numpy_python_wrapper(self):
+        # np.clip or .any() on the per-iteration path would cost more than
+        # the arithmetic on these 40-element arrays
+        config, path = NmpcConfig(), figure_eight(20.0)
+        state = VesselState(north=2.0, psi=1.3, u=0.8)
+        # the read-only input maps are built once per parameter set
+        solve_nmpc(state, path, config, P)
+        solutions = []
+
+        def solves():
+            solutions.append(solve_nmpc(state, path, config, P))
+            solutions.append(solve_nmpc(
+                state, path, config, P, warm_start=solutions[0],
+                prev_motors=tuple(solutions[0].motors[0]),
+                elapsed=0.5 * config.dt))
+
+        entries = numpy_wrapper_entries(solves)
+        assert [e for e in entries if not wrapper_exempt(e)] == []
+        assert all(sol.iters >= 1 for sol in solutions)
+        # the guard sees the calls it lets through, and one made elsewhere
+        assert {e[1] for e in entries} >= {"solve", "clip"}
+        assert not wrapper_exempt(numpy_wrapper_entries(
+            lambda: np.clip(np.zeros(3), -1.0, 1.0))[0])
 
 
 # each value used to be accepted: a NaN made every solve_nmpc return
