@@ -82,7 +82,16 @@ def _check_outputs(*paths) -> None:
             raise ConfigFileError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _check_duration(args) -> None:
+    """A `--duration` is omitted (run until Ctrl-C) or finite and > 0;
+    the comparisons fail on NaN, so NaN is rejected too."""
+    if args.duration is not None and not 0.0 < args.duration < math.inf:
+        raise UsageError(
+            f"--duration must be finite and > 0, not {args.duration}")
+
+
 def cmd_sim(args) -> int:
+    _check_duration(args)
     cfg = _load(args)
     rate = transport.RateConfig(cfg.transport.rate_hz)
     obc = OtterObc(params=cfg.vessel.params,
@@ -264,6 +273,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_listen(args) -> int:
+    _check_duration(args)
     cfg = _load(args)
     listener = transport.UdpListener(cfg.transport.telemetry_endpoint)
     t0 = time.monotonic()

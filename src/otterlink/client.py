@@ -5,6 +5,11 @@ and relayed immediately, exactly once per publish call. Which message
 maps to which topic is defined by ``codec.CATALOG``. Resend cadence is
 the publisher's responsibility.
 
+A topic's consumers run in subscription order. A synchronizer is an
+ordinary consumer: `synchronize` subscribes its `offer` to each of its
+topics, so it sees only their samples, in its turn among their
+consumers.
+
 `BackseatClient` puts the gateway on UDP sockets and runs on a single
 thread: the caller alternates `poll`, which feeds the telemetry that
 arrives within a timeout, with its own control steps.
@@ -82,26 +87,18 @@ class ApproxTimeSync:
             return
         stamps = [s.stamp for s in self._latest.values()]
         if max(stamps) - min(stamps) <= self.slop:
-            by_topic = dict(self._latest)
-            self._latest.clear()
-
-            def payload(name: str) -> dict:
-                sample_ = by_topic.get(name)
-                return sample_.payload if sample_ is not None else {}
-
-            self.callback(SyncedSample(gps=payload("otter_gps"),
-                                       imu=payload("otter_imu"),
-                                       cogsog=payload("otter_cogsog"),
-                                       stamp=max(stamps)))
+            latest, self._latest = self._latest, {}
+            gps, imu, cogsog = (latest[t].payload if t in latest else {}
+                                for t in SYNC_TOPICS)
+            self.callback(SyncedSample(gps, imu, cogsog, max(stamps)))
 
 
 class TopicGateway:
     """Transport-agnostic dispatch core: feed wire lines in, invoke
-    topic consumers and synchronizers from the feeding context."""
+    topic consumers from the feeding context."""
 
     def __init__(self, command_sender: Callable[[str], None] | None = None):
         self._subs: dict[str, list[Callable[[TopicSample], None]]] = {}
-        self._syncs: list[ApproxTimeSync] = []
         self._command_sender = command_sender
         self.decode_errors = 0
 
@@ -116,7 +113,8 @@ class TopicGateway:
     def synchronize(self, topics: Iterable[str], slop: float,
                     consumer: Callable[[SyncedSample], None]) -> ApproxTimeSync:
         sync = ApproxTimeSync(topics, slop, consumer)
-        self._syncs.append(sync)
+        for topic in sync.topics:
+            self.subscribe(topic, sync.offer)
         return sync
 
     def feed_line(self, line: str, stamp: float) -> None:
@@ -127,10 +125,8 @@ class TopicGateway:
             return
         for topic, payload in codec.topic_payloads(msg):
             sample = TopicSample(topic, stamp, payload)
-            for consumer in self._subs.get(sample.topic, ()):
+            for consumer in self._subs.get(topic, ()):
                 consumer(sample)
-            for sync in self._syncs:
-                sync.offer(sample)
 
     def publish_command(self, topic: str, payload: codec.OtterMessage) -> str:
         """Encode and relay one command; returns the wire line sent."""
@@ -152,8 +148,8 @@ class BackseatClient(TopicGateway):
     """Socket-backed gateway: listens for telemetry on one UDP port and
     sends commands to another.
 
-    Starts no thread: consumers and synchronizers run inside poll(), on
-    the caller's thread.
+    Starts no thread: consumers run inside poll(), on the caller's
+    thread.
     """
 
     def __init__(self, telemetry_endpoint: transport.Endpoint,

@@ -3,14 +3,15 @@
 Sections: [transport], [vessel], [nmpc], [los], [bench], one per field
 of `RunConfig`. The keys of a section are the field names of its
 dataclass, lowercased (`horizon_T` is `horizon_t`); [vessel] also takes
-the fields of `VesselParams`. Each value is cast to its field's type,
-and a key a file omits keeps its field's default. The defaults live with
-the dataclasses: `TransportSection`, `VesselSection` and `BenchSection`
-below, `VesselParams` in vessel.py, `NmpcConfig` in nmpc.py and
-`LosConfig` in guidance.py. Unknown sections (including [DEFAULT]) or
-keys are rejected so a typo cannot silently fall back to a default, and
-each dataclass checks its own values, so a bad one (a port outside
-1..65535, a negative duration) is a `ConfigFileError` at load.
+the fields of `VesselParams` and `EnvDisturbance`. Each value is cast to
+its field's type, and a key a file omits keeps its field's default. The
+defaults live with the dataclasses: `TransportSection`, `VesselSection`
+and `BenchSection` below, `VesselParams` and `EnvDisturbance` in
+vessel.py, `NmpcConfig` in nmpc.py and `LosConfig` in guidance.py.
+Unknown sections (including [DEFAULT]) or keys are rejected so a typo
+cannot silently fall back to a default, and each dataclass checks its
+own values, so a bad one (a port outside 1..65535, a negative duration)
+is a `ConfigFileError` at load.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ class TransportSection:
 class VesselSection:
     origin_lat: float = VesselState.origin_lat
     origin_lon: float = VesselState.origin_lon
-    current_north: float = 0.0
-    current_east: float = 0.0
     params: VesselParams = field(default_factory=VesselParams)
+    env: EnvDisturbance = field(default_factory=EnvDisturbance)
 
     def __post_init__(self):
         # comparisons that NaN fails, so NaN is rejected too; a mission
@@ -69,13 +69,6 @@ class VesselSection:
             raise ValueError("origin_lat must be in (-90, 90)")
         if not -180.0 <= self.origin_lon <= 180.0:
             raise ValueError("origin_lon must be in [-180, 180]")
-        for name in ("current_north", "current_east"):
-            if not -math.inf < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite")
-
-    @property
-    def env(self) -> EnvDisturbance:
-        return EnvDisturbance(self.current_north, self.current_east)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,8 @@ class NmpcController:
         self.config = config
         self.params = params
         self.origin = (origin_lat, origin_lon)
-        self.event_log = event_log  # callable(name, detail) or None
+        # callable(name, detail); with none, events are dropped
+        self.event_log = event_log or (lambda name, detail: None)
         self._latest = None
         self._prev_solution = None
         self._solved_at = 0.0  # `now` of the step that solved it
@@ -56,10 +57,6 @@ class NmpcController:
 
     def _on_synced(self, sample) -> None:
         self._latest = sample
-
-    def _log_event(self, name: str, detail: str) -> None:
-        if self.event_log is not None:
-            self.event_log(name, detail)
 
     def _publish(self) -> None:
         """Publish the applied motor commands as surge and torque."""
@@ -77,7 +74,7 @@ class NmpcController:
             if not self._in_dropout:
                 self._in_dropout = True
                 self.dropout_events += 1
-                self._log_event("dropout", f"no synced telemetry at t={now:.2f}")
+                self.event_log("dropout", f"no synced telemetry at t={now:.2f}")
             self._applied = (0.0, 0.0)
             self._publish()
             return
@@ -191,35 +188,32 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
                    initial_state=initial_state)
 
     records: list[LogRecord] = []
+    t_now = 0.0
 
-    def emit(rec: LogRecord) -> None:
+    def emit(stamp: float, direction: str, topic: str, payload) -> None:
+        rec = LogRecord(stamp, obc.utc0 + stamp, direction, topic, payload)
         records.append(rec)
         if log_writer is not None:
             log_writer.record(rec)
-
-    t_now = 0.0
 
     def send_command(line: str) -> None:
         msg = codec.decode_sentence(line)
         obc.handle_command(msg)
         for topic, payload in codec.topic_payloads(msg):
-            emit(LogRecord(t_now, obc.utc0 + t_now, "tx", topic, payload))
+            emit(t_now, "tx", topic, payload)
+
+    def on_sample(sample) -> None:
+        emit(sample.stamp, "rx", sample.topic, sample.payload)
 
     gateway = TopicGateway(command_sender=send_command)
     for topic in TELEMETRY_TOPICS:
-        def on_sample(sample, _topic=topic):
-            emit(LogRecord(sample.stamp, obc.utc0 + sample.stamp, "rx",
-                           _topic, sample.payload))
         gateway.subscribe(topic, on_sample)
 
-    def log_event(name: str, detail: str) -> None:
-        emit(LogRecord(t_now, obc.utc0 + t_now, "tx", "event",
-                       {"name": name, "detail": detail}))
-
     if controller_kind == "nmpc":
-        controller = NmpcController(gateway, path, nmpc_config, params,
-                                    origin_lat, origin_lon,
-                                    event_log=log_event)
+        controller = NmpcController(
+            gateway, path, nmpc_config, params, origin_lat, origin_lon,
+            event_log=lambda name, detail: emit(
+                t_now, "tx", "event", {"name": name, "detail": detail}))
     elif controller_kind == "baseline":
         controller = LosBaselineController(gateway, path, los_config,
                                            origin_lat, origin_lon)
@@ -230,8 +224,6 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     laps = LapTracker(path)
     control_period = int(round(1.0 / (CONTROL_HZ * SIM_DT)))
     n_steps = int(round(duration / SIM_DT))
-    completed = False
-    completion_time = None
     for step in range(1, n_steps + 1):
         t_now = step * SIM_DT
         for line in obc.tick(t_now):
@@ -241,18 +233,14 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
             controller.step(t_now)
         laps.update(obc.state.north, obc.state.east)
         if target_laps is not None and laps.laps >= target_laps:
-            completed = True
-            completion_time = t_now
             break
-    if target_laps is None:
-        completed = True
-        completion_time = t_now
+    completed = target_laps is None or laps.laps >= target_laps
 
     dropout_events = getattr(controller, "dropout_events", 0)
     solve_times = getattr(controller, "solve_times", [])
     metrics = compute_metrics(records, path, origin_lat, origin_lon)
     metrics["laps"] = round(laps.laps, 9)
-    metrics["completion_time_s"] = completion_time if completed else -1.0
+    metrics["completion_time_s"] = t_now if completed else -1.0
     if solve_times:
         st = np.sort(np.array(solve_times))
         metrics["solve_time_mean_s"] = float(np.mean(st))

@@ -88,6 +88,11 @@ class EnvDisturbance:
     current_north: float = 0.0  # m/s, world frame
     current_east: float = 0.0
 
+    def __post_init__(self):
+        for name in ("current_north", "current_east"):
+            if not -math.inf < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite")
+
 
 @dataclass(frozen=True)
 class MotorState:

@@ -227,6 +227,14 @@ EXIT_CODE_MATRIX = [
     pytest.param("run --embedded --controller baseline",
                  "[bench]\nduration = 1\n[vessel]\nmotor_tau = inf",
                  EXIT_CONFIG, "config error: VesselParams.motor_tau", id="vessel-infinite-motor-tau"),
+    # each used to bind the default ports, run nothing and exit 0; the
+    # held port shows that no socket is bound before the check
+    *(pytest.param(f"{command} --duration {value}",
+                   f"[transport]\n{key} = {{port}}", EXIT_CONFIG,
+                   "usage error: --duration must be finite and > 0",
+                   id=f"{command}-duration-{value}")
+      for command, key in (("sim", "cmd_port"), ("listen", "telem_port"))
+      for value in ("nan", "-1", "0")),
     pytest.param("replay {log} --speed nan", "",
                  EXIT_CONFIG, "usage error: speed_factor must be finite",
                  id="replay-speed-nan"),

@@ -62,6 +62,41 @@ class TestGatewayDispatch:
         assert issubclass(TopicError, ValueError)
         assert not hasattr(client, "UsageError")
 
+    def test_consumers_run_in_subscription_order(self):
+        # a synchronizer is an ordinary consumer of its topics: one
+        # subscribed after it runs after its callback for the same sample
+        gw = TopicGateway()
+        calls = []
+        gw.subscribe("otter_cogsog", lambda s: calls.append("before"))
+        gw.synchronize(("otter_gps", "otter_cogsog"), 0.06,
+                       lambda s: calls.append("synced"))
+        gw.subscribe("otter_cogsog", lambda s: calls.append("after"))
+        gw.feed_line(pos_line(), stamp=0.5)
+        assert calls == ["before", "synced", "after"]
+
+    def test_synchronizer_is_offered_only_its_topics(self, monkeypatch):
+        offered = []
+        offer = ApproxTimeSync.offer
+
+        def recorded(sync, sample):
+            offered.append(sample.topic)
+            offer(sync, sample)
+
+        monkeypatch.setattr(ApproxTimeSync, "offer", recorded)
+        gw = TopicGateway()
+        synced = []
+        gw.synchronize(SYNC_TOPICS, DEFAULT_SLOP, synced.append)
+        obc = OtterObc()
+        fed = []
+        for step in range(1, 151):  # 3 s: three status/time pairs
+            for line in obc.tick(step * SIM_DT):
+                fed.extend(topic for topic, _ in codec.topic_payloads(
+                    codec.decode_sentence(line)))
+                gw.feed_line(line, step * SIM_DT)
+        assert {"otter_status", "otter_gps_time"} <= set(fed)
+        assert offered == [topic for topic in fed if topic in SYNC_TOPICS]
+        assert len(synced) == fed.count("otter_gps")
+
     def test_corrupt_line_counts_but_does_not_raise(self):
         gw = TopicGateway()
         gw.subscribe("otter_gps", lambda s: None)

@@ -196,6 +196,21 @@ class TestEmbeddedMission:
                     and r.payload["name"] == "dropout"]
         assert len(dropouts) == 1 and result.dropout_events == 1
 
+    def test_record_sequence_pinned_across_a_dropout(self):
+        # which records a short NMPC mission logs through a dropout
+        # window, and when: rx, tx and event records alike, with the
+        # event payloads. The solves decide no record's presence or
+        # stamp, so the pin holds on any BLAS kernel
+        result = run_embedded_mission(
+            "nmpc", figure_eight(20.0), duration=6.0,
+            fault=FaultProfile(dropout_windows=((2.0, 2.0),)))
+        sequence = [(r.t_mono, r.direction, r.topic,
+                     r.payload if r.topic == "event" else None)
+                    for r in result.records]
+        assert [r[3]["name"] for r in sequence if r[3]] == ["dropout"]
+        assert hashlib.sha256(repr(sequence).encode()).hexdigest() == (
+            "c8e2d11d9a5b252b21d2a1bd7ba6e5c4527473d76a311a7c9c51f6521dd31ea9")
+
     def test_record_stream_is_time_ordered(self):
         result = run_embedded_mission("baseline", figure_eight(20.0),
                                       duration=10.0)

@@ -27,6 +27,14 @@ class TestParams:
             VesselParams(m11=0.0)
 
 
+class TestEnvDisturbance:
+    @pytest.mark.parametrize("north, east", [
+        (math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_nonfinite_current_rejected(self, north, east):
+        with pytest.raises(ValueError, match="must be finite"):
+            EnvDisturbance(north, east)
+
+
 class TestAllocation:
     def test_pure_surge_is_symmetric(self):
         assert mix(0.5, 0.0) == (0.5, 0.5)
