@@ -72,6 +72,9 @@ class ApproxTimeSync:
         bad = set(topics) - set(SYNC_TOPICS)
         if bad:
             raise TopicError(f"cannot synchronize topics: {sorted(bad)}")
+        if len(set(topics)) < len(topics):
+            # one latest sample per topic could never fill the set
+            raise TopicError(f"repeated synchronization topic: {topics}")
         if not 0.0 < slop < math.inf:  # NaN fails the comparison too
             raise TopicError(f"slop must be positive and finite, not {slop}")
         self.topics = topics

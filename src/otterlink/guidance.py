@@ -10,10 +10,16 @@ segment, positive to port (left) of the path direction.
 Nearest-segment search runs one foot-point kernel over every segment.
 The scalar search first looks in an exact uniform grid built with the
 path: each cell lists every segment that can be nearest to any point in
-it, ties included, so the scan over that short list returns the same
-segment, bit for bit, as the full kernel. Points off the grid,
-non-finite points, windows that exclude the candidate nearest and paths
-too large for the grid use the full kernel.
+it, ties included, nearest-first by distance from the cell's centre,
+with a bound beyond which every unlisted segment lies. The scan stops
+once no later candidate can be as near (the bounds test of Friedman,
+Bentley & Finkel, ACM TOMS 3(3), 1977) and returns the same segment,
+bit for bit, as the full kernel. A window that excludes the cell's
+nearest is answered by the cell's in-window candidates when the bound
+certifies that no unlisted segment is as near as theirs. Points off the
+grid, non-finite points, windows the bound does not certify (an empty
+window among them) and paths too large for the grid use the full
+kernel.
 
 Every cross-track error, of `project`, `project_near` and
 `project_many` alike, is the plain sum
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +80,7 @@ _MAX_CELL_SEGMENTS = 1 << 20  # cells x segments; above it, no grid
 _BUILD_PAIRS = 8192           # (cell or point, segment) pairs per kernel
                               # call of the build and of the batch queries
 _MAX_COORD = 1e150            # beyond it squared distances may overflow
-_SLACK = 1e-9                 # relative rounding allowance of the lists
+_SLACK = 1e-9                 # relative rounding allowance of the bounds
 
 
 class PolylinePath:
@@ -122,20 +129,24 @@ class PolylinePath:
         self._grid, self._batch_grid = self._build_grid()
 
     def _build_grid(self):
-        """Uniform grid over the bounding box plus a margin; per cell the
-        ascending tuple of segment rows (index, start, tangent, length,
-        vector) that can be nearest to a point of the cell; and, for
-        the batch queries, the grid as arrays: lower and upper bounds, cell
-        side, last cell, cell strides and the lists as a (cells,
-        segments) boolean mask.
+        """Uniform grid over the bounding box plus a margin, with per cell
+        the candidates of a nearest-first search; and, for the batch
+        queries, the grid as arrays: lower and upper bounds, cell side,
+        last cell, cell strides and the lists as a (cells, segments)
+        boolean mask.
 
         A point p of a cell lies within half the cell diagonal D of its
         centre c, and each segment's distance moves by at most |p - c|,
         so a segment nearest to p (ties included) is within min + D of
-        c. Every segment with dist(c) <= min + D + slack is kept, the
-        slack covering rounding in the computed distances. Returns None,
-        None (full kernel only) when cells x segments exceeds its cap or
-        the path's coordinates are not moderate.
+        c. Every segment with dist(c) <= bound = min + D + slack is
+        listed, the slack covering rounding in the computed distances,
+        so every segment off the list lies farther than the bound from
+        c. A cell is (centre n, centre e, bound, rows, distances): the
+        rows (index, start, tangent, length, vector) of its segments in
+        nearest-first order of dist(c), equal distances in index order,
+        and those distances in an array('d'). Returns None, None (full
+        kernel only) when cells x segments exceeds its cap or the path's
+        coordinates are not moderate.
         """
         lo, hi = self.points.min(axis=0), self.points.max(axis=0)
         if not np.abs([lo, hi]).max() < _MAX_COORD:
@@ -155,22 +166,29 @@ class PolylinePath:
         y0 = float(lo[1]) - _GRID_MARGIN * side
         x1, y1 = x0 + nx * side, y0 + ny * side
         diag = math.hypot(side, side)
-        reach = diag + _SLACK * (diag + max(abs(x0), abs(x1),
-                                            abs(y0), abs(y1)))
+        slack = _SLACK * (diag + max(abs(x0), abs(x1), abs(y0), abs(y1)))
         rows = self._rows
         centre_n = np.repeat(x0 + (np.arange(nx) + 0.5) * side, ny)
         centre_e = np.tile(y0 + (np.arange(ny) + 0.5) * side, nx)
         chunk = max(1, _BUILD_PAIRS // n_seg)
         cells, masks = [], []
         for k in range(0, nx * ny, chunk):
-            _, d2 = self._foot(centre_n[k:k + chunk, None],
-                               centre_e[k:k + chunk, None])
+            cn, ce = centre_n[k:k + chunk], centre_e[k:k + chunk]
+            _, d2 = self._foot(cn[:, None], ce[:, None])
             dist = np.sqrt(d2)
-            keep = dist <= dist.min(axis=1, keepdims=True) + reach
-            cells.extend(tuple(rows[j] for j in np.flatnonzero(m).tolist())
-                         for m in keep)
+            bound = dist.min(axis=1) + (diag + slack)
+            keep = dist <= bound[:, None]
+            # the listed segments sort first, and stably: ties by index
+            order = np.argsort(dist, axis=1, kind="stable")
+            near = np.take_along_axis(dist, order, axis=1)
+            for c_n, c_e, b, n, o, d in zip(
+                    cn.tolist(), ce.tolist(), bound.tolist(),
+                    np.count_nonzero(keep, axis=1).tolist(), order, near):
+                cells.append((c_n, c_e, b,
+                              tuple(rows[j] for j in o[:n].tolist()),
+                              array("d", d[:n].tobytes())))
             masks.append(keep)
-        return ((x0, y0, x1, y1, side, nx, ny, cells),
+        return ((x0, y0, x1, y1, side, nx, ny, slack, cells),
                 (np.array([x0, y0]), np.array([x1, y1]), side,
                  np.array([nx - 1, ny - 1]), np.array([ny, 1]),
                  np.concatenate(masks)))
@@ -196,21 +214,54 @@ class PolylinePath:
         d2 = (pn - (sn + t * vn)) ** 2 + (pe - (se + t * ve)) ** 2
         return t, d2
 
-    def _grid_nearest(self, north, east):
-        """(segment, t) of the nearest segment from the query cell's
-        candidates, or None without a grid, off it or for a non-finite
-        point. The scan is `_foot`'s arithmetic in the same order; a
-        strict < keeps the lowest index among equal d2, as np.argmin."""
+    def _grid_nearest(self, north, east, s_hint=None, window=10.0):
+        """(segment, t) of `_kernel_nearest`, bit for bit, from the query
+        cell's candidates; None without a grid, off it, for a non-finite
+        point, or when the window's nearest is not certified.
+
+        The cell lists the global nearest, so the scan of its candidates
+        finds it. When the window excludes that nearest, the cell's
+        in-window candidates are scanned: their nearest, at distance d,
+        is the window's whenever d < bound - |p - c| (less the slack),
+        for every segment off the list lies farther than that from p.
+        """
         if self._grid is None:
             return None
-        x0, y0, x1, y1, side, nx, ny, cells = self._grid
+        x0, y0, x1, y1, side, nx, ny, slack, cells = self._grid
         if not (x0 <= north < x1 and y0 <= east < y1):
             return None
-        cell = cells[min(int((north - x0) / side), nx - 1) * ny
-                     + min(int((east - y0) / side), ny - 1)]
+        cn, ce, bound, rows, dists = cells[
+            min(int((north - x0) / side), nx - 1) * ny
+            + min(int((east - y0) / side), ny - 1)]
         pn, pe = float(north), float(east)
-        best, hit = math.inf, None
-        for i, sn, se, tn, te, length, vn, ve in cell:
+        pad = math.hypot(pn - cn, pe - ce) + slack
+        hit = self._scan(pn, pe, pad, rows, dists)[1]
+        if s_hint is None or not self._outside(
+                self._mids_f[hit[0]], self._lengths_f[hit[0]], s_hint,
+                window):
+            return hit
+        limit, hit = self._scan(pn, pe, pad, rows, dists, s_hint, window)
+        return hit if limit < bound else None
+
+    def _scan(self, pn, pe, pad, rows, dists, s_hint=None, window=10.0):
+        """(limit, hit): the (segment, t) nearest to (pn, pe) among the
+        candidate `rows` in the window (all with s_hint None), or None,
+        and the centre distance beyond which no segment can be as near.
+
+        The rows run nearest-first by their centre distances `dists`; a
+        segment at centre distance dc lies at least dc - pad from the
+        point, pad being |p - c| plus the rounding slack, so the scan
+        stops at the first dc above the best distance + pad. Each d2 is
+        `_foot`'s arithmetic in the same order, and the lowest index
+        among equal d2 is kept, as np.argmin keeps it.
+        """
+        best, hit, limit = math.inf, None, math.inf
+        for (i, sn, se, tn, te, length, vn, ve), dc in zip(rows, dists):
+            if dc > limit:
+                break
+            if s_hint is not None and self._outside(
+                    self._mids_f[i], self._lengths_f[i], s_hint, window):
+                continue
             t = ((pn - sn) * tn + (pe - se) * te) / length
             if t < 0.0:
                 t = 0.0
@@ -219,9 +270,10 @@ class PolylinePath:
             dn = pn - (sn + t * vn)
             de = pe - (se + t * ve)
             d2 = dn * dn + de * de
-            if d2 < best:
+            if d2 < best or d2 == best and i < hit[0]:
                 best, hit = d2, (i, t)
-        return hit
+                limit = math.sqrt(d2) + pad
+        return limit, hit
 
     def _outside(self, mids, lengths, s_hint: float, window: float):
         """True where a segment's arc midpoint lies farther than `window`
@@ -254,15 +306,15 @@ class PolylinePath:
         position s_hint, in Python numbers: `project_near` without its
         cross-track error, bit for bit.
 
-        The grid's candidate nearest is the lowest-index global argmin;
-        when it lies in the window it is also the windowed argmin, and
-        is returned as is. Otherwise (or off the grid) the masked full
-        kernel runs.
+        The grid's nearest-first search answers (see `_grid_nearest`).
+        The masked full kernel runs only off the grid, for a non-finite
+        point, without a grid, or when the window's nearest among the
+        cell's candidates is not certified: the window holds none of
+        them, or their nearest is not nearer than the cell's bound
+        allows (an empty window is one such case).
         """
-        hit = self._grid_nearest(north, east)
-        if hit is None or (s_hint is not None and self._outside(
-                self._mids_f[hit[0]], self._lengths_f[hit[0]], s_hint,
-                window)):
+        hit = self._grid_nearest(north, east, s_hint, window)
+        if hit is None:
             hit = self._kernel_nearest(north, east, s_hint, window)
         i, t = hit
         return self._cum_f[i] + t * self._lengths_f[i], i
@@ -279,7 +331,9 @@ class PolylinePath:
         midpoints precomputed in __init__: the other segments' d2 is set
         to inf, so argmin ties resolve to the lowest index as in a
         global projection. With s_hint None, or no segment in range,
-        this is the global projection.
+        this is the global projection. The search is `arc_near`'s: the
+        grid's nearest-first scan, with the full kernel only where the
+        grid cannot certify its answer.
         """
         s_along, i = self.arc_near(north, east, s_hint, window)
         _, sn, se, tn, te, _, _, _ = self._rows[i]

@@ -199,6 +199,19 @@ class TestApproxTimeSync:
         with pytest.raises(TopicError):
             ApproxTimeSync(SYNC_TOPICS, 0.0, lambda s: None)
 
+    @pytest.mark.parametrize("topics", [
+        ("otter_gps", "otter_gps"),
+        ("otter_gps", "otter_imu", "otter_cogsog", "otter_imu")])
+    def test_repeated_topic_rejected_before_subscribing(self, topics):
+        # a repeated topic used to be accepted and never emit, with its
+        # offer subscribed once per repetition
+        gw = TopicGateway()
+        with pytest.raises(TopicError, match="repeated"):
+            gw.synchronize(topics, DEFAULT_SLOP, lambda s: None)
+        with pytest.raises(TopicError, match="repeated"):
+            ApproxTimeSync(topics, DEFAULT_SLOP, lambda s: None)
+        assert gw._subs == {}
+
     @pytest.mark.parametrize("slop", [math.nan, math.inf])
     def test_non_finite_slop_rejected(self, slop):
         # a NaN slop used to be accepted and never emit

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ class TestPolyline:
         a single cell; not on it, straddling each bound, mixing on- and
         off-grid points, and holding a NaN or an infinity among on-grid
         points."""
-        x0, y0, x1, y1, side, _, _, _ = path._grid
+        x0, y0, x1, y1, side = path._grid[:5]
         inf = math.inf
         inside = rng.uniform([x0, y0], [x1, y1], size=(20, 2))
         edges = np.array([
@@ -179,6 +180,22 @@ class TestPolyline:
             assert (path.project_near(north, east, None)
                     == path.project_near(north, east)
                     == path.project(north, east))
+
+
+def reference_d2(path, north, east):
+    """Squared distance of (north, east) to every segment, in
+    `reference_project`'s gather form."""
+    p = np.array([north, east])
+    rel = p - path._starts
+    t = np.clip((rel * path._tangents).sum(axis=1) / path._lengths, 0.0, 1.0)
+    return ((p - (path._starts + t[:, None] * path._vecs)) ** 2).sum(axis=1)
+
+
+def grid_paths():
+    """A figure-eight, a square and a short open path, each with a grid."""
+    return [figure_eight(20.0),
+            PolylinePath([(0, 0), (10, 0), (10, 10), (0, 10)], closed=True),
+            PolylinePath([(0, 0), (0, 6), (4, 6), (4, 1)])]
 
 
 def reference_project(path, north, east):
@@ -369,7 +386,7 @@ class TestProjectionMatchesReference:
     def grid_lines(path, rng):
         """Cell edges and corners of the path's candidate grid, the far
         edges included (they lie just off the grid)."""
-        x0, y0, _, _, side, nx, ny, _ = path._grid
+        x0, y0, _, _, side, nx, ny = path._grid[:7]
         xs = x0 + side * np.arange(nx + 1)
         ys = y0 + side * np.arange(ny + 1)
         corners = np.array([(x, y) for x in xs for y in ys])
@@ -394,8 +411,9 @@ class TestProjectionMatchesReference:
 
     @pytest.mark.parametrize("name", ["EIGHT", "SQUARE", "OPEN"])
     def test_windows_excluding_the_nearest_segment(self, name):
-        # the grid's candidate nearest lies outside these windows, so the
-        # masked full kernel must answer
+        # the global nearest lies outside these windows: the cell's
+        # in-window candidates answer where its bound certifies their
+        # nearest, the masked full kernel everywhere else
         path = getattr(self, name)
         rng = np.random.default_rng(59)
         excluded = 0
@@ -484,7 +502,7 @@ class TestCandidateGrid:
     EIGHT = figure_eight(20.0)
 
     def edge_points(self, path):
-        x0, y0, x1, y1, _, _, _, _ = path._grid
+        x0, y0, x1, y1 = path._grid[:4]
         nan, inf = math.nan, math.inf
         below_x, below_y = np.nextafter(x0, -inf), np.nextafter(y0, -inf)
         return [(nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0),
@@ -531,7 +549,7 @@ class TestCandidateGrid:
         # a held station: thousands of fixes in one grid cell, then the
         # edge points (off the grid, NaN, infinities) and the station again
         path = self.EIGHT
-        x0, y0, _, _, side, _, _, _ = path._grid
+        x0, y0, _, _, side = path._grid[:5]
         cell = np.floor((path.points[40] - (x0, y0)) / side) * side + (x0, y0)
         held = cell + np.random.default_rng(109).uniform(
             0.0, side, size=(3000, 2))
@@ -619,14 +637,11 @@ class TestCandidateGrid:
         points = np.vstack([points, walk.points])
         self.check_matches_reference(walk, points, 79)
 
-    @pytest.mark.parametrize("path", [
-        figure_eight(20.0),
-        PolylinePath([(0, 0), (10, 0), (10, 10), (0, 10)], closed=True),
-        PolylinePath([(0, 0), (0, 6), (4, 6), (4, 1)])])
+    @pytest.mark.parametrize("path", grid_paths())
     def test_cell_lists_hold_every_nearest_segment(self, path):
         # independent of the scan: the exact argmin of the reference d2,
         # with all its ties, is among the candidates of the point's cell
-        x0, y0, x1, y1, side, nx, ny, cells = path._grid
+        x0, y0, x1, y1, side, nx, ny, _, cells = path._grid
         rng = np.random.default_rng(83)
         inner = np.column_stack([rng.uniform(x0, x1, 5000),
                                  rng.uniform(y0, y1, 5000)])
@@ -636,16 +651,82 @@ class TestCandidateGrid:
                          for w in (0.0, v, 10.0 - v)
                          if x0 <= v < x1 and y0 <= w < y1])
         for north, east in np.vstack([inner, ties, path.points]):
-            p = np.array([north, east])
-            rel = p - path._starts
-            t = np.clip((rel * path._tangents).sum(axis=1) / path._lengths,
-                        0.0, 1.0)
-            d2 = ((p - (path._starts + t[:, None] * path._vecs)) ** 2
-                  ).sum(axis=1)
+            d2 = reference_d2(path, north, east)
             nearest = set(np.flatnonzero(d2 == d2.min()).tolist())
             cell = cells[min(int((north - x0) / side), nx - 1) * ny
                          + min(int((east - y0) / side), ny - 1)]
-            assert nearest <= {row[0] for row in cell}
+            assert nearest <= {row[0] for row in cell[3]}
+
+    @pytest.mark.parametrize("path", grid_paths())
+    def test_unlisted_segments_lie_beyond_the_bound(self, path):
+        side, cells = path._grid[4], path._grid[8]
+        for centre_n, centre_e, bound, rows, _ in cells:
+            dist = np.sqrt(reference_d2(path, centre_n, centre_e))
+            unlisted = np.setdiff1d(np.arange(len(dist)),
+                                    [row[0] for row in rows])
+            assert np.all(dist[unlisted] > bound)
+            # room for a point anywhere in the cell: half a diagonal away
+            # from the centre, each distance moves by half a diagonal
+            assert bound >= dist.min() + math.hypot(side, side)
+
+    @pytest.mark.parametrize("path", grid_paths())
+    def test_cell_lists_run_nearest_first(self, path):
+        ties = 0
+        for centre_n, centre_e, _, rows, dists in path._grid[8]:
+            index = [row[0] for row in rows]
+            assert isinstance(dists, array) and dists.typecode == "d"
+            assert same_bits(dists, np.sqrt(
+                reference_d2(path, centre_n, centre_e))[index])
+            # nearest-first, and equal distances in index order
+            keys = list(zip(dists, index))
+            assert keys == sorted(keys)
+            assert len(set(index)) == len(index)
+            ties += len(set(dists)) < len(dists)
+        if path.closed and len(path._lengths) == 4:
+            assert ties  # the square's centre lines tie its sides
+
+    def test_crossing_windows_need_no_full_kernel(self, monkeypatch):
+        # both branches of the figure-eight pass its centre, so near it a
+        # window on one branch excludes the other's nearer segments; the
+        # cells' bounds certify the window's nearest, and the masked full
+        # kernel never runs
+        path = self.EIGHT
+        calls = []
+        kernel = PolylinePath._kernel_nearest
+
+        def counted(self, *args):
+            calls.append(args)
+            return kernel(self, *args)
+
+        monkeypatch.setattr(PolylinePath, "_kernel_nearest", counted)
+        crossing = (0.0, 0.5 * path.length)  # arc positions of (0, 0)
+        excluded = 0
+        for s_cross in crossing:
+            for along in np.linspace(-1.5, 1.5, 31):
+                north, east = path._point_at(s_cross + along)
+                _, _, _, tn, te, _, _, _ = path._rows[
+                    reference_project_near(path, north, east,
+                                           s_cross + along).seg_index]
+                for across in np.linspace(-1.5, 1.5, 13):
+                    pn, pe = north + across * te, east - across * tn
+                    i = reference_project(path, pn, pe).seg_index
+                    for branch in crossing:
+                        s_hint = reference_project_near(path, pn, pe,
+                                                        branch).s_along
+                        for window in (0.5, 2.0, 10.0):
+                            want = reference_project_near(path, pn, pe,
+                                                          s_hint, window)
+                            assert path.project_near(pn, pe, s_hint,
+                                                     window) == want
+                            s_along, seg = path.arc_near(pn, pe, s_hint,
+                                                         window)
+                            assert same_bits(s_along, want.s_along)
+                            assert seg == want.seg_index
+                            excluded += bool(path._outside(
+                                path._mids[i], path._lengths[i], s_hint,
+                                window))
+        assert excluded > 1000
+        assert calls == []
 
 
 def cross_track_digest() -> str:

@@ -121,6 +121,29 @@ class TestMetricsCsv:
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
             "53470301ef4cb0d521ec7add431e27d3cf369ec3b1fe9593aefdeca8ed689ba9")
 
+    def test_crossing_mission_needs_no_full_kernel(self, tmp_path,
+                                                  monkeypatch):
+        # a 60 s baseline mission with every default starts on the
+        # figure-eight's crossing and passes it again: the path's grid
+        # answers every LOS step and lap update there, and the .olog is
+        # the one written when the full kernel answered 17 of them
+        calls = []
+        kernel = PolylinePath._kernel_nearest
+
+        def counted(self, *args):
+            calls.append(args)
+            return kernel(self, *args)
+
+        monkeypatch.setattr(PolylinePath, "_kernel_nearest", counted)
+        log = tmp_path / "run.olog"
+        with LogWriter(log) as writer:
+            run_embedded_mission(
+                "baseline", figure_eight(RunConfig().bench.amplitude),
+                duration=60.0, log_writer=writer)
+        assert calls == []
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+            "1c75f535f262f6c2ef2a51cc933d36a6f5c2f8e3653f106d04e7fb5c84f9a829")
+
 
 class TestEmbeddedMission:
     def test_unknown_controller_rejected(self):
