@@ -11,6 +11,9 @@ each type's tag, topics and direction. The encoder, decoder, client
 gateway, embedded runner and log columns all derive from the two.
 Fields render at fixed precision, and the decoder accepts exactly the
 texts the encoder renders, so decode-then-encode reproduces a line.
+The decoder keeps, per field, the last text it accepted and the value
+it parsed to, and returns that same value object when the text repeats
+(see `_parse`).
 
 See docs/protocol.md for the full grammar in ABNF.
 """
@@ -282,6 +285,8 @@ class Message:
         self.topics = tuple((t, names) if isinstance(t, str) else t
                             for t in topics)
         self.command = command  # sent to the vehicle rather than by it
+        # per field, the last text `_parse` accepted and its value
+        self._parsed = [(None, None)] * len(self.fields)
 
 
 CATALOG = (
@@ -372,12 +377,23 @@ def encode_sentence(msg: OtterMessage) -> str:
 def _parse(entry: Message, parts: list[str]) -> list:
     """The field values of a sentence. Each text must be exactly the
     rendering of the value it parses to, and that value must lie in its
-    range, a periodic field's period excluded."""
+    range, a periodic field's period excluded.
+
+    Those checks are a pure function of the field and its text, so a
+    field whose text repeats the last text it accepted returns the value
+    stored with it, the same object, unparsed and unchecked. A rejected
+    text is never stored. A miss stores one tuple, which is atomic under
+    the GIL, so decoding threads may share the catalog."""
     if len(parts) != len(entry.fields):
         raise MalformedFieldError(f"{entry.tag}: expected {len(entry.fields)} "
                                   f"fields, got {len(parts)}")
     values = []
-    for f, part in zip(entry.fields, parts):
+    parsed = entry._parsed
+    for i, (f, part) in enumerate(zip(entry.fields, parts)):
+        text, value = parsed[i]
+        if part == text:  # accepted before: the checks would pass again
+            values.append(value)
+            continue
         try:
             if f.kind == FLOAT:
                 value = float(part)
@@ -393,6 +409,7 @@ def _parse(entry: Message, parts: list[str]) -> list:
                 f"{entry.tag}: bad field {f.name!r}: {part!r}")
         if bad or (f.periodic and value == f.hi):
             raise f.range_error(value)
+        parsed[i] = part, value
         values.append(value)
     return values
 

@@ -28,15 +28,21 @@ holding a non-finite float, go to the encoder itself.
 Every reader shares one line parser (`_records`). It builds each record
 with `tuple.__new__`, keeps a single copy of each `dir`/`topic` string
 per read, and re-keys each payload through one shared tuple of key
-strings per key set. `replay` reads the whole file first, to check the
-largest gap against its speed; `export_csv` streams, writing each row as
-its line is parsed, and parses only the lines that can hold its topic.
+strings per key set. A record whose `t_mono` or `t_utc` equals the
+previous record's and is nonzero takes the previous record's float
+object: equal nonzero floats have the same bits, while -0.0 == 0.0 and
+NaN equals nothing, so signed zeros keep their signs. `replay` and
+`export_csv` stream, delivering each record or writing each row as its
+line is parsed; at a speed above 0 `replay` first reads the file once
+to check its largest gap, and `export_csv` parses only the lines that
+can hold its topic.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -148,6 +154,7 @@ def _records(lines: Iterable[bytes]) -> Iterator[LogRecord | None]:
     share = strings.setdefault  # the first copy of an equal string
     keysets: dict[tuple, tuple] = {}  # payload keys -> their first copies
     new = tuple.__new__
+    last_mono = last_utc = 0.0  # the previous record's stamp objects
     for line in lines:
         line = line.strip()
         if not line:
@@ -167,9 +174,16 @@ def _records(lines: Iterable[bytes]) -> Iterator[LogRecord | None]:
             shared = keysets.get(keys)
             if shared is None:
                 shared = keysets[keys] = tuple(map(share, keys, keys))
-            rec = new(LogRecord, (
-                float(obj["t_mono"]), float(obj["t_utc"]), direction, topic,
-                dict(zip(shared, payload.values()))))
+            t_mono, t_utc = float(obj["t_mono"]), float(obj["t_utc"])
+            # equal nonzero floats have the same bits; -0.0 == 0.0, and
+            # NaN equals nothing
+            if t_mono == last_mono and t_mono:
+                t_mono = last_mono
+            if t_utc == last_utc and t_utc:
+                t_utc = last_utc
+            last_mono, last_utc = t_mono, t_utc
+            rec = new(LogRecord, (t_mono, t_utc, direction, topic,
+                                  dict(zip(shared, payload.values()))))
         except _CORRUPT:
             rec = None
         yield rec
@@ -247,31 +261,41 @@ class ReplaySummary:
 
 def replay(path, speed_factor: float,
            consumer: Callable[[LogRecord], None]) -> ReplaySummary:
-    """Deliver records with original inter-record delays scaled by
-    1/speed_factor; speed_factor 0 replays as fast as possible. A speed
-    that is not finite, or that stretches a gap past the longest sleep
-    (`threading.TIMEOUT_MAX`), raises ValueError before any delivery."""
+    """Deliver each record as its line is parsed, with original
+    inter-record delays scaled by 1/speed_factor; speed_factor 0 replays
+    as fast as possible. A speed that is not finite, or that stretches a
+    gap past the longest sleep (`threading.TIMEOUT_MAX`), raises
+    ValueError before any delivery: at a speed above 0 a first pass over
+    the file finds its largest gap. A read error can surface after some
+    records were delivered."""
     if not 0.0 <= speed_factor < math.inf:
         raise ValueError(
             f"speed_factor must be finite and >= 0, not {speed_factor}")
-    records, corrupt = read_records(path)
-    if speed_factor > 0:
-        gap = max((b.t_mono - a.t_mono for a, b in zip(records, records[1:])),
-                  default=0.0)
-        if gap / speed_factor > threading.TIMEOUT_MAX:
-            raise ValueError(
-                f"speed_factor {speed_factor} stretches a {gap:g} s gap "
-                f"past the longest sleep, {threading.TIMEOUT_MAX:g} s")
-    start = time.monotonic()
-    prev_t: float | None = None
-    for rec in records:
-        if speed_factor > 0 and prev_t is not None:
-            delay = (rec.t_mono - prev_t) / speed_factor
-            if delay > 0:
-                time.sleep(delay)
-        prev_t = rec.t_mono
-        consumer(rec)
-    return ReplaySummary(delivered=len(records), corrupt_count=corrupt,
+    delivered = corrupt = 0
+    with open(path, "rb") as fh:
+        if speed_factor > 0:
+            stamps = (rec.t_mono for rec in _records(fh) if rec is not None)
+            gap = max((b - a for a, b in itertools.pairwise(stamps)),
+                      default=0.0)
+            if gap / speed_factor > threading.TIMEOUT_MAX:
+                raise ValueError(
+                    f"speed_factor {speed_factor} stretches a {gap:g} s gap "
+                    f"past the longest sleep, {threading.TIMEOUT_MAX:g} s")
+            fh.seek(0)
+        start = time.monotonic()
+        prev_t: float | None = None
+        for rec in _records(fh):
+            if rec is None:
+                corrupt += 1
+                continue
+            if speed_factor > 0 and prev_t is not None:
+                delay = (rec.t_mono - prev_t) / speed_factor
+                if delay > 0:
+                    time.sleep(delay)
+            prev_t = rec.t_mono
+            consumer(rec)
+            delivered += 1
+    return ReplaySummary(delivered=delivered, corrupt_count=corrupt,
                          wall_time=time.monotonic() - start)
 
 

@@ -5,6 +5,11 @@ the codec on a virtual 20 ms clock, so benchmark runs are deterministic
 and faster than real time while exercising the same sentence path the
 UDP transport carries. Its lines are shed by the transport's own rule,
 `FaultProfile.sheds`, so a dropout window means the same on both paths.
+
+Every record of a 20 ms tick carries that tick's `t_now` object as its
+stamp. The runner computes `t_utc` once per stamp object, so the
+records of a tick, and the end-of-mission metric records, share one
+`t_utc` float as well.
 """
 
 from __future__ import annotations
@@ -189,9 +194,16 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
 
     records: list[LogRecord] = []
     t_now = 0.0
+    last_stamp, last_utc = None, 0.0  # the last stamp object and its t_utc
+
+    def t_utc(stamp: float) -> float:
+        nonlocal last_stamp, last_utc
+        if stamp is not last_stamp:
+            last_stamp, last_utc = stamp, obc.utc0 + stamp
+        return last_utc
 
     def emit(stamp: float, direction: str, topic: str, payload) -> None:
-        rec = LogRecord(stamp, obc.utc0 + stamp, direction, topic, payload)
+        rec = LogRecord(stamp, t_utc(stamp), direction, topic, payload)
         records.append(rec)
         if log_writer is not None:
             log_writer.record(rec)
@@ -248,7 +260,7 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
                                                    int(0.99 * len(st)))])
     if log_writer is not None:
         for name in sorted(metrics):
-            log_writer.record(LogRecord(t_now, obc.utc0 + t_now, "tx",
+            log_writer.record(LogRecord(t_now, t_utc(t_now), "tx",
                                         "metric",
                                         {"name": name,
                                          "value": metrics[name]}))

@@ -254,8 +254,3 @@ def step_dynamics(state: VesselState, forces: tuple[float, float],
     north, east, psi, u, v, r = out
     return VesselState(north, east, wrap_2pi(psi), u, v, r,
                        state.origin_lat, state.origin_lon)
-
-
-def kinetic_energy(state: VesselState, params: VesselParams) -> float:
-    return 0.5 * (params.m11 * state.u ** 2 + params.m22 * state.v ** 2
-                  + params.m33 * state.r ** 2)

@@ -3,7 +3,10 @@ import functools
 import math
 import numbers
 import operator
+import random
 import re
+import sys
+import threading
 import typing
 from pathlib import Path
 
@@ -469,6 +472,113 @@ class TestFieldLoopsMatchTheOutOfRangeForm:
             except codec.ChecksumError:
                 verdict = "checksum"
             assert (verdict == f"bad checksum field {checksum!r}") == refused
+
+
+# texts no encoder renders for any field, beside each field's renderings
+JUNK_TEXTS = ["", " 1.00", "1e0", "+1.00", "1_0.00", "inf", "nan", "360.00",
+              "86400.00", "0", "1", "01", "MAN", "-0.000", "-0.00",
+              "99999999999999999999.0000000"]
+
+
+def field_texts(f):
+    """Wire texts for field `f`: the renderings of values at and past its
+    bounds (some refused by the range check), and junk."""
+    texts = list(JUNK_TEXTS)
+    for value in TestFieldLoopsMatchTheOutOfRangeForm.values(f):
+        try:
+            texts.append(format(value, f.fmt))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return texts
+
+
+@st.composite
+def sentence_streams(draw):
+    """A stream of one message type's sentences, valid and invalid, drawn
+    from a few variants so that field texts repeat."""
+    entry = draw(st.sampled_from(codec.CATALOG))
+    base = reference_render(entry, entry.cls(*VALID[entry.cls]))
+    variants = []
+    for _ in range(draw(st.integers(1, 4))):
+        parts = [draw(st.sampled_from([text, text, *field_texts(f)]))
+                 for f, text in zip(entry.fields, base)]
+        if draw(st.integers(0, 9)) == 0:  # a wrong field count
+            parts = parts[:-1] if draw(st.booleans()) else [*parts, "0"]
+        variants.append(parts)
+    stream = draw(st.lists(st.sampled_from(variants), min_size=1,
+                           max_size=12))
+    return entry, stream
+
+
+class TestRepeatedFieldTexts:
+    """The decoder returns a field's stored value when its text repeats
+    the last text it accepted, and decodes exactly as a parser with no
+    such store."""
+
+    def test_repeated_text_decodes_to_the_same_object(self):
+        a = codec.decode_sentence(codec.encode_sentence(
+            codec.PosReport(43200.0, 45.1234567, -76.0, 0.0, 1.25, 90.0)))
+        b = codec.decode_sentence(codec.encode_sentence(
+            codec.PosReport(43200.02, 45.1234567, -76.0, 0.0, 1.5, 90.0)))
+        assert b.lat is a.lat and b.lon is a.lon and b.alt is a.alt
+        assert b.cog is a.cog
+        assert (b.utc, b.sog) == (43200.02, 1.5)
+
+    @pytest.mark.parametrize("text, error", [
+        ("95.0000000", codec.RangeError),
+        ("45.00", codec.MalformedFieldError),
+        ("nan", codec.RangeError)])
+    def test_refused_text_is_refused_every_time(self, text, error):
+        entry = codec._BY_TAG["POTPOS"]
+        good = framed("POTPOS,43200.00,45.0000000,-76.0000000,0.00,1.00,"
+                      "90.00")
+        bad = framed(f"POTPOS,43200.00,{text},-76.0000000,0.00,1.00,90.00")
+        messages = []
+        for _ in range(3):
+            with pytest.raises(error) as info:
+                codec.decode_sentence(bad)
+            messages.append(str(info.value))
+            assert all(t != text for t, _ in entry._parsed)
+            codec.decode_sentence(good)
+        assert messages == [messages[0]] * 3
+
+    def test_threads_sharing_the_store_decode_their_own_values(self):
+        # the threads draw from three messages, so a decode often reads a
+        # text that another thread stored, while others store theirs
+        msgs = [codec.ManualCmd(k / 10, 0.001, -k / 10) for k in range(3)]
+        lines = [codec.encode_sentence(msg) for msg in msgs]
+        wrong = []
+
+        def decode(seed):
+            rng = random.Random(seed)
+            for _ in range(3000):
+                k = rng.randrange(3)
+                got = codec.decode_sentence(lines[k])
+                if got != msgs[k]:
+                    wrong.append((got, msgs[k]))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=decode, args=(seed,))
+                       for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @given(sentence_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_stream_decodes_as_the_storeless_parser(self, stream):
+        entry, sentences = stream
+        for parts in sentences:
+            line = framed(",".join([entry.tag, *parts]))
+            assert outcome(codec.decode_sentence, line) == outcome(
+                lambda: entry.cls(*reference_parse(entry, parts)))
 
 
 def _abnf_productions() -> list[list[str]]:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,12 @@ RECORD_STAMPS = FLOATS | st.integers(-10**6, 10**6)
 RECORDS = st.builds(LogRecord, RECORD_STAMPS, RECORD_STAMPS,
                     RECORD_NAMES | st.integers(), RECORD_NAMES | st.integers(),
                     RECORD_PAYLOADS)
+
+
+# a few float stamps, so that consecutive records repeat them: signed
+# zeros, NaN and the infinities among them
+REPEATED_STAMPS = st.sampled_from([0.0, -0.0, 0.1, 43200.1, 5e-324, 1.0,
+                                   math.nan, math.inf, -math.inf])
 
 
 def dumped(record):
@@ -357,6 +364,55 @@ class TestWriterReader:
         assert all(x is y for x, y in zip(a.payload, b.payload))
         assert list(a.payload) == ["lat", "lon"]
 
+    def test_equal_nonzero_stamps_share_one_float(self, tmp_path):
+        path = tmp_path / "run.olog"
+        with LogWriter(path) as writer:
+            for t in (0.1, 0.1, 0.1, 0.2, 0.2):
+                writer.record(rec(t))
+        (a, b, c, d, e), _ = read_records(path)
+        assert a.t_mono is b.t_mono is c.t_mono
+        assert a.t_utc is b.t_utc is c.t_utc
+        assert d.t_mono is e.t_mono and d.t_utc is e.t_utc
+        assert (d.t_mono, d.t_utc) == (0.2, 43200.2)
+
+    @pytest.mark.parametrize("stamps, want", [
+        ("-0.0 0.0", "-0.0 0.0"),
+        ("0.0 -0.0", "0.0 -0.0"),
+        ("-0.0 -0.0 0.0", "-0.0 -0.0 0.0"),
+        ("NaN NaN", "nan nan"),
+        ("Infinity -Infinity Infinity Infinity", "inf -inf inf inf"),
+        ("3 3.0 3 -0 0 -0.0", "3.0 3.0 3.0 0.0 0.0 -0.0")])
+    def test_stamps_keep_their_values(self, tmp_path, stamps, want):
+        path = tmp_path / "run.olog"
+        path.write_text("".join(
+            f'{{"v":1,"t_mono":{t},"t_utc":{t},"dir":"rx",'
+            f'"topic":"otter_gps","payload":{{}}}}\n'
+            for t in stamps.split()))
+        got, corrupt = read_records(path)
+        assert corrupt == 0
+        for stamp in ("t_mono", "t_utc"):
+            values = [getattr(r, stamp) for r in got]
+            assert all(type(v) is float for v in values)
+            assert " ".join(map(repr, values)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(stamps=st.lists(st.tuples(REPEATED_STAMPS, REPEATED_STAMPS),
+                           max_size=8),
+           sort_keys=st.booleans())
+    def test_parsed_records_render_their_lines(self, tmp_path_factory,
+                                               stamps, sort_keys):
+        lines = [json.dumps({"v": 1, "t_mono": a, "t_utc": b, "dir": "rx",
+                             "topic": "otter_gps", "payload": {"utc": a}},
+                            sort_keys=sort_keys)
+                 for a, b in stamps]
+        path = tmp_path_factory.mktemp("olog") / "run.olog"
+        path.write_text("".join(line + "\n" for line in lines))
+        got, corrupt = read_records(path)
+        assert corrupt == 0
+        assert [r.to_json() for r in got] == [
+            json.dumps(json.loads(line), separators=(",", ":"),
+                       sort_keys=True) for line in lines]
+
     def test_io_failure_disables_but_does_not_raise(self, tmp_path):
         path = tmp_path / "run.olog"
         writer = LogWriter(path)
@@ -417,6 +473,49 @@ class TestReplay:
             writer.record(rec(0.0))
         with pytest.raises(ValueError):
             replay(path, -1.0, lambda r: None)
+
+
+    def test_gap_check_comes_before_any_delivery(self, tmp_path):
+        path = tmp_path / "run.olog"
+        with LogWriter(path) as writer:
+            writer.record(rec(0.0))
+            writer.record(rec(0.5))
+            writer.record(rec(10.0))
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"truncated": \n')
+        seen = []
+        with pytest.raises(ValueError, match="stretches a 9.5 s gap"):
+            replay(path, 1e-300, seen.append)
+        assert seen == []
+        summary = replay(path, 1e6, seen.append)
+        assert (summary.delivered, summary.corrupt_count) == (3, 1)
+        assert [r.t_mono for r in seen] == [0.0, 0.5, 10.0]
+
+    def test_memory_does_not_grow_with_the_log(self, tmp_path):
+        """Replay streams: its peak is the same for 60 s and 600 s of a
+        10 Hz mission's traffic, delivered to a consumer that keeps
+        nothing."""
+        peaks = []
+        for seconds in (60, 600):
+            path = tmp_path / f"{seconds}.olog"
+            with LogWriter(path) as writer:
+                for i in range(10 * seconds):
+                    t = i / 10
+                    writer.record(rec(t, payload={
+                        "utc": 43200.0 + t, "lat": 45.0 + i * 1e-7,
+                        "lon": -76.0 - i * 1e-7, "alt": 0.0}))
+                    writer.record(rec(t, "otter_imu", {
+                        "utc": 43200.0 + t, "roll": 0.0, "yaw": i % 360}))
+                    writer.record(rec(t, "course_speed_cmds", {
+                        "course": i % 360, "speed": 1.5}, "tx"))
+            tracemalloc.start()
+            try:
+                summary = replay(path, 0.0, lambda r: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert summary.delivered == 30 * seconds
+        assert peaks[1] - peaks[0] < 0.5 * 2 ** 20, peaks
 
 
 def reference_export_csv(source_path, topic, out_path):

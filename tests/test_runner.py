@@ -234,6 +234,23 @@ class TestEmbeddedMission:
         assert hashlib.sha256(repr(sequence).encode()).hexdigest() == (
             "c8e2d11d9a5b252b21d2a1bd7ba6e5c4527473d76a311a7c9c51f6521dd31ea9")
 
+    def test_records_of_a_stamp_share_one_utc(self, tmp_path):
+        class Keeping(LogWriter):
+            def record(self, rec):
+                super().record(rec)
+                kept.append(rec)
+
+        kept = []
+        with Keeping(tmp_path / "run.olog") as writer:
+            run_embedded_mission("baseline", figure_eight(20.0),
+                                 duration=10.0, log_writer=writer)
+        utcs = {}
+        for rec in kept:
+            utcs.setdefault(id(rec.t_mono), set()).add(id(rec.t_utc))
+        assert all(len(ids) == 1 for ids in utcs.values())
+        assert len(utcs) < len(kept)
+        assert kept[-1].topic == "metric" and kept[-1].t_mono == 10.0
+
     def test_record_stream_is_time_ordered(self):
         result = run_embedded_mission("baseline", figure_eight(20.0),
                                       duration=10.0)

@@ -5,11 +5,15 @@ import pytest
 
 from otterlink.vessel import (EnvDisturbance, MotorState, NumericFault,
                               RPM_MAX, VesselParams, VesselState,
-                              apply_motor_lag, dynamics_deriv,
-                              kinetic_energy, mix, rk4_step, saturate,
-                              step_dynamics, wrap_2pi)
+                              apply_motor_lag, dynamics_deriv, mix,
+                              rk4_step, saturate, step_dynamics, wrap_2pi)
 
 P = VesselParams()
+
+
+def kinetic_energy(state: VesselState, params: VesselParams) -> float:
+    return 0.5 * (params.m11 * state.u ** 2 + params.m22 * state.v ** 2
+                  + params.m33 * state.r ** 2)
 
 
 class TestParams:
