@@ -7,19 +7,18 @@ figure-eight benchmark path is a Gerono lemniscate
 Cross-track error is the signed perpendicular distance to the nearest
 segment, positive to port (left) of the path direction.
 
-Nearest-segment search runs one foot-point kernel over every segment.
-The scalar search first looks in an exact uniform grid built with the
-path: each cell lists every segment that can be nearest to any point in
-it, ties included, nearest-first by distance from the cell's centre,
-with a bound beyond which every unlisted segment lies. The scan stops
-once no later candidate can be as near (the bounds test of Friedman,
-Bentley & Finkel, ACM TOMS 3(3), 1977) and returns the same segment,
-bit for bit, as the full kernel. A window that excludes the cell's
-nearest is answered by the cell's in-window candidates when the bound
-certifies that no unlisted segment is as near as theirs. Points off the
-grid, non-finite points, windows the bound does not certify (an empty
-window among them) and paths too large for the grid use the full
-kernel.
+Nearest-segment search, of one point or of a batch, first looks in an
+exact uniform grid built with the path: each cell lists every segment
+that can be nearest to any point in it, ties included, nearest-first by
+distance from the cell's centre, with a bound beyond which every
+unlisted segment lies. The scan stops once no later candidate can be as
+near (the bounds test of Friedman, Bentley & Finkel, ACM TOMS 3(3),
+1977) and returns the same segment, bit for bit, as the full kernel. A
+window that excludes the cell's nearest is answered by the cell's
+in-window candidates when the bound certifies that no unlisted segment
+is as near as theirs. Points off the grid, non-finite points, windows
+the bound does not certify (an empty window among them) and paths too
+large for the grid use the full foot-point kernel over every segment.
 
 Every cross-track error, of `project`, `project_near` and
 `project_many` alike, is the plain sum
@@ -30,8 +29,8 @@ metrics logged from them do not depend on the BLAS kernel numpy loads.
 The leading 0.0 is the start of numpy's axis sum: two zero products sum
 to +0.0.
 
-`project_many` answers a batch by one chunked search over the union of
-the candidate lists of its points' cells (see `_nearest_many`).
+`project_many` finds each point's segment by `project`'s search and
+forms the batch's errors, headings and port normals as arrays.
 
 `arc_near` is `project_near` without the cross-track error: the arc
 position and segment that lap counting and LOS guidance need.
@@ -77,8 +76,8 @@ _CELL_SEGMENTS = 4.0          # cell side in median segment lengths
 _GRID_MARGIN = 2              # cells around the path's bounding box
 _MAX_CELLS = 4096             # the cell side grows to stay under this
 _MAX_CELL_SEGMENTS = 1 << 20  # cells x segments; above it, no grid
-_BUILD_PAIRS = 8192           # (cell or point, segment) pairs per kernel
-                              # call of the build and of the batch queries
+_BUILD_PAIRS = 8192           # (cell, segment) pairs per kernel call of
+                              # the build
 _MAX_COORD = 1e150            # beyond it squared distances may overflow
 _SLACK = 1e-9                 # relative rounding allowance of the bounds
 
@@ -115,7 +114,7 @@ class PolylinePath:
         # per-component rows for the foot-point kernel, (start n, start
         # e, tangent n, tangent e, length, vector n, vector e): numpy
         # reductions over a length-2 axis cost more than the arithmetic
-        # they sum, and one gather takes a subset of segments
+        # they sum
         self._kernel = np.vstack([self._starts.T, self._tangents.T,
                                   self._lengths, self._vecs.T])
         # Python floats for the scalar queries; a row per segment (index,
@@ -126,14 +125,11 @@ class PolylinePath:
         self._headings_f = self._headings.tolist()
         self._rows = list(zip(range(len(self._lengths_f)),
                               *self._kernel.tolist()))
-        self._grid, self._batch_grid = self._build_grid()
+        self._grid = self._build_grid()
 
     def _build_grid(self):
         """Uniform grid over the bounding box plus a margin, with per cell
-        the candidates of a nearest-first search; and, for the batch
-        queries, the grid as arrays: lower and upper bounds, cell side,
-        last cell, cell strides and the lists as a (cells, segments)
-        boolean mask.
+        the candidates of a nearest-first search.
 
         A point p of a cell lies within half the cell diagonal D of its
         centre c, and each segment's distance moves by at most |p - c|,
@@ -144,13 +140,13 @@ class PolylinePath:
         c. A cell is (centre n, centre e, bound, rows, distances): the
         rows (index, start, tangent, length, vector) of its segments in
         nearest-first order of dist(c), equal distances in index order,
-        and those distances in an array('d'). Returns None, None (full
-        kernel only) when cells x segments exceeds its cap or the path's
+        and those distances in an array('d'). Returns None (full kernel
+        only) when cells x segments exceeds its cap or the path's
         coordinates are not moderate.
         """
         lo, hi = self.points.min(axis=0), self.points.max(axis=0)
         if not np.abs([lo, hi]).max() < _MAX_COORD:
-            return None, None
+            return None
         n_seg = len(self._lengths)
         # upper median by sort: np.median imports numpy.ma, ~10 ms cold
         side = _CELL_SEGMENTS * float(np.sort(self._lengths)[n_seg // 2])
@@ -161,7 +157,7 @@ class PolylinePath:
                 break
             side *= max(1.01, math.sqrt(nx * ny / _MAX_CELLS))
         if nx * ny * n_seg > _MAX_CELL_SEGMENTS:
-            return None, None
+            return None
         x0 = float(lo[0]) - _GRID_MARGIN * side
         y0 = float(lo[1]) - _GRID_MARGIN * side
         x1, y1 = x0 + nx * side, y0 + ny * side
@@ -171,7 +167,7 @@ class PolylinePath:
         centre_n = np.repeat(x0 + (np.arange(nx) + 0.5) * side, ny)
         centre_e = np.tile(y0 + (np.arange(ny) + 0.5) * side, nx)
         chunk = max(1, _BUILD_PAIRS // n_seg)
-        cells, masks = [], []
+        cells = []
         for k in range(0, nx * ny, chunk):
             cn, ce = centre_n[k:k + chunk], centre_e[k:k + chunk]
             _, d2 = self._foot(cn[:, None], ce[:, None])
@@ -187,11 +183,7 @@ class PolylinePath:
                 cells.append((c_n, c_e, b,
                               tuple(rows[j] for j in o[:n].tolist()),
                               array("d", d[:n].tobytes())))
-            masks.append(keep)
-        return ((x0, y0, x1, y1, side, nx, ny, slack, cells),
-                (np.array([x0, y0]), np.array([x1, y1]), side,
-                 np.array([nx - 1, ny - 1]), np.array([ny, 1]),
-                 np.concatenate(masks)))
+        return x0, y0, x1, y1, side, nx, ny, slack, cells
 
     @property
     def length(self) -> float:
@@ -201,14 +193,11 @@ class PolylinePath:
     def end_point(self) -> np.ndarray:
         return self._starts[-1] + self._vecs[-1]
 
-    def _foot(self, pn, pe, segments=None):
+    def _foot(self, pn, pe):
         """Clamped foot-point parameter t and squared distance d2 of
-        (pn, pe) to every segment, or to those the index array `segments`
-        picks: scalars give (segments,) arrays, (K, 1) columns give (K,
-        segments)."""
-        sn, se, tn, te, length, vn, ve = (
-            self._kernel if segments is None
-            else self._kernel[:, segments])
+        (pn, pe) to every segment: scalars give (segments,) arrays, (K, 1)
+        columns give (K, segments)."""
+        sn, se, tn, te, length, vn, ve = self._kernel
         # np.clip keeps a -0.0 that np.maximum(-0.0, 0.0) would make +0.0
         t = np.clip(((pn - sn) * tn + (pe - se) * te) / length, 0.0, 1.0)
         d2 = (pn - (sn + t * vn)) ** 2 + (pe - (se + t * ve)) ** 2
@@ -343,52 +332,25 @@ class PolylinePath:
 
     project = project_near  # project(n, e): the global projection
 
-    def _batch_candidates(self, p: np.ndarray):
-        """Ascending indices of the segments listed by any grid cell that
-        holds a point of the (K, 2) batch `p`, or None (every segment)
-        without a grid, for an empty batch, or when a point is off the
-        grid or not finite."""
-        if self._batch_grid is None or not len(p):
-            return None
-        lo, hi, side, last, strides, masks = self._batch_grid
-        if not np.logical_and.reduce((lo <= p) & (p < hi), axis=None):
-            return None
-        # `_grid_nearest`'s cell of each point
-        cell = ((p - lo) / side).astype(np.intp)
-        np.minimum(cell, last, out=cell)
-        return np.logical_or.reduce(masks[cell @ strides]).nonzero()[0]
-
-    def _nearest_many(self, p: np.ndarray) -> np.ndarray:
-        """Index of the nearest segment to each point of the (K, 2) batch
-        `p`: the full kernel's argmin, bit for bit.
-
-        The batch runs in chunks of `_BUILD_PAIRS` // segments points, so
-        no kernel call holds more than `_BUILD_PAIRS` pairs. Each chunk's
-        kernel runs over the union of the candidate lists of the grid
-        cells its points fall in. Each point's own cell lists every
-        segment that can be nearest to it, ties included, so the argmin
-        over that ascending union is the full kernel's. A chunk with a
-        point off the grid or not finite scans every segment.
-        """
-        idx = np.empty(len(p), dtype=np.intp)
-        chunk = max(1, _BUILD_PAIRS // len(self._lengths))
-        for k in range(0, len(p), chunk):
-            q = p[k:k + chunk]
-            segments = self._batch_candidates(q)
-            _, d2 = self._foot(q[:, 0:1], q[:, 1:2], segments)
-            i = d2.argmin(axis=1)
-            idx[k:k + chunk] = i if segments is None else segments[i]
-        return idx
-
-    def project_many(self, points: np.ndarray):
-        """Vectorized nearest-segment projection of (K, 2) points.
+    def project_many(self, points):
+        """Nearest-segment projection of a (K, 2) batch of (north, east)
+        points; an empty sequence is a batch of none.
 
         Returns (cross_track (K,), path_heading (K,), port_normal (K, 2)),
-        for the NMPC's horizon and the mission metrics; the errors and
+        for the NMPC's horizon and the mission metrics. Each point's
+        segment is `project`'s, by the same search, so the errors and
         headings are `project`'s, bit for bit.
         """
         p = np.asarray(points, dtype=float)
-        idx = self._nearest_many(p)
+        if p.shape == (0,):
+            p = p.reshape(0, 2)
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise ValueError("points must be a (K, 2) array of (north, "
+                             f"east) rows, not shape {p.shape}")
+        grid_nearest, kernel_nearest = self._grid_nearest, self._kernel_nearest
+        idx = np.array([(grid_nearest(north, east)
+                         or kernel_nearest(north, east))[0]
+                        for north, east in p.tolist()], dtype=np.intp)
         port = self._port[idx]
         e_ct = np.add.reduce((p - self._starts[idx]) * port, axis=1)
         return e_ct, self._headings[idx], port

@@ -54,8 +54,10 @@ Every numpy call on the per-iteration path is a ufunc, a ufunc
 reduction or an ndarray C method, never one of numpy's Python-level
 wrappers (np.max, .any(), np.clip, np.ix_, np.errstate, ...), whose call
 overhead outweighs the arithmetic on these 20- to 140-element arrays.
-The exceptions are np.linalg.solve, which has no public lower-level
-call, and the np.clip of the path's foot-point kernel (`PolylinePath`).
+The exception is np.linalg.solve, which has no public lower-level call.
+The horizon's projection (`PolylinePath.project_many`) scans the path's
+grid point by point, and reaches the np.clip of the path's foot-point
+kernel only for a point off that grid.
 
 `cost_of_inputs` and `cost_gradient`, which the solver does not call,
 wrap the solver's own evaluation of a motor command sequence: the cost

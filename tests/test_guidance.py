@@ -7,6 +7,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otterlink import guidance
 from otterlink.guidance import (LapTracker, LosConfig, PolylinePath,
@@ -77,10 +79,12 @@ class TestPolyline:
 
     def test_project_many_is_bitwise_the_axis_sum_form(self):
         for path, batches, on_grid, off_grid in self.special_battery():
-            # the union scan runs on these, the full kernel on those
-            assert all(path._batch_candidates(batch) is not None
-                       for batch in on_grid)
-            assert all(path._batch_candidates(batch) is None
+            # the grid's scan answers every point of these, and the full
+            # kernel at least one point of each of those
+            assert all(path._grid_nearest(north, east) is not None
+                       for batch in on_grid for north, east in batch)
+            assert all(any(path._grid_nearest(north, east) is None
+                           for north, east in batch)
                        for batch in off_grid)
             with np.errstate(invalid="ignore"):  # the infinite points
                 for batch in batches + on_grid + off_grid:
@@ -544,8 +548,7 @@ class TestCandidateGrid:
                                  [path.project(n, e).cross_track
                                   for n, e in batch])
 
-    def test_batch_queries_in_chunks_of_bounded_kernel_calls(self,
-                                                            monkeypatch):
+    def test_batch_kernel_calls_hold_one_point_each(self, monkeypatch):
         # a held station: thousands of fixes in one grid cell, then the
         # edge points (off the grid, NaN, infinities) and the station again
         path = self.EIGHT
@@ -553,36 +556,70 @@ class TestCandidateGrid:
         cell = np.floor((path.points[40] - (x0, y0)) / side) * side + (x0, y0)
         held = cell + np.random.default_rng(109).uniform(
             0.0, side, size=(3000, 2))
-        points = np.vstack([held, self.edge_points(path), held[:100]])
+        edges = self.edge_points(path)
+        points = np.vstack([held, edges, held[:100]])
         pairs = []
         foot = PolylinePath._foot
 
-        def counted(self, pn, pe, segments=None):
-            t, d2 = foot(self, pn, pe, segments)
-            pairs.append(d2.size)
+        def counted(self, pn, pe):
+            t, d2 = foot(self, pn, pe)
+            pairs.append(d2.shape)
             return t, d2
 
         monkeypatch.setattr(PolylinePath, "_foot", counted)
         with np.errstate(invalid="ignore", over="ignore"):
+            # the grid's scan answers the station's fixes, with no kernel
+            held_many = path.project_many(held)
+            assert pairs == []
             many = path.project_many(points)
-            chunk = guidance._BUILD_PAIRS // len(path._lengths)
-            assert max(pairs) <= guidance._BUILD_PAIRS
-            assert len(pairs) >= len(points) // chunk
+            # one full-kernel call per point the grid does not answer
+            fallback = sum(path._grid_nearest(n, e) is None for n, e in edges)
+            assert 0 < fallback < len(edges)
+            assert pairs == [(len(path._lengths),)] * fallback
+            assert same_bits(held_many[0], many[0][:len(held)])
             assert same_bits(many[0], [path.project(n, e).cross_track
                                        for n, e in points])
             for out, want in zip(many, reference_project_many(path, points)):
                 assert np.array_equal(out, want, equal_nan=True)
 
     def test_project_many_of_an_empty_batch(self):
-        e_ct, headings, port = self.EIGHT.project_many(np.empty((0, 2)))
-        assert e_ct.shape == headings.shape == (0,)
-        assert port.shape == (0, 2)
-        assert e_ct.dtype == headings.dtype == port.dtype == float
+        # an empty sequence of any kind is a batch of no points
+        for empty in (np.empty((0, 2)), [], (), np.empty(0)):
+            e_ct, headings, port = self.EIGHT.project_many(empty)
+            assert e_ct.shape == headings.shape == (0,)
+            assert port.shape == (0, 2)
+            assert e_ct.dtype == headings.dtype == port.dtype == float
+
+    @pytest.mark.parametrize("points", [
+        (3.0, 4.0), np.array([3.0, 4.0]), np.zeros((1, 3)),
+        np.zeros((4, 1)), np.zeros((2, 2, 2)), 5.0, [[]], np.empty((0, 3))],
+        ids=["pair", "pair-array", "1x3", "4x1", "2x2x2", "scalar",
+             "empty-row", "0x3"])
+    def test_project_many_rejects_a_batch_not_k_by_2(self, points):
+        with pytest.raises(ValueError, match=r"\(K, 2\) array"):
+            self.EIGHT.project_many(points)
+
+    NO_GRID = PolylinePath(np.column_stack(
+        [np.arange(5000.0), 5.0 * (-1.0) ** np.arange(5000)]))
+
+    @pytest.mark.parametrize("path", [EIGHT, NO_GRID],
+                             ids=["figure-eight", "no-grid"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_batch_is_the_per_point_projection(self, path, data):
+        batch = data.draw(point_batches(path))
+        with np.errstate(invalid="ignore", over="ignore"):
+            e_ct, headings, port = path.project_many(batch)
+            want = [path.project(north, east) for north, east in batch]
+        assert same_bits(e_ct, [proj.cross_track for proj in want])
+        assert same_bits(headings, [proj.path_heading for proj in want])
+        assert same_bits(port, path._port[
+            np.array([proj.seg_index for proj in want], dtype=np.intp)])
 
     def test_project_many_without_a_grid(self):
         k = np.arange(5000)
         zigzag = PolylinePath(np.column_stack([1.0 * k, 5.0 * (-1.0) ** k]))
-        assert zigzag._grid is None and zigzag._batch_grid is None
+        assert zigzag._grid is None
         rng = np.random.default_rng(107)
         points = np.column_stack([rng.uniform(-10.0, 5010.0, 150),
                                   rng.uniform(-8.0, 8.0, 150)])
@@ -727,6 +764,29 @@ class TestCandidateGrid:
                                 window))
         assert excluded > 1000
         assert calls == []
+
+
+def point_batches(path):
+    """Batches of (north, east) points drawn over and beyond the box of
+    the grid of `path` (of its points without a grid): coordinates in and
+    around it, its bounds, signed zeros, NaN and infinities, each batch
+    drawn from a small pool so that points repeat."""
+    if path._grid is None:
+        (x0, y0), (x1, y1) = path.points.min(axis=0), path.points.max(axis=0)
+    else:
+        x0, y0, x1, y1 = path._grid[:4]
+
+    def coordinate(lo, hi):
+        pad = 0.5 * (hi - lo)
+        return st.one_of(
+            st.floats(float(lo - pad), float(hi + pad)),
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                             float(lo), float(hi),
+                             math.nextafter(float(hi), -math.inf)]))
+
+    point = st.tuples(coordinate(x0, x1), coordinate(y0, y1))
+    return st.lists(point, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=25))
 
 
 def cross_track_digest() -> str:

@@ -900,7 +900,8 @@ def numpy_wrapper_entries(run):
 def wrapper_exempt(entry):
     """np.linalg.solve, which has no public lower-level call, and
     `_foot`'s np.clip (np.maximum(-0.0, 0.0) is +0.0, where np.clip keeps
-    -0.0)."""
+    -0.0), which the horizon's projection reaches only for a point off
+    the path's grid."""
     return (entry[:2] == ("numpy.linalg._linalg", "solve")
             or entry[0] == "numpy._core.fromnumeric"
             and entry[1] in ("clip", "_clip_dispatcher")
@@ -969,8 +970,14 @@ class TestUfuncPath:
         entries = numpy_wrapper_entries(solves)
         assert [e for e in entries if not wrapper_exempt(e)] == []
         assert all(sol.iters >= 1 for sol in solutions)
-        # the guard sees the calls it lets through, and one made elsewhere
-        assert {e[1] for e in entries} >= {"solve", "clip"}
+        # on the grid, the solve reaches no wrapper but np.linalg.solve
+        assert {e[1] for e in entries} == {"solve"}
+        # the guard sees the clamp it lets through, of a point off the
+        # grid, and one made elsewhere
+        off_grid = numpy_wrapper_entries(
+            lambda: path.project_many([(2.0, 100.0)]))
+        assert off_grid and all(map(wrapper_exempt, off_grid))
+        assert {e[1] for e in off_grid} >= {"clip"}
         assert not wrapper_exempt(numpy_wrapper_entries(
             lambda: np.clip(np.zeros(3), -1.0, 1.0))[0])
 
