@@ -362,12 +362,6 @@ def _render(entry: Message, msg: OtterMessage) -> list[str]:
     return texts
 
 
-def validate(msg: OtterMessage) -> None:
-    """Raise RangeError unless encode_sentence(msg) would succeed
-    (UnknownSentenceError for a non-message)."""
-    _render(_message_of(msg), msg)
-
-
 def encode_sentence(msg: OtterMessage) -> str:
     """Render a message as a complete wire line (``$...*hh\\r\\n``)."""
     entry = _message_of(msg)

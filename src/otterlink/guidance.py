@@ -4,8 +4,11 @@ Paths are polylines of (north, east) points, optionally closed. The
 figure-eight benchmark path is a Gerono lemniscate
 (north, east) = (A sin t, A sin t cos t) sampled densely.
 
-Cross-track error is the signed perpendicular distance to the nearest
-segment, positive to port (left) of the path direction.
+Cross-track error is the signed distance to the line of the nearest
+segment, positive to port (left) of the path direction. Where the foot
+point is clamped to a vertex (past an open path's end, or outside a
+corner) that understates the distance to the segment itself, down to 0
+along the line's extension (ROADMAP item 17(a)).
 
 Nearest-segment search, of one point or of a batch, first looks in an
 exact uniform grid built with the path: each cell lists every segment
@@ -21,16 +24,9 @@ the bound does not certify (an empty window among them) and paths too
 large for the grid use the full foot-point kernel over every segment.
 
 Every cross-track error, of `project`, `project_near` and
-`project_many` alike, is the plain sum
-0.0 + (north - start n) * port n + (east - start e) * port e, each
-product rounded on its own, never a BLAS dot (which may fuse a multiply
-into the add). So the queries agree bit for bit, and the errors and the
-metrics logged from them do not depend on the BLAS kernel numpy loads.
-The leading 0.0 is the start of numpy's axis sum: two zero products sum
-to +0.0.
-
-`project_many` finds each point's segment by `project`'s search and
-forms the batch's errors, headings and port normals as arrays.
+`project_many` alike, is one expression, `_cross_track`'s, in Python
+floats, so no BLAS kernel enters the errors or the metrics logged from
+them. `project_many` is `project` point by point, returned as arrays.
 
 `arc_near` is `project_near` without the cross-track error: the arc
 position and segment that lap counting and LOS guidance need.
@@ -67,7 +63,8 @@ class LosConfig:
 class Projection:
     seg_index: int
     s_along: float        # arc length of the foot point from path start
-    cross_track: float    # signed, positive to port of path direction
+    cross_track: float    # signed distance to the nearest segment's line,
+                          # positive to port of path direction
     path_heading: float   # rad, tangent bearing of the nearest segment
 
 
@@ -325,21 +322,25 @@ class PolylinePath:
         grid cannot certify its answer.
         """
         s_along, i = self.arc_near(north, east, s_hint, window)
-        _, sn, se, tn, te, _, _, _ = self._rows[i]
-        # `project_many`'s sum over the port normal (te, -tn)
-        e_ct = float(0.0 + (north - sn) * te + (east - se) * -tn)
-        return Projection(i, s_along, e_ct, self._headings_f[i])
+        return Projection(i, s_along, self._cross_track(north, east, i),
+                          self._headings_f[i])
 
     project = project_near  # project(n, e): the global projection
+
+    def _cross_track(self, north, east, i: int) -> float:
+        """Signed distance of (north, east) to segment i's line, positive
+        to port: the sum over the port normal (te, -tn), each product
+        rounded on its own; the leading 0.0 makes two zero products +0.0."""
+        _, sn, se, tn, te, _, _, _ = self._rows[i]
+        return float(0.0 + (north - sn) * te + (east - se) * -tn)
 
     def project_many(self, points):
         """Nearest-segment projection of a (K, 2) batch of (north, east)
         points; an empty sequence is a batch of none.
 
         Returns (cross_track (K,), path_heading (K,), port_normal (K, 2)),
-        for the NMPC's horizon and the mission metrics. Each point's
-        segment is `project`'s, by the same search, so the errors and
-        headings are `project`'s, bit for bit.
+        for the NMPC's horizon and the mission metrics: each point's
+        `project`, by the same search and the same `_cross_track`.
         """
         p = np.asarray(points, dtype=float)
         if p.shape == (0,):
@@ -348,12 +349,14 @@ class PolylinePath:
             raise ValueError("points must be a (K, 2) array of (north, "
                              f"east) rows, not shape {p.shape}")
         grid_nearest, kernel_nearest = self._grid_nearest, self._kernel_nearest
-        idx = np.array([(grid_nearest(north, east)
-                         or kernel_nearest(north, east))[0]
-                        for north, east in p.tolist()], dtype=np.intp)
-        port = self._port[idx]
-        e_ct = np.add.reduce((p - self._starts[idx]) * port, axis=1)
-        return e_ct, self._headings[idx], port
+        cross_track = self._cross_track
+        idx, e_ct = [], []
+        for north, east in p.tolist():
+            i = (grid_nearest(north, east) or kernel_nearest(north, east))[0]
+            idx.append(i)
+            e_ct.append(cross_track(north, east, i))
+        idx = np.array(idx, dtype=np.intp)
+        return np.array(e_ct), self._headings[idx], self._port[idx]
 
     def _point_at(self, s) -> tuple[float, float]:
         """`point_at` as a (north, east) pair, without the array."""

@@ -110,15 +110,6 @@ class LogRecord(NamedTuple):
                                 "t_utc": t_utc, "dir": direction,
                                 "topic": topic, "payload": payload})
 
-    @classmethod
-    def from_json(cls, line: str) -> "LogRecord":
-        """The record of one line, parsed as the readers parse each line
-        of a file; ValueError when the line holds none."""
-        for rec in _records([line.encode("utf-8")]):
-            if rec is not None:
-                return rec
-        raise ValueError(f"not a log record: {line[:80]!r}")
-
 
 @functools.lru_cache(maxsize=1024)
 def _template(shape: tuple) -> str | None:

@@ -6,10 +6,8 @@ and faster than real time while exercising the same sentence path the
 UDP transport carries. Its lines are shed by the transport's own rule,
 `FaultProfile.sheds`, so a dropout window means the same on both paths.
 
-Every record of a 20 ms tick carries that tick's `t_now` object as its
-stamp. The runner computes `t_utc` once per stamp object, so the
-records of a tick, and the end-of-mission metric records, share one
-`t_utc` float as well.
+Every record of a 20 ms tick, and each end-of-mission metric record,
+carries that tick's `t_now` and `utc_now`, computed once per tick.
 """
 
 from __future__ import annotations
@@ -193,17 +191,10 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
                    initial_state=initial_state)
 
     records: list[LogRecord] = []
-    t_now = 0.0
-    last_stamp, last_utc = None, 0.0  # the last stamp object and its t_utc
+    t_now = utc_now = 0.0
 
-    def t_utc(stamp: float) -> float:
-        nonlocal last_stamp, last_utc
-        if stamp is not last_stamp:
-            last_stamp, last_utc = stamp, obc.utc0 + stamp
-        return last_utc
-
-    def emit(stamp: float, direction: str, topic: str, payload) -> None:
-        rec = LogRecord(stamp, t_utc(stamp), direction, topic, payload)
+    def emit(direction: str, topic: str, payload) -> None:
+        rec = LogRecord(t_now, utc_now, direction, topic, payload)
         records.append(rec)
         if log_writer is not None:
             log_writer.record(rec)
@@ -212,10 +203,10 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
         msg = codec.decode_sentence(line)
         obc.handle_command(msg)
         for topic, payload in codec.topic_payloads(msg):
-            emit(t_now, "tx", topic, payload)
+            emit("tx", topic, payload)
 
     def on_sample(sample) -> None:
-        emit(sample.stamp, "rx", sample.topic, sample.payload)
+        emit("rx", sample.topic, sample.payload)
 
     gateway = TopicGateway(command_sender=send_command)
     for topic in TELEMETRY_TOPICS:
@@ -225,7 +216,7 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
         controller = NmpcController(
             gateway, path, nmpc_config, params, origin_lat, origin_lon,
             event_log=lambda name, detail: emit(
-                t_now, "tx", "event", {"name": name, "detail": detail}))
+                "tx", "event", {"name": name, "detail": detail}))
     elif controller_kind == "baseline":
         controller = LosBaselineController(gateway, path, los_config,
                                            origin_lat, origin_lon)
@@ -238,6 +229,7 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
     n_steps = int(round(duration / SIM_DT))
     for step in range(1, n_steps + 1):
         t_now = step * SIM_DT
+        utc_now = obc.utc0 + t_now
         for line in obc.tick(t_now):
             if not fault.sheds(t_now, rng):
                 gateway.feed_line(line, t_now)
@@ -260,8 +252,7 @@ def run_embedded_mission(controller_kind: str, path: PolylinePath, *,
                                                    int(0.99 * len(st)))])
     if log_writer is not None:
         for name in sorted(metrics):
-            log_writer.record(LogRecord(t_now, t_utc(t_now), "tx",
-                                        "metric",
+            log_writer.record(LogRecord(t_now, utc_now, "tx", "metric",
                                         {"name": name,
                                          "value": metrics[name]}))
     return MissionResult(records=records, metrics=metrics, laps=laps.laps,

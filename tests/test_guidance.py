@@ -43,6 +43,13 @@ class TestCrossTrack:
         proj = path.project(0.0, 15.0)
         assert proj.s_along == pytest.approx(10.0)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 17(a): at a clamped foot the error is the distance "
+        "to the segment's line, 0 along its extension"))
+    def test_past_an_open_end_is_the_distance_to_the_end(self):
+        path = PolylinePath([(0, 0), (10, 0)])
+        assert abs(path.project(20.0, 0.0).cross_track) == 10.0
+
 
 class TestPolyline:
     def test_needs_two_points(self):
@@ -602,8 +609,11 @@ class TestCandidateGrid:
     NO_GRID = PolylinePath(np.column_stack(
         [np.arange(5000.0), 5.0 * (-1.0) ** np.arange(5000)]))
 
-    @pytest.mark.parametrize("path", [EIGHT, NO_GRID],
-                             ids=["figure-eight", "no-grid"])
+    # open, with a corner: feet clamp past both ends and outside the corner
+    L_ROUTE = PolylinePath([(0, 0), (40, 0), (40, 40)])
+
+    @pytest.mark.parametrize("path", [EIGHT, NO_GRID, L_ROUTE],
+                             ids=["figure-eight", "no-grid", "l-route"])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_batch_is_the_per_point_projection(self, path, data):
