@@ -21,6 +21,7 @@ exception propagates as a traceback, so a bug stays visible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -55,7 +56,7 @@ def _load(args) -> RunConfig:
 
 
 def _path_from_args(cfg: RunConfig, spec: str) -> guidance.PolylinePath:
-    if spec in ("fig8", "figure-eight", "figure8"):
+    if spec == "fig8":
         return guidance.figure_eight(cfg.bench.amplitude)
     points = []
     try:
@@ -73,7 +74,8 @@ def _path_from_args(cfg: RunConfig, spec: str) -> guidance.PolylinePath:
 
 def _check_outputs(*paths) -> None:
     """Open each given output path for appending, so that one that
-    cannot be written is a config error before any mission runs."""
+    cannot be written is a config error before any mission runs, and a
+    failed probe truncates nothing."""
     for path in filter(None, paths):
         try:
             with open(path, "a", encoding="utf-8"):
@@ -141,19 +143,15 @@ def _run_embedded(cfg: RunConfig, controller: str, path,
     fault = transport.FaultProfile(
         ((cfg.bench.dropout_start, cfg.bench.dropout_duration),)
         if cfg.bench.dropout_start >= 0 else ())
-    writer = logbag.LogWriter(log_path) if log_path else None
-    try:
-        result = run_embedded_mission(
+    with (logbag.LogWriter(log_path) if log_path
+          else contextlib.nullcontext()) as writer:
+        return run_embedded_mission(
             controller, path, params=cfg.vessel.params,
             nmpc_config=cfg.nmpc, los_config=cfg.los, env=cfg.vessel.env,
             telemetry_hz=cfg.transport.rate_hz, duration=cfg.bench.duration,
             target_laps=cfg.bench.target_laps or None, fault=fault,
             origin_lat=cfg.vessel.origin_lat,
             origin_lon=cfg.vessel.origin_lon, log_writer=writer)
-    finally:
-        if writer:
-            writer.close()
-    return result
 
 
 def cmd_run(args) -> int:
@@ -180,8 +178,10 @@ def _cmd_run_socket(args, cfg: RunConfig, path) -> int:
                             cfg.transport.command_endpoint)
     origin = (cfg.vessel.origin_lat, cfg.vessel.origin_lon)
     if args.controller == "nmpc":
-        ctl = runner.NmpcController(client, path, cfg.nmpc,
-                                    cfg.vessel.params, *origin)
+        ctl = runner.NmpcController(
+            client, path, cfg.nmpc, cfg.vessel.params, *origin,
+            event_log=lambda name, detail: print(f"{name}: {detail}",
+                                                 file=sys.stderr))
     else:
         ctl = runner.LosBaselineController(client, path, cfg.los, *origin)
     period = 1.0 / runner.CONTROL_HZ

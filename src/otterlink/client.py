@@ -83,8 +83,8 @@ class ApproxTimeSync:
         self._latest: dict[str, TopicSample] = {}
 
     def offer(self, sample: TopicSample) -> None:
-        if sample.topic not in self.topics:
-            return
+        """Take a sample of one of `topics`; it must be offered no other
+        topic (`TopicGateway.synchronize` subscribes it to those alone)."""
         self._latest[sample.topic] = sample
         if len(self._latest) < len(self.topics):
             return

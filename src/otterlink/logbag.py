@@ -1,4 +1,4 @@
-"""Append-only JSON Lines log (.olog) with replay and CSV export.
+"""JSON Lines log (.olog) with replay and CSV export.
 
 Each line is one self-describing record:
 
@@ -181,12 +181,13 @@ def _records(lines: Iterable[bytes]) -> Iterator[LogRecord | None]:
 
 
 class LogWriter:
-    """Single-writer append-only sink. IO failures disable logging with
-    a warning; the run keeps going."""
+    """Single-writer sink that truncates its path, so a file holds one
+    run's records. IO failures disable logging with a warning; the run
+    keeps going."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "w", encoding="utf-8")
         self._last_t: float | None = None
         self._last_flush = time.monotonic()
         self.disabled = False

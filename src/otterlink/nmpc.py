@@ -124,9 +124,9 @@ class ControlSolution:
     iters: int
     solve_time: float
     converged: bool        # stop is "converged" or "stalled"
-    stop: str = "converged"  # one of STOPS
-    trials: int = 0        # trial rollouts of the line searches
-    jacobians: int = 0     # linearizations (Jacobians built)
+    stop: str              # one of STOPS
+    trials: int            # trial rollouts of the line searches
+    jacobians: int         # linearizations (Jacobians built)
 
 
 def state_vector(state: VesselState) -> np.ndarray:

@@ -140,8 +140,8 @@ class MissionResult:
     metrics: dict[str, float]
     laps: float
     completed: bool
-    dropout_events: int = 0
-    decode_errors: int = 0
+    dropout_events: int
+    decode_errors: int
 
 
 def run_embedded_mission(controller_kind: str, path: PolylinePath, *,

@@ -181,7 +181,9 @@ class UdpListener:
         self._closed = False
 
     def poll(self, timeout: float) -> list[tuple[str, float]]:
-        """Collect all datagrams arriving before the deadline."""
+        """Collect all datagrams arriving before the deadline. Poll and
+        close on one thread: a poll after `close` raises
+        `TransportClosedError`."""
         if self._closed:
             raise TransportClosedError("poll on closed listener")
         deadline = time.monotonic() + timeout
@@ -191,19 +193,14 @@ class UdpListener:
             if remaining <= 0:
                 return out
             try:
-                try:
-                    data, _ = self._sock.recvfrom(65536)
-                except BlockingIOError:
-                    # nothing queued: select keeps the wait to the
-                    # microsecond, where a socket timeout rounds it up
-                    # to whole milliseconds
-                    if not select.select([self._sock], [], [], remaining)[0]:
-                        return out
-                    continue
-            except (OSError, ValueError):  # ValueError: select after close
-                if self._closed:
-                    raise TransportClosedError("listener closed during poll")
-                raise
+                data, _ = self._sock.recvfrom(65536)
+            except BlockingIOError:
+                # nothing queued: select keeps the wait to the
+                # microsecond, where a socket timeout rounds it up to
+                # whole milliseconds
+                if not select.select([self._sock], [], [], remaining)[0]:
+                    return out
+                continue
             out.append((data.decode("ascii", errors="replace"),
                         time.monotonic()))
 

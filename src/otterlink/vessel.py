@@ -13,9 +13,9 @@ Dynamics:
 
 The (m22 - m11) u v Munk moment keeps the Coriolis terms
 energy-conservative, so free decay strictly dissipates kinetic energy.
-The default damping coefficients come from the top-speed calibration
-identity 2 F_max = d1u v_max + d2u v_max^2 with a 50/50 linear/quadratic
-drag split at v_max.
+The default surge damping is calibrated to the top speed DEFAULT_V_MAX
+(V): d1u = F_max/V and d2u = F_max/V^2 split the drag at V 50/50 between
+its linear and quadratic parts, so full thrust, 2 F_max, balances it.
 """
 
 from __future__ import annotations
@@ -49,23 +49,16 @@ class VesselParams:
     d1r: float = 80.0
     F_max: float = DEFAULT_F_MAX   # N per motor
     lever: float = 0.54            # m, half thruster separation
-    v_max: float = DEFAULT_V_MAX   # m/s
     startup_delay: float = 2.0     # s, cold-start motor delay
     motor_tau: float = 0.5         # s, first-order motor lag
 
     def __post_init__(self):
         for name in ("m11", "m22", "m33", "d1u", "d2u", "d1v", "d1r",
-                     "F_max", "lever", "v_max", "startup_delay", "motor_tau"):
+                     "F_max", "lever", "startup_delay", "motor_tau"):
             # a comparison that NaN fails, so NaN is rejected too
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(
                     f"VesselParams.{name} must be positive and finite")
-        lhs = 2.0 * self.F_max
-        rhs = self.d1u * self.v_max + self.d2u * self.v_max ** 2
-        if abs(lhs - rhs) > 1e-6 * lhs:
-            raise ValueError(
-                "top-speed calibration identity violated: "
-                f"2*F_max={lhs} but d1u*v_max + d2u*v_max^2={rhs}")
 
 
 @dataclass(frozen=True)

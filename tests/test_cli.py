@@ -2,6 +2,7 @@ import errno
 import re
 import socket
 import threading
+import time
 import types
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from otterlink import cli, codec, transport
 from otterlink.cli import (EXIT_CONFIG, EXIT_CONNECT, EXIT_NUMERIC, EXIT_OK,
                            EXIT_ORDERING, main)
+from otterlink.client import TopicGateway
 from otterlink.logbag import LogRecord, LogWriter, read_records
+from otterlink.obc import OtterObc
 from otterlink.vessel import NumericFault
 
 FAST_BENCH = """
@@ -337,6 +340,39 @@ class TestSocketRunPacing:
         assert "no telemetry received" in capsys.readouterr().err
         assert starts[-1] == pytest.approx(5.0, abs=1e-9)
 
+    def test_nmpc_reports_a_dropout(self, tmp_path, monkeypatch, capsys):
+        # telemetry from a simulated OBC for the first second only; the
+        # NMPC's dropout event used to go to a no-op
+        clock = types.SimpleNamespace(now=50.0)
+        obc = OtterObc()
+
+        class Client(TopicGateway):
+            def __init__(self, *_endpoints):
+                super().__init__(command_sender=lambda line: None)
+
+            def poll(self, timeout):
+                clock.now += timeout
+                if clock.now - 50.0 > 1.0:
+                    return 0
+                lines = obc.tick(clock.now - 50.0)
+                for line in lines:
+                    self.feed_line(line, clock.now)
+                return len(lines)
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(
+            monotonic=lambda: clock.now))
+        monkeypatch.setattr(cli, "BackseatClient", Client)
+        cfg = write_config(tmp_path, "[bench]\nduration = 3\n")
+        assert main(["--config", cfg, "run", "--controller", "nmpc"]) \
+            == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"dropout: no synced telemetry at t=\d+\.\d\d\n",
+                            err), err
+
 
 class TestConfigReachesTheSimulator:
     """Every command simulates the Otter its config describes."""
@@ -427,6 +463,34 @@ class TestConfigReachesTheSimulator:
         assert code == EXIT_OK
         assert capsys.readouterr().err == "rejected 2 command datagrams\n"
 
+    def test_sim_closes_its_listener_when_the_broadcaster_fails(
+            self, tmp_path, capsys, monkeypatch):
+        made = []
+        listener = transport.UdpListener
+
+        class NoBroadcast(socket.socket):
+            def setsockopt(self, level, name, value):
+                if name == socket.SO_BROADCAST:
+                    raise OSError(errno.EACCES, "Permission denied")
+                super().setsockopt(level, name, value)
+
+        def recorded(*args):
+            made.append(listener(*args))
+            return made[-1]
+
+        monkeypatch.setattr(socket, "socket", NoBroadcast)
+        monkeypatch.setattr(transport, "UdpListener", recorded)
+        cfg = write_config(tmp_path, f"[transport]\ntelem_port = "
+                                     f"{free_port()}\ncmd_port = "
+                                     f"{free_port()}\n")
+        threads = threading.enumerate()
+        assert main(["--config", cfg, "sim", "--duration", "1"]) \
+            == EXIT_CONNECT
+        assert capsys.readouterr().err.startswith(
+            "transport error: socket setup failed")
+        assert [made_one._sock.fileno() for made_one in made] == [-1]
+        assert threading.enumerate() == threads
+
     def test_sim_reports_failed_telemetry_sends(self, tmp_path, capsys,
                                                 monkeypatch):
         class FailingSend(socket.socket):
@@ -487,7 +551,81 @@ class TestConfigReachesTheSimulator:
         assert "transport error: send to" in capsys.readouterr().err
 
 
+class TestListen:
+    def test_prints_decoded_lines_and_decode_errors(self, tmp_path, capsys,
+                                                    monkeypatch):
+        port = free_port()
+        bound = threading.Event()
+        listener = transport.UdpListener
+        pos = codec.encode_sentence(
+            codec.PosReport(43200.0, 45.0, -76.0, 0.0, 1.0, 0.0))
+
+        def signalling_listener(*args, **kwargs):
+            made = listener(*args, **kwargs)
+            bound.set()
+            return made
+
+        def send():
+            if not bound.wait(5.0):
+                return
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                for line in (pos, "$POTPOS,garbage*00\r\n"):
+                    sock.sendto(line.encode("ascii"), ("127.0.0.1", port))
+
+        monkeypatch.setattr(transport, "UdpListener", signalling_listener)
+        cfg = write_config(tmp_path, f"[transport]\ntelem_port = {port}\n")
+        sender = threading.Thread(target=send)
+        sender.start()
+        started = time.monotonic()
+        try:
+            code = main(["--config", cfg, "listen", "--duration", "0.5"])
+        finally:
+            bound.set()
+            sender.join()
+        assert code == EXIT_OK
+        assert 0.5 <= time.monotonic() - started < 5.0
+        out, err = capsys.readouterr()
+        stamp = r"\[\d+\.\d{3}\] "
+        decoded, error = out.splitlines()
+        assert re.fullmatch(stamp + "PosReport: " + re.escape(pos.strip()),
+                            decoded), decoded
+        assert re.fullmatch(stamp + "decode error: .+", error), error
+        assert err == ""
+
+    @pytest.mark.parametrize("command", ["sim", "listen"])
+    def test_ctrl_c_exits_0_and_closes_the_socket(self, tmp_path,
+                                                  monkeypatch, command):
+        made = []
+
+        class Interrupted(transport.UdpListener):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            def poll(self, timeout):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(transport, "UdpListener", Interrupted)
+        cfg = write_config(tmp_path, f"[transport]\ntelem_port = "
+                                     f"{free_port()}\ncmd_port = "
+                                     f"{free_port()}\n")
+        threads = threading.enumerate()
+        assert main(["--config", cfg, command]) == EXIT_OK
+        assert [listener._sock.fileno() for listener in made] == [-1]
+        assert threading.enumerate() == threads
+
+
 class TestEmbeddedRun:
+    def test_timed_out_mission_says_its_metrics_are_partial(self, tmp_path,
+                                                            capsys):
+        cfg = write_config(tmp_path, "[bench]\nduration = 1\n"
+                                     "target_laps = 1\n")
+        assert main(["--config", cfg, "run", "--embedded",
+                     "--controller", "baseline"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert "completion_time_s: -1.0" in out
+        assert out[-1] == "mission timeout: metrics are partial"
+
     def test_baseline_run_writes_log_and_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         log = tmp_path / "mission.olog"
@@ -503,6 +641,18 @@ class TestEmbeddedRun:
         text = csv_out.read_text(encoding="utf-8")
         assert text.startswith("metric,value\n")
         assert "solve_time" not in text
+
+    def test_second_run_to_one_log_leaves_one_run(self, tmp_path, capsys):
+        # the log used to be opened for appending, so a second run added
+        # its mission behind the first and t_mono fell mid-file
+        cfg = write_config(tmp_path)
+        logs = [tmp_path / "once.olog", tmp_path / "twice.olog",
+                tmp_path / "twice.olog"]
+        for log in logs:
+            assert main(["--config", cfg, "run", "--embedded",
+                         "--controller", "baseline", "--log",
+                         str(log)]) == EXIT_OK
+        assert logs[1].read_bytes() == logs[0].read_bytes()
 
     def test_zero_target_laps_flies_the_whole_duration(self, tmp_path,
                                                        capsys):

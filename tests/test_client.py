@@ -132,6 +132,10 @@ class TestPublish:
         with pytest.raises(TopicError):
             gw.publish_command("otter_gps", codec.DriftCmd(True))
 
+    def test_no_command_sender(self):
+        with pytest.raises(TopicError, match="no command sender"):
+            TopicGateway().publish_command("drift_cmds", codec.DriftCmd(True))
+
 
 def oracle_match(trace, topics, slop):
     """Straightforward restatement of the matching rule: keep the

@@ -237,6 +237,22 @@ class TestDecodeErrors:
         with pytest.raises(codec.FramingError):
             codec.decode_sentence("POTCMD,DRIFT,1*00\r\n")
 
+    def test_line_ending_in_newline_only(self):
+        line = codec.encode_sentence(codec.DriftCmd(True))
+        assert codec.decode_sentence(line[:-2] + "\n") == codec.DriftCmd(True)
+
+    def test_cmd_without_subcommand(self):
+        with pytest.raises(codec.MalformedFieldError,
+                           match="missing subcommand"):
+            codec.decode_sentence(framed("POTCMD"))
+
+    @pytest.mark.parametrize("msg", [None, "$POTCMD,DRIFT,1*00\r\n",
+                                     codec.PosReport])
+    def test_encoding_a_non_message(self, msg):
+        with pytest.raises(codec.UnknownSentenceError,
+                           match="not an OtterMessage"):
+            codec.encode_sentence(msg)
+
     @given(messages, st.integers(0, 40))
     @settings(max_examples=150)
     def test_any_single_char_corruption_never_partial(self, msg, pos):

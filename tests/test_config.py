@@ -50,11 +50,11 @@ def section_items(section):
 
 class TestSchema:
     @pytest.mark.parametrize("name, size", [
-        ("transport", 5), ("vessel", 16), ("nmpc", 10), ("los", 3),
+        ("transport", 5), ("vessel", 15), ("nmpc", 10), ("los", 3),
         ("bench", 5)])
     def test_keys_are_the_lowercased_field_names(self, tmp_path, name, size):
         section = getattr(RunConfig(), name)
-        assert len(dict(section_items(section))) == size  # 39 in all
+        assert len(dict(section_items(section))) == size  # 38 in all
         for key, value in section_items(section):
             cfg = load_config(write(tmp_path, f"[{name}]\n{key} = {value}\n"))
             assert cfg == RunConfig()
@@ -104,6 +104,11 @@ target_laps = 2
         assert cfg.vessel.params.m11 == 130.0
         assert cfg.vessel.params.motor_tau == 0.25
 
+    def test_damping_key_alone_loads(self, tmp_path):
+        # a hull with other surge damping needs no second key
+        cfg = load_config(write(tmp_path, "[vessel]\nd1u = 10\n"))
+        assert cfg.vessel.params.d1u == 10.0
+
 
 class TestRejection:
     def test_missing_file(self):
@@ -122,6 +127,11 @@ class TestRejection:
     def test_bench_keys_nothing_reads_are_unknown(self, tmp_path, key):
         with pytest.raises(ConfigFileError, match="unknown key"):
             load_config(write(tmp_path, f"[bench]\n{key} = 3\n"))
+
+    def test_top_speed_is_unknown(self, tmp_path):
+        # nothing read v_max but a check that it agreed with the damping
+        with pytest.raises(ConfigFileError, match="unknown key 'v_max'"):
+            load_config(write(tmp_path, "[vessel]\nv_max = 3\n"))
 
     @pytest.mark.parametrize("raw", ["0.09", "none"])
     def test_time_budget_is_unknown(self, tmp_path, raw):
@@ -189,8 +199,8 @@ class TestRejection:
         assert cfg.los.speed == 0.0 and cfg.vessel.origin_lon == -180.0
 
     def test_invalid_vessel_params_surface_as_config_error(self, tmp_path):
-        with pytest.raises(ConfigFileError, match="calibration"):
-            load_config(write(tmp_path, "[vessel]\nd1u = 10\n"))
+        with pytest.raises(ConfigFileError, match="d1u"):
+            load_config(write(tmp_path, "[vessel]\nd1u = 0\n"))
 
     @pytest.mark.parametrize("text, match", [
         ("[transport]\ntelem_host = a%b\n", "must be followed by"),

@@ -27,3 +27,9 @@ def test_roundtrip_near_origin():
         back = latlon_to_local(lat, lon, 45.0, -76.0)
         assert back[0] == pytest.approx(north, abs=1e-6)
         assert back[1] == pytest.approx(east, abs=1e-6)
+
+
+@pytest.mark.parametrize("lat, origin_lat", [(90.5, 45.0), (45.0, -91.0)])
+def test_latitude_beyond_a_pole_rejected(lat, origin_lat):
+    with pytest.raises(ValueError, match="latitude out of"):
+        latlon_to_local(lat, 0.0, origin_lat, 0.0)

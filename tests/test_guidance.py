@@ -63,6 +63,18 @@ class TestPolyline:
         with pytest.raises(ValueError, match="finite"):
             PolylinePath([(0.0, 0.0), (5.0, bad)], closed=True)
 
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_all_degenerate_segments_rejected(self, closed):
+        with pytest.raises(ValueError, match="no non-degenerate segment"):
+            PolylinePath([(1.0, 2.0), (1.0, 2.0), (1.0, 2.0)], closed=closed)
+
+    def test_closed_path_drops_a_repeated_first_point(self):
+        corners = [(0, 0), (10, 0), (10, 10), (0, 10)]
+        square = PolylinePath(corners, closed=True)
+        repeated = PolylinePath(corners + [(0, 0)], closed=True)
+        assert np.array_equal(repeated.points, square.points)
+        assert repeated.length == square.length == 40.0
+
     def test_closed_length_includes_return_leg(self):
         square = PolylinePath([(0, 0), (10, 0), (10, 10), (0, 10)],
                               closed=True)
@@ -663,6 +675,48 @@ class TestCandidateGrid:
                 == reference_project(path, north, east)
             assert path.project_near(north, east, s_hint, 2.0) \
                 == reference_project_near(path, north, east, s_hint, 2.0)
+
+    @staticmethod
+    def check_matches_kernel(path, points, seed):
+        """`arc_near` (so `project_near`) equals the masked full kernel,
+        with no hint and with hints on and off the path."""
+        rng = np.random.default_rng(seed)
+        for north, east in points:
+            for s_hint in (None, rng.uniform(-0.2, 1.2) * path.length):
+                i, t = path._kernel_nearest(north, east, s_hint, 2.0)
+                assert path.arc_near(north, east, s_hint, 2.0) \
+                    == (path._cum_f[i] + t * path._lengths_f[i], i)
+
+    def test_grid_cells_grow_to_stay_under_the_cap(self):
+        # 0.1 m segments, then a 390 m leg: cells of 4 median segments
+        # (0.4 m) would number about half a million, so the side grows
+        k = np.arange(30)
+        points = np.vstack([np.column_stack([0.1 * k, 0.0 * k]),
+                            [[300.0, 250.0]]])
+        path = PolylinePath(points)
+        x0, y0, x1, y1, side, nx, ny = path._grid[:7]
+        assert nx * ny <= guidance._MAX_CELLS
+        assert side > 10 * guidance._CELL_SEGMENTS * 0.1
+        rng = np.random.default_rng(89)
+        queries = np.vstack([
+            np.column_stack([rng.uniform(x0, x1, 300),
+                             rng.uniform(y0, y1, 300)]),
+            np.column_stack([rng.uniform(-0.5, 3.5, 300),
+                             rng.uniform(-0.5, 0.5, 300)]),
+            path.points])
+        self.check_matches_kernel(path, queries, 97)
+
+    def test_no_grid_at_the_coordinate_cap(self):
+        # squared distances may overflow beyond it: the kernel answers
+        far = guidance._MAX_COORD
+        path = PolylinePath([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0),
+                             (far, 10.0)])
+        assert path._grid is None
+        rng = np.random.default_rng(101)
+        self.check_matches_kernel(path, rng.uniform(-5.0, 15.0, (200, 2)),
+                                  103)
+        assert path.project(5.0, 1.0).seg_index == 0
+        assert path.project(20.0, 11.0).seg_index == 2
 
     def test_long_waypoint_path_builds_no_grid(self):
         k = np.arange(5000)

@@ -483,6 +483,23 @@ class TestSolve:
         state = VesselState(u=float("nan"))
         assert solve_nmpc(state, EAST_LINE, config, P) is None
 
+    def test_none_when_a_trial_rollout_goes_non_finite(self, monkeypatch):
+        # a model that is finite at zero thrust only: the cold-start
+        # rollout evaluates, and the line search's first trial does not
+        rk4_step = nmpc.rk4_step
+        trials = []
+
+        def nan_under_thrust(y, f_port, f_stbd, *args):
+            if f_port or f_stbd:
+                trials.append((f_port, f_stbd))
+                return (math.nan,) * 6
+            return rk4_step(y, f_port, f_stbd, *args)
+
+        monkeypatch.setattr(nmpc, "rk4_step", nan_under_thrust)
+        state = VesselState(psi=math.pi / 2)
+        assert solve_nmpc(state, EAST_LINE, NmpcConfig(), P) is None
+        assert trials
+
     def test_warm_start_shift(self):
         # shifted by one plan step: the first command dropped, the last
         # repeated

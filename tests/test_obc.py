@@ -5,7 +5,7 @@ import pytest
 from otterlink import codec
 from otterlink.obc import (OtterObc, SIM_DT, builtin_course_speed,
                            wrap_deg180)
-from otterlink.vessel import EnvDisturbance, VesselState
+from otterlink.vessel import DEFAULT_V_MAX, EnvDisturbance, VesselState
 
 
 def decode_all(lines):
@@ -73,7 +73,7 @@ class TestModes:
         obc = OtterObc()
         obc.handle_command(codec.ManualCmd(1.0, 0.0, 0.0))
         run_for(obc, 60.0)
-        assert obc.state.u == pytest.approx(obc.params.v_max, rel=0.02)
+        assert obc.state.u == pytest.approx(DEFAULT_V_MAX, rel=0.02)
 
     def test_manual_y_axis_is_ignored(self):
         a, b = OtterObc(), OtterObc()

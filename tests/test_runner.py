@@ -331,6 +331,34 @@ class TestPublish:
         ctl.step(1.1)
         assert sent == [line, line]
 
+    def test_failsafe_zeroes_the_motors_after_failed_solves(
+            self, monkeypatch):
+        sent = []
+        gateway = TopicGateway(command_sender=sent.append)
+        ctl = NmpcController(gateway, figure_eight(20.0), NmpcConfig(),
+                             VesselParams(), *ORIGIN)
+        for line in OtterObc().tick(1.0):
+            gateway.feed_line(line, 1.0)
+        ctl.step(1.0)
+        assert sent[0] != codec.encode_sentence(codec.ManualCmd(0, 0, 0))
+        monkeypatch.setattr(runner, "solve_nmpc", lambda *a, **k: None)
+        for k in range(1, runner.FAILSAFE_AFTER + 2):
+            ctl.step(1.0 + 0.1 * k)
+        # the plan is held through FAILSAFE_AFTER - 1 failed solves, then
+        # the motors stop and stay stopped
+        held = runner.FAILSAFE_AFTER - 1
+        stop = codec.encode_sentence(codec.ManualCmd(0.0, 0.0, 0.0))
+        assert sent[1:] == [sent[0]] * held + [stop] * 2
+
+    def test_quiet_before_any_sample(self):
+        sent, events = [], []
+        gateway = TopicGateway(command_sender=sent.append)
+        ctl = NmpcController(gateway, figure_eight(20.0), NmpcConfig(),
+                             VesselParams(), *ORIGIN,
+                             event_log=lambda *event: events.append(event))
+        ctl.step(5.0)
+        assert sent == [] and events == [] and ctl.dropout_events == 0
+
 
 class TestWarmStartClock:
     @staticmethod

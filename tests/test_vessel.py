@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from otterlink.vessel import (EnvDisturbance, MotorState, NumericFault,
-                              RPM_MAX, VesselParams, VesselState,
+from otterlink.vessel import (DEFAULT_V_MAX, EnvDisturbance, MotorState,
+                              NumericFault, RPM_MAX, VesselParams, VesselState,
                               apply_motor_lag, dynamics_deriv, mix,
                               rk4_step, saturate, step_dynamics, wrap_2pi)
 
@@ -18,13 +18,9 @@ def kinetic_energy(state: VesselState, params: VesselParams) -> float:
 
 class TestParams:
     def test_calibration_identity_holds_for_defaults(self):
-        # at v_max the two motors exactly balance total surge drag
-        drag = P.d1u * P.v_max + P.d2u * P.v_max ** 2
+        # at DEFAULT_V_MAX the two motors exactly balance total surge drag
+        drag = P.d1u * DEFAULT_V_MAX + P.d2u * DEFAULT_V_MAX ** 2
         assert drag == pytest.approx(2.0 * P.F_max, rel=1e-9)
-
-    def test_inconsistent_calibration_rejected(self):
-        with pytest.raises(ValueError, match="calibration"):
-            VesselParams(d1u=10.0)
 
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValueError, match="m11"):
@@ -95,9 +91,9 @@ class TestMotorLag:
 
 class TestDynamics:
     def test_top_speed_is_equilibrium(self):
-        # at u = v_max under full thrust every derivative except position
-        # must vanish
-        y = (0.0, 0.0, 0.0, P.v_max, 0.0, 0.0)
+        # at u = DEFAULT_V_MAX under full thrust every derivative except
+        # position must vanish
+        y = (0.0, 0.0, 0.0, DEFAULT_V_MAX, 0.0, 0.0)
         dy = dynamics_deriv(y, P.F_max, P.F_max, 0.0, 0.0, P)
         assert dy[3] == pytest.approx(0.0, abs=1e-12)
         assert dy[4] == 0.0 and dy[5] == 0.0
